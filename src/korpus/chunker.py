@@ -40,17 +40,6 @@ class Chunk:
 
 
 @dataclass(frozen=True)
-class TranslatorSpec:
-    name: str
-    beam_size: int = 1
-    max_context: int = 156
-
-    def __post_init__(self):
-        if self.beam_size < 1:
-            raise ValueError("beam_size must be >= 1")
-
-
-@dataclass(frozen=True)
 class TranslationResult:
     chunk: Chunk
     text: str | None
@@ -138,47 +127,30 @@ def chunk_document(
 
 
 class Translator:
-    """Base translator: a spec plus a text -> text callable."""
+    """Applies a text -> text callable to each chunk text."""
 
-    def __init__(self, spec: TranslatorSpec, fn: Callable[[str], str]):
-        self.spec = spec
+    def __init__(self, fn: Callable[[str], str]):
         self._fn = fn
-
-    def translate(self, text: str) -> str:
-        return self._fn(text)
 
     def translate_many(self, texts: Sequence[str]) -> list[str | Exception]:
         out: list[str | Exception] = []
         for t in texts:
             try:
-                out.append(self.translate(t))
+                out.append(self._fn(t))
             except Exception as exc:  # per-chunk failures are recorded, not raised
                 out.append(exc)
         return out
 
 
 def identity_translator() -> Translator:
-    return Translator(TranslatorSpec(name="identity"), lambda s: s)
+    return Translator(lambda s: s)
 
 
 class SubprocessTranslator(Translator):
     """Line protocol: one chunk text per stdin line, one translation per stdout line."""
 
-    def __init__(self, command: str | list[str], name: str | None = None,
-                 beam_size: int = 1, max_context: int = 156):
+    def __init__(self, command: str | list[str]):
         self.command = command
-        spec = TranslatorSpec(
-            name=name or (command if isinstance(command, str) else " ".join(command)),
-            beam_size=beam_size,
-            max_context=max_context,
-        )
-        super().__init__(spec, self._translate_one)
-
-    def _translate_one(self, text: str) -> str:
-        result = self.translate_many([text])[0]
-        if isinstance(result, Exception):
-            raise result
-        return result
 
     def translate_many(self, texts: Sequence[str]) -> list[str | Exception]:
         if not texts:

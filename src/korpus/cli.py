@@ -15,21 +15,12 @@ from pathlib import Path
 from . import chunker, dedup, langid, mixer, qualfilter, report as report_mod
 from .core import PipelineConfig, merge_shards, read_shard, write_shard
 from .errors import ConfigError, IntegrityError, KorpusError, ShardFormatError, StageError
-from .pipeline import run_pipeline, validate_config
+from .pipeline import run_pipeline, validate_config, write_json, write_text
 from .preprocess import clean_shard
 
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _write_json(path: str | Path, payload) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
 
 
 def _glob_sorted(patterns: list[str]) -> list[str]:
@@ -47,7 +38,7 @@ def cmd_preprocess(args) -> int:
     cleaned, stats = clean_shard(shard, args.min_words)
     write_shard(cleaned, args.out)
     if args.stats:
-        _write_json(args.stats, asdict(stats))
+        write_json(args.stats, asdict(stats))
     _log(f"[preprocess] kept {stats.output_docs}/{stats.input_docs} docs, "
          f"removed {stats.urls_removed} urls")
     return 0
@@ -94,7 +85,7 @@ def cmd_dedup(args) -> int:
     for i, shard in enumerate(final):
         write_shard(shard, outdir / f"shard-{i:04d}.jsonl")
     if args.report:
-        _write_json(args.report, [json.loads(report_mod.render(r, "json")) for r in reports])
+        write_json(args.report, [json.loads(report_mod.render(r, "json")) for r in reports])
     for rep in reports:
         _log(f"[dedup] stage {rep.stage}: {rep.duplicate_tokens}/{rep.input_tokens} "
              f"duplicate tokens, removed {rep.removed_docs} docs")
@@ -118,7 +109,7 @@ def cmd_lm_score(args) -> int:
             scores.append(asdict(qualfilter.score_perplexity(model, doc)))
         except KorpusError:
             continue
-    _write_json(args.out, scores)
+    write_json(args.out, scores)
     _log(f"[lm] scored {len(scores)} documents")
     return 0
 
@@ -129,7 +120,7 @@ def cmd_quality_filter(args) -> int:
     kept, scores = qualfilter.filter_top_k([shard], model, args.top_k)
     write_shard(kept[0], args.out)
     if args.scores:
-        _write_json(args.scores, [asdict(s) for s in scores])
+        write_json(args.scores, [asdict(s) for s in scores])
     _log(f"[quality-filter] kept {kept[0].manifest.doc_count}/{shard.manifest.doc_count} docs")
     return 0
 
@@ -139,27 +130,24 @@ def cmd_chunk(args) -> int:
     translator = None
     if args.translator_cmd:
         translator = chunker.SubprocessTranslator(args.translator_cmd)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    n_chunks = 0
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        for doc in shard.documents:
-            chunks = chunker.chunk_document(doc, args.budget)
-            results = None
-            if translator is not None:
-                results = chunker.translate_chunks(chunks, translator)
-            for i, c in enumerate(chunks):
-                record = {
-                    "doc_id": c.doc_id, "index": c.index, "text": c.text,
-                    "token_count": c.token_count, "oversized": c.oversized,
-                }
-                if results is not None:
-                    record["translation"] = results[i].text
-                    if results[i].error is not None:
-                        record["error"] = results[i].error
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-                n_chunks += 1
-    _log(f"[chunk] wrote {n_chunks} chunks at budget {args.budget}")
+    lines = []
+    for doc in shard.documents:
+        chunks = chunker.chunk_document(doc, args.budget)
+        results = None
+        if translator is not None:
+            results = chunker.translate_chunks(chunks, translator)
+        for i, c in enumerate(chunks):
+            record = {
+                "doc_id": c.doc_id, "index": c.index, "text": c.text,
+                "token_count": c.token_count, "oversized": c.oversized,
+            }
+            if results is not None:
+                record["translation"] = results[i].text
+                if results[i].error is not None:
+                    record["error"] = results[i].error
+            lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+    write_text(args.out, "".join(lines))
+    _log(f"[chunk] wrote {len(lines)} chunks at budget {args.budget}")
     return 0
 
 
@@ -170,7 +158,7 @@ def cmd_mix(args) -> int:
     for src, shard in zip(spec.sources, shards):
         write_shard(shard, outdir / f"{src.source}.jsonl")
     if args.report:
-        _write_json(args.report, json.loads(report_mod.render(composition, "json")))
+        write_json(args.report, json.loads(report_mod.render(composition, "json")))
     docs, tokens = composition.totals()
     _log(f"[mix] dataset {spec.name}: {docs} docs, {tokens} tokens")
     return 0
@@ -209,8 +197,6 @@ def cmd_validate(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="korpus", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint; stages currently run deterministically in-process")
     parser.add_argument("--seed-override", type=int, default=None,
                         help="replace every configured seed (pipeline subcommand)")
     sub = parser.add_subparsers(dest="command", required=True)

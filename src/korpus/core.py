@@ -221,10 +221,6 @@ def write_shard(shard: CorpusShard, path: str | Path) -> None:
     os.replace(tmp, path)
 
 
-def read_shards(paths: Iterable[str | Path]) -> list[CorpusShard]:
-    return [read_shard(p) for p in paths]
-
-
 def iter_documents(shards: Iterable[CorpusShard]) -> Iterator[Document]:
     for shard in shards:
         yield from shard.documents

@@ -38,9 +38,6 @@ class TokenStream:
         _, start, end = self.doc_boundaries[doc_index]
         return [self.inverse[i] for i in self.tokens[start:end]]
 
-    def content_tokens(self) -> int:
-        return sum(end - start for _, start, end in self.doc_boundaries)
-
 
 @dataclass(frozen=True)
 class SuffixIndex:

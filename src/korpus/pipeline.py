@@ -2,10 +2,18 @@
 
 Stages run in a fixed order: preprocess -> langid -> dedup -> qualfilter ->
 chunk -> mix -> report. Every output file is written deterministically, so an
-identical config over identical inputs yields a byte-identical workspace. A
-completed stage drops a marker file (content checksums, no timestamps) and is
-skipped on resume unless --force; an interrupted run resumed later is
-indistinguishable from an uninterrupted one.
+identical config over identical inputs yields a byte-identical workspace.
+
+Resume contract. A completed stage writes `markers/<stage>.json` holding the
+run key and a checksum of each output it wrote (no timestamps, no absolute
+paths). The run key is a sha256 over the korpus version, the parsed config
+without its directory, the seed override and the bytes of every raw input file:
+source paths, langid training corpora and the KN reference. A stage is cached
+only if its marker carries this run's key, so a change to any of these reruns
+every stage. A cached stage re-checks every output checksum its marker
+recorded; a missing or modified output raises IntegrityError (CLI exit 4).
+--force reruns every stage whatever the markers say. An interrupted run
+resumed later is indistinguishable from an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -13,13 +21,18 @@ from __future__ import annotations
 import glob as globmod
 import json
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 
-from . import chunker, dedup, langid, mixer, qualfilter, report as report_mod
+try:  # the interpreter's own sha256: importing hashlib maps OpenSSL, ~3 MB of RSS
+    from _sha256 import sha256
+except ImportError:  # Python >= 3.12 or a build without it
+    from hashlib import sha256
+
+from . import __version__, chunker, dedup, langid, mixer, qualfilter, report as report_mod
 from .core import (
     CorpusShard, PipelineConfig, fnv1a_bytes, merge_shards, read_shard, write_shard,
 )
@@ -179,18 +192,54 @@ def validate_config(path: str | Path) -> list[str]:
     return diags
 
 
-def _write_json(path: Path, payload) -> None:
+def write_text(path: str | Path, text: str) -> None:
+    """Write UTF-8 text through a sibling tmp file and a rename, so a reader
+    never sees a partly written file."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    tmp.write_bytes(text.encode("utf-8"))
     tmp.replace(path)
+
+
+def write_json(path: str | Path, payload) -> None:
+    write_text(path, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
 
 
 def _checksum_file(path: Path) -> str:
     return f"{fnv1a_bytes(path.read_bytes()):016x}"
+
+
+def _run_key(config: RunConfig, seed_override: int | None) -> str:
+    """sha256 over the korpus version, the parsed config without its directory,
+    the seed override and the bytes of every raw input file, in resolved order."""
+    settings = asdict(config)
+    del settings["base_dir"]  # absolute; markers must not depend on where the workspace lives
+    key = sha256(
+        json.dumps([__version__, settings, seed_override], sort_keys=True).encode("utf-8"))
+    patterns = [pat for src in config.sources for pat in src.paths]
+    if config.langid_cfg is not None:
+        patterns += [pat for pats in config.langid_cfg["train"].values() for pat in pats]
+    if config.quality_lm is not None:
+        patterns += config.quality_lm["reference"]
+    for path in _resolve_paths(patterns, config.base_dir):
+        digest = sha256()
+        with open(path, "rb") as fh:  # in blocks: a whole-file read raises the peak RSS
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                digest.update(block)
+        key.update(digest.digest())
+    return key.hexdigest()
+
+
+# The source flag that makes a stage write <ws>/<stage>/<source>.jsonl. After
+# the stage, ran or cached, that shard is what the source reads.
+_SHARD_FLAG = {
+    "preprocess": "preprocess",
+    "langid": "langid",
+    "dedup": "dedup_group",
+    "qualfilter": "quality_filter",
+    "chunk": "chunk_translate",
+}
 
 
 class PipelineRun:
@@ -204,6 +253,7 @@ class PipelineRun:
         self.force = force
         self.log = log
         self.seed_override = seed_override
+        self.key = _run_key(config, seed_override)
         self.state: dict[str, list[Path]] = {}
         for src in config.sources:
             self.state[src.name] = _resolve_paths(src.paths, config.base_dir)
@@ -213,23 +263,32 @@ class PipelineRun:
     def _marker_path(self, stage: str) -> Path:
         return self.ws / "markers" / f"{stage}.json"
 
-    def _stage_done(self, stage: str) -> bool:
-        return not self.force and self._marker_path(stage).exists()
+    def _cached_outputs(self, stage: str) -> dict[str, str] | None:
+        """Output checksums of the stage if its marker carries this run's key."""
+        if self.force:
+            return None
+        try:
+            marker = json.loads(self._marker_path(stage).read_text(encoding="utf-8"))
+        except (FileNotFoundError, json.JSONDecodeError):
+            return None
+        return marker["outputs"] if marker.get("key") == self.key else None
+
+    def _verify(self, stage: str, outputs: dict[str, str]) -> None:
+        for rel, checksum in outputs.items():
+            path = self.ws / rel
+            if not path.is_file() or _checksum_file(path) != checksum:
+                raise IntegrityError(
+                    f"stage {stage} is marked complete but its output {rel} is missing "
+                    f"or modified; re-run with --force"
+                )
 
     def _finish_stage(self, stage: str, written: list[Path]) -> None:
         outputs = {
             str(p.relative_to(self.ws)): _checksum_file(p)
             for p in sorted(set(written))
         }
-        _write_json(self._marker_path(stage), {"stage": stage, "outputs": outputs})
-
-    def _verify_outputs(self, stage: str, expected: list[Path]) -> None:
-        missing = [str(p) for p in expected if not p.exists()]
-        if missing:
-            raise IntegrityError(
-                f"stage {stage} is marked complete but outputs are missing "
-                f"({', '.join(missing)}); re-run with --force"
-            )
+        write_json(self._marker_path(stage),
+                   {"key": self.key, "outputs": outputs, "stage": stage})
 
     # -- seeds ---------------------------------------------------------------
 
@@ -253,20 +312,23 @@ class PipelineRun:
         self.ws.mkdir(parents=True, exist_ok=True)
         summary: dict = {}
         for stage in STAGES:
-            fn = getattr(self, f"_stage_{stage}")
-            if self._stage_done(stage):
+            outputs = self._cached_outputs(stage)
+            if outputs is not None:
                 self.log(f"[pipeline] {stage}: cached")
-                expected = fn(execute=False)
-                self._verify_outputs(stage, expected)
+                self._verify(stage, outputs)
             else:
                 self.log(f"[pipeline] {stage}: running")
                 try:
-                    written = fn(execute=True)
+                    written = getattr(self, f"_stage_{stage}")()
                 except KorpusError:
                     raise
                 except Exception as exc:
                     raise StageError(f"stage {stage} failed: {exc}") from exc
                 self._finish_stage(stage, written)
+            flag = _SHARD_FLAG.get(stage)
+            for src in self.cfg.sources:
+                if flag and getattr(src, flag):
+                    self.state[src.name] = [self.ws / stage / f"{src.name}.jsonl"]
             if stage == stop_after:
                 self.log(f"[pipeline] stopped after {stage}")
                 return summary
@@ -274,7 +336,10 @@ class PipelineRun:
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
         return summary
 
-    def _stage_preprocess(self, execute: bool) -> list[Path]:
+    def _read_source(self, name: str) -> CorpusShard:
+        return merge_shards([read_shard(p) for p in self.state[name]], source=name)
+
+    def _stage_preprocess(self) -> list[Path]:
         outdir = self.ws / "preprocess"
         written: list[Path] = []
         for src in self.cfg.sources:
@@ -282,55 +347,46 @@ class PipelineRun:
                 continue
             out = outdir / f"{src.name}.jsonl"
             stats_path = outdir / f"{src.name}.stats.json"
-            if execute:
-                shard = merge_shards([read_shard(p) for p in self.state[src.name]],
-                                     source=src.name)
-                cleaned, stats = clean_shard(shard, self.cfg.params.min_words)
-                write_shard(cleaned, out)
-                _write_json(stats_path, asdict(stats))
-            self.state[src.name] = [out]
+            cleaned, stats = clean_shard(self._read_source(src.name), self.cfg.params.min_words)
+            write_shard(cleaned, out)
+            write_json(stats_path, asdict(stats))
             written += [out, stats_path]
         return written
 
-    def _stage_langid(self, execute: bool) -> list[Path]:
+    def _stage_langid(self) -> list[Path]:
         cfg = self.cfg.langid_cfg
         flagged = [s for s in self.cfg.sources if s.langid]
         if not flagged or cfg is None:
             return []
         outdir = self.ws / "langid"
         model_path = outdir / "model.bin"
-        written = [model_path]
-        model = None
-        if execute:
-            corpora = {
-                lang: merge_shards(
-                    [read_shard(p) for p in _resolve_paths(list(pats), self.cfg.base_dir)],
-                    source=lang,
-                )
-                for lang, pats in cfg["train"].items()
-            }
-            model = langid.train_langid(
-                corpora,
-                epochs=int(cfg.get("epochs", 10)),
-                learning_rate=float(cfg.get("learning_rate", 1.0)),
-                seed=self._langid_seed(),
-                feature_buckets=int(cfg.get("feature_buckets", langid.DEFAULT_BUCKETS)),
+        corpora = {
+            lang: merge_shards(
+                [read_shard(p) for p in _resolve_paths(list(pats), self.cfg.base_dir)],
+                source=lang,
             )
-            langid.save_model(model, model_path)
+            for lang, pats in cfg["train"].items()
+        }
+        model = langid.train_langid(
+            corpora,
+            epochs=int(cfg.get("epochs", 10)),
+            learning_rate=float(cfg.get("learning_rate", 1.0)),
+            seed=self._langid_seed(),
+            feature_buckets=int(cfg.get("feature_buckets", langid.DEFAULT_BUCKETS)),
+        )
+        langid.save_model(model, model_path)
+        written = [model_path]
         for src in flagged:
             out = outdir / f"{src.name}.jsonl"
-            if execute:
-                shard = merge_shards([read_shard(p) for p in self.state[src.name]],
-                                     source=src.name)
-                filtered = langid.filter_language(
-                    model, shard, cfg["target"], self.cfg.params.langid_threshold,
-                )
-                write_shard(filtered, out)
-            self.state[src.name] = [out]
+            filtered = langid.filter_language(
+                model, self._read_source(src.name), cfg["target"],
+                self.cfg.params.langid_threshold,
+            )
+            write_shard(filtered, out)
             written.append(out)
         return written
 
-    def _stage_dedup(self, execute: bool) -> list[Path]:
+    def _stage_dedup(self) -> list[Path]:
         groups: dict[str, list[str]] = {}
         for src in self.cfg.sources:
             if src.dedup_group:
@@ -338,195 +394,160 @@ class PipelineRun:
         if not groups:
             return []
         outdir = self.ws / "dedup"
+        stage_groups = []
+        shard_owner: list[str] = []
+        for gname, members in groups.items():
+            shards = []
+            for name in members:
+                for p in self.state[name]:
+                    shards.append(read_shard(p))
+                    shard_owner.append(name)
+            stage_groups.append((gname, shards))
+        final, reports = dedup.staged_dedup(
+            stage_groups,
+            self.cfg.params.min_match_tokens,
+            self.cfg.params.dedup_policy,
+        )
+        per_source: dict[str, list[CorpusShard]] = {}
+        for owner, shard in zip(shard_owner, final):
+            per_source.setdefault(owner, []).append(shard)
         written: list[Path] = []
-        sourcenames = [name for members in groups.values() for name in members]
-        if execute:
-            stage_groups = []
-            shard_owner: list[str] = []
-            for gname, members in groups.items():
-                shards = []
-                for name in members:
-                    for p in self.state[name]:
-                        shards.append(read_shard(p))
-                        shard_owner.append(name)
-                stage_groups.append((gname, shards))
-            final, reports = dedup.staged_dedup(
-                stage_groups,
-                self.cfg.params.min_match_tokens,
-                self.cfg.params.dedup_policy,
-            )
-            per_source: dict[str, list[CorpusShard]] = {}
-            for owner, shard in zip(shard_owner, final):
-                per_source.setdefault(owner, []).append(shard)
-            for name in sourcenames:
-                merged = merge_shards(per_source.get(name, []), source=name)
-                write_shard(merged, outdir / f"{name}.jsonl")
-            for rep in reports:
-                _write_json(outdir / f"report-{rep.stage}.json",
-                            json.loads(report_mod.render(rep, "json")))
-                written.append(outdir / f"report-{rep.stage}.json")
-        else:
-            for gname in groups:
-                written.append(outdir / f"report-{gname}.json")
-            written.append(outdir / "report-combined.json")
-        for name in sourcenames:
-            out = outdir / f"{name}.jsonl"
-            self.state[name] = [out]
-            written.append(out)
+        for members in groups.values():
+            for name in members:
+                out = outdir / f"{name}.jsonl"
+                write_shard(merge_shards(per_source.get(name, []), source=name), out)
+                written.append(out)
+        for rep in reports:
+            path = outdir / f"report-{rep.stage}.json"
+            write_json(path, json.loads(report_mod.render(rep, "json")))
+            written.append(path)
         return written
 
-    def _stage_qualfilter(self, execute: bool) -> list[Path]:
+    def _stage_qualfilter(self) -> list[Path]:
         flagged = [s for s in self.cfg.sources if s.quality_filter]
         if not flagged or self.cfg.quality_lm is None:
             return []
         outdir = self.ws / "qualfilter"
         model_path = outdir / "model.arpa"
+        ref_paths = _resolve_paths(list(self.cfg.quality_lm["reference"]), self.cfg.base_dir)
+        model = qualfilter.train_ngram(
+            [read_shard(p) for p in ref_paths],
+            order=self.cfg.params.ngram_order,
+            min_count=int(self.cfg.quality_lm.get("min_count", 2)),
+        )
+        qualfilter.write_arpa(model, model_path)
         written = [model_path]
-        model = None
-        if execute:
-            ref_paths = _resolve_paths(list(self.cfg.quality_lm["reference"]), self.cfg.base_dir)
-            reference = [read_shard(p) for p in ref_paths]
-            model = qualfilter.train_ngram(
-                reference,
-                order=self.cfg.params.ngram_order,
-                min_count=int(self.cfg.quality_lm.get("min_count", 2)),
-            )
-            qualfilter.write_arpa(model, model_path)
         for src in flagged:
             out = outdir / f"{src.name}.jsonl"
             scores_path = outdir / f"{src.name}.scores.json"
-            if execute:
-                shard = merge_shards([read_shard(p) for p in self.state[src.name]],
-                                     source=src.name)
-                kept, scores = qualfilter.filter_top_k(
-                    [shard], model, self.cfg.params.quality_top_k,
-                )
-                write_shard(kept[0], out)
-                _write_json(scores_path, [asdict(s) for s in scores])
-            self.state[src.name] = [out]
+            kept, scores = qualfilter.filter_top_k(
+                [self._read_source(src.name)], model, self.cfg.params.quality_top_k,
+            )
+            write_shard(kept[0], out)
+            write_json(scores_path, [asdict(s) for s in scores])
             written += [out, scores_path]
         return written
 
-    def _stage_chunk(self, execute: bool) -> list[Path]:
+    def _stage_chunk(self) -> list[Path]:
         flagged = [s for s in self.cfg.sources if s.chunk_translate]
         if not flagged:
             return []
         outdir = self.ws / "chunk"
+        command = (self.cfg.translator or {}).get("command")
+        translator = (chunker.SubprocessTranslator(command) if command
+                      else chunker.identity_translator())
+        budget = self.cfg.params.chunk_budget_tokens
         written: list[Path] = []
-        translator = None
-        if execute:
-            tcfg = self.cfg.translator or {}
-            if tcfg.get("command"):
-                translator = chunker.SubprocessTranslator(
-                    tcfg["command"],
-                    beam_size=int(tcfg.get("beam_size", 1)),
-                    max_context=int(tcfg.get("max_context", 156)),
-                )
-            else:
-                translator = chunker.identity_translator()
         for src in flagged:
             chunks_path = outdir / f"{src.name}.chunks.jsonl"
             out = outdir / f"{src.name}.jsonl"
             failures_path = outdir / f"{src.name}.failures.json"
-            if execute:
-                shard = merge_shards([read_shard(p) for p in self.state[src.name]],
-                                     source=src.name)
-                budget = self.cfg.params.chunk_budget_tokens
-                all_lines = []
-                out_docs = []
-                failures = []
-                for doc in shard.documents:
-                    chunks = chunker.chunk_document(doc, budget)
-                    results = chunker.translate_chunks(chunks, translator)
-                    for c in chunks:
-                        all_lines.append({
-                            "doc_id": c.doc_id, "index": c.index, "text": c.text,
-                            "token_count": c.token_count, "oversized": c.oversized,
-                        })
-                    bad = [r for r in results if r.error is not None]
-                    if bad:
-                        failures.append({
-                            "doc_id": doc.id,
-                            "errors": [{"index": r.chunk.index, "error": r.error} for r in bad],
-                        })
-                        continue  # a document with failed chunks is dropped, and reported
-                    text = " ".join(r.text for r in results)
-                    out_docs.append(type(doc)(
-                        id=doc.id, source=doc.source, domain=doc.domain, text=text,
-                    ))
-                chunks_path.parent.mkdir(parents=True, exist_ok=True)
-                tmp = chunks_path.with_name(chunks_path.name + ".tmp")
-                with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-                    for line in all_lines:
-                        fh.write(json.dumps(line, ensure_ascii=False) + "\n")
-                tmp.replace(chunks_path)
-                write_shard(CorpusShard.from_documents(out_docs, source=src.name), out)
-                _write_json(failures_path, failures)
-            self.state[src.name] = [out]
+            shard = self._read_source(src.name)
+            chunk_lines = []
+            out_docs = []
+            failures = []
+            for doc in shard.documents:
+                chunks = chunker.chunk_document(doc, budget)
+                results = chunker.translate_chunks(chunks, translator)
+                for c in chunks:
+                    chunk_lines.append(json.dumps({
+                        "doc_id": c.doc_id, "index": c.index, "text": c.text,
+                        "token_count": c.token_count, "oversized": c.oversized,
+                    }, ensure_ascii=False) + "\n")
+                bad = [r for r in results if r.error is not None]
+                if bad:
+                    failures.append({
+                        "doc_id": doc.id,
+                        "errors": [{"index": r.chunk.index, "error": r.error} for r in bad],
+                    })
+                    continue  # a document with failed chunks is dropped, and reported
+                text = " ".join(r.text for r in results)
+                out_docs.append(type(doc)(
+                    id=doc.id, source=doc.source, domain=doc.domain, text=text,
+                ))
+            write_text(chunks_path, "".join(chunk_lines))
+            write_shard(CorpusShard.from_documents(out_docs, source=src.name), out)
+            write_json(failures_path, failures)
             written += [chunks_path, out, failures_path]
         return written
 
-    def _stage_mix(self, execute: bool) -> list[Path]:
+    def _stage_mix(self) -> list[Path]:
         written: list[Path] = []
         src_by_name = {s.name: s for s in self.cfg.sources}
         for ds in self.cfg.datasets:
             dsdir = self.ws / "datasets" / ds.name
             comp_path = dsdir / "composition.json"
             outs = [dsdir / f"{name}.jsonl" for name in ds.sources]
-            if execute:
-                spec = mixer.DatasetSpec(
-                    name=ds.name,
-                    sources=tuple(
-                        mixer.SourceSpec(
-                            source=name,
-                            domain=src_by_name[name].domain,
-                            paths=tuple(str(p) for p in self.state[name]),
-                        )
-                        for name in ds.sources
-                    ),
-                    budget_tokens=ds.budget_tokens,
-                    trim_source=ds.trim_source,
-                    seed=self._mix_seed(ds),
-                )
-                shards, composition = mixer.assemble(spec)
-                for shard, out in zip(shards, outs):
-                    write_shard(shard, out)
-                _write_json(comp_path, json.loads(report_mod.render(composition, "json")))
+            spec = mixer.DatasetSpec(
+                name=ds.name,
+                sources=tuple(
+                    mixer.SourceSpec(
+                        source=name,
+                        domain=src_by_name[name].domain,
+                        paths=tuple(str(p) for p in self.state[name]),
+                    )
+                    for name in ds.sources
+                ),
+                budget_tokens=ds.budget_tokens,
+                trim_source=ds.trim_source,
+                seed=self._mix_seed(ds),
+            )
+            shards, composition = mixer.assemble(spec)
+            for shard, out in zip(shards, outs):
+                write_shard(shard, out)
+            write_json(comp_path, json.loads(report_mod.render(composition, "json")))
             written += outs + [comp_path]
         return written
 
-    def _stage_report(self, execute: bool) -> list[Path]:
+    def _stage_report(self) -> list[Path]:
         outdir = self.ws / "report"
+        payload: dict = {"datasets": {}, "dedup": [], "preprocess": {}}
+        md: list[str] = ["# Pipeline summary", ""]
+        pre_dir = self.ws / "preprocess"
+        for src in self.cfg.sources:
+            stats_path = pre_dir / f"{src.name}.stats.json"
+            if stats_path.exists():
+                payload["preprocess"][src.name] = json.loads(
+                    stats_path.read_text(encoding="utf-8"))
+        dedup_dir = self.ws / "dedup"
+        if dedup_dir.exists():
+            md.append("## Deduplication")
+            md.append("")
+            for p in sorted(dedup_dir.glob("report-*.json")):
+                obj = json.loads(p.read_text(encoding="utf-8"))
+                payload["dedup"].append(obj)
+                rep = report_mod.parse_report(json.dumps(obj))
+                md.append(report_mod.render(rep, "markdown"))
+        for ds in self.cfg.datasets:
+            comp_path = self.ws / "datasets" / ds.name / "composition.json"
+            obj = json.loads(comp_path.read_text(encoding="utf-8"))
+            payload["datasets"][ds.name] = obj
+            md += [f"## Dataset: {ds.name}", ""]
+            md.append(report_mod.render(report_mod.parse_report(json.dumps(obj)), "markdown"))
         summary_json = outdir / "summary.json"
         summary_md = outdir / "summary.md"
-        if execute:
-            payload: dict = {"datasets": {}, "dedup": [], "preprocess": {}}
-            md: list[str] = ["# Pipeline summary", ""]
-            pre_dir = self.ws / "preprocess"
-            for src in self.cfg.sources:
-                stats_path = pre_dir / f"{src.name}.stats.json"
-                if stats_path.exists():
-                    payload["preprocess"][src.name] = json.loads(
-                        stats_path.read_text(encoding="utf-8"))
-            dedup_dir = self.ws / "dedup"
-            if dedup_dir.exists():
-                md.append("## Deduplication")
-                md.append("")
-                for p in sorted(dedup_dir.glob("report-*.json")):
-                    obj = json.loads(p.read_text(encoding="utf-8"))
-                    payload["dedup"].append(obj)
-                    rep = report_mod.parse_report(json.dumps(obj))
-                    md.append(report_mod.render(rep, "markdown"))
-            for ds in self.cfg.datasets:
-                comp_path = self.ws / "datasets" / ds.name / "composition.json"
-                obj = json.loads(comp_path.read_text(encoding="utf-8"))
-                payload["datasets"][ds.name] = obj
-                md += [f"## Dataset: {ds.name}", ""]
-                md.append(report_mod.render(report_mod.parse_report(json.dumps(obj)), "markdown"))
-            _write_json(summary_json, payload)
-            tmp = summary_md.with_name(summary_md.name + ".tmp")
-            tmp.write_text("\n".join(md) + "\n", encoding="utf-8")
-            tmp.replace(summary_md)
+        write_json(summary_json, payload)
+        write_text(summary_md, "\n".join(md) + "\n")
         return [summary_json, summary_md]
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from korpus.chunker import (
-    Chunk, SubprocessTranslator, Translator, TranslatorSpec, chunk_document,
+    Chunk, SubprocessTranslator, Translator, chunk_document,
     chunk_sentences, identity_translator, split_sentences, translate_chunks,
 )
 from korpus.core import tokenize
@@ -137,7 +137,7 @@ class TestTranslation:
 
     def test_reversing_mock_preserves_order(self, rng):
         chunks = chunk_document(make_doc("d", de_text(rng, 4)), 32)
-        reverser = Translator(TranslatorSpec("reverse"), lambda s: " ".join(reversed(s.split())))
+        reverser = Translator(lambda s: " ".join(reversed(s.split())))
         results = translate_chunks(chunks, reverser)
         for chunk, result in zip(chunks, results):
             assert result.text == " ".join(reversed(chunk.text.split()))
@@ -154,17 +154,9 @@ class TestTranslation:
                 raise RuntimeError("kaputt")
             return text
 
-        results = translate_chunks(chunks, Translator(TranslatorSpec("flaky"), flaky))
+        results = translate_chunks(chunks, Translator(flaky))
         assert [r.error is None for r in results] == [True, False, True]
         assert results[1].text is None and "kaputt" in results[1].error
-
-    def test_beam_size_validated(self):
-        with pytest.raises(ValueError):
-            TranslatorSpec("bad", beam_size=0)
-
-    def test_spec_reference_values(self):
-        spec = identity_translator().spec
-        assert spec.beam_size == 1 and spec.max_context == 156
 
 
 class TestSubprocessTranslator:

@@ -6,7 +6,7 @@ import pytest
 
 from korpus.cli import main
 from korpus.core import read_shard, write_shard
-from korpus.pipeline import run_pipeline, validate_config
+from korpus.pipeline import STAGES, run_pipeline, validate_config
 
 from conftest import (
     build_pipeline_fixture, de_sentence, de_text, en_sentence, make_doc,
@@ -272,6 +272,38 @@ class TestPipelineCommand:
         main(["pipeline", "--config", str(config), "--workspace", str(ws)])
         (ws / "dedup" / "gc4.jsonl").unlink()
         assert main(["pipeline", "--config", str(config), "--workspace", str(ws)]) == 4
+
+    def test_edited_marked_output_is_integrity_error(self, tmp_path):
+        config = build_pipeline_fixture(tmp_path)
+        ws = tmp_path / "ws"
+        main(["pipeline", "--config", str(config), "--workspace", str(ws)])
+        path = ws / "datasets" / "quality" / "gc4.jsonl"
+        shard = read_shard(path)
+        first, *rest = shard.documents
+        edited = make_doc(first.id, first.text + " Ergänzt.", source=first.source)
+        write_shard(CorpusShard.from_documents([edited, *rest], source="gc4"), path)
+        read_shard(path)  # still a valid shard: only the marker checksum catches the edit
+        assert main(["pipeline", "--config", str(config), "--workspace", str(ws)]) == 4
+
+    @pytest.mark.parametrize("change", ["min_words", "seed_override", "raw_input"])
+    def test_resume_after_change_reruns_every_stage(self, tmp_path, capsys, change):
+        config = build_pipeline_fixture(tmp_path)
+        args = ["pipeline", "--config", str(config), "--workspace", str(tmp_path / "ws")]
+        assert main(args) == 0
+        capsys.readouterr()
+        if change == "min_words":
+            obj = json.loads(config.read_text(encoding="utf-8"))
+            obj["params"]["min_words"] = 25
+            config.write_text(json.dumps(obj), encoding="utf-8")
+        elif change == "seed_override":
+            args = ["--seed-override", "3", *args]
+        else:
+            legal = tmp_path / "inputs" / "legal.jsonl"
+            docs = read_shard(legal).documents
+            write_shard(CorpusShard.from_documents(docs[:-1], source="legal"), legal)
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert err.count(": running") == len(STAGES) and "cached" not in err
 
 
 class TestConsoleScript:
