@@ -4,10 +4,17 @@ Documents are concatenated into one stream of 32-bit token ids with a unique
 separator id between consecutive documents; a separator occurs exactly once in
 the stream, so no repeated substring can cross a document boundary.
 
+The index is the stream's suffix array, built by prefix doubling (one sort of
+a packed int64 key per round), and its LCP array, found by binary lifting over
+the rank arrays of those rounds. Positions and ranks are int32, so a stream
+holds at most 2**31 - 1 tokens.
+
 `find_duplicates` reports *maximal matching spans*: spans of at least
 `min_match` tokens whose token sequence occurs at two or more distinct stream
 positions, and which are not contained in a longer span with that property.
-Each reported span is re-verified against the stream by direct comparison.
+Each span's earliest other occurrence comes from range-minimum queries in
+O(log n), so a passage repeated k times costs O(k log n), not O(k^2). Each
+reported span is re-verified against the stream by direct comparison.
 Overlapping spans inside one document are merged only for accounting and
 removal decisions (`apply_policy`), because the union of two distinct repeats
 need not itself occur twice.
@@ -15,7 +22,7 @@ need not itself occur twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +48,7 @@ class TokenStream:
 
 @dataclass(frozen=True)
 class SuffixIndex:
-    suffix_array: np.ndarray  # permutation of positions
+    suffix_array: np.ndarray  # int32 permutation of positions
     lcp: np.ndarray  # lcp[i] = common prefix length of suffixes sa[i], sa[i+1]
 
 
@@ -96,9 +103,11 @@ def build_stream(shards: list[CorpusShard]) -> TokenStream:
         raise CapacityError(
             f"{len(vocab)} tokens + {n_separators} separators exceed the 32-bit id space"
         )
-    sentinel_base = len(vocab)
     # pos counted one separator slot per doc; the last doc has none.
     total = pos - 1 if n_docs > 0 else 0
+    if total > _MAX_IDS:
+        raise CapacityError(f"a stream of {total} tokens exceeds the 32-bit index")
+    sentinel_base = len(vocab)
     tokens = np.empty(total, dtype=np.int32)
     for i, (row, (_, start, end)) in enumerate(zip(ids, boundaries)):
         tokens[start:end] = row
@@ -114,60 +123,65 @@ def build_stream(shards: list[CorpusShard]) -> TokenStream:
     )
 
 
-def _suffix_array(arr: np.ndarray) -> np.ndarray:
-    """Prefix-doubling suffix array (deterministic, O(n log^2 n))."""
+def _suffix_array(arr: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Prefix-doubling suffix array plus the rank array of every round.
+
+    ranks[k][p] is the dense rank of arr[p:p + 2**k] (cut at the stream end), so
+    two positions share a rank at level k iff their 2**k-token prefixes are
+    equal. Each round sorts one packed int64 key, rank * (n + 1) + next rank + 1,
+    with next rank -1 past the end. Tied keys get one rank whatever their order,
+    and the last round's keys are all distinct, so the sort need not be stable.
+    """
     n = arr.size
     if n == 0:
-        return np.empty(0, dtype=np.int64)
-    _, rank = np.unique(arr, return_inverse=True)
-    rank = rank.astype(np.int64)
+        return np.empty(0, dtype=np.int32), []
+    rank = np.unique(arr, return_inverse=True)[1].astype(np.int32)
+    ranks = [rank]
     k = 1
     while True:
-        key2 = np.full(n, -1, dtype=np.int64)
-        key2[: n - k] = rank[k:]
-        sa = np.lexsort((key2, rank))
-        r_sorted = rank[sa]
-        k_sorted = key2[sa]
-        changed = np.empty(n, dtype=np.int64)
+        key = rank.astype(np.int64)
+        key *= n + 1
+        key[: n - k] += rank[k:] + 1
+        order = np.argsort(key)
+        sorted_key = key[order]
+        changed = np.empty(n, dtype=np.int32)
         changed[0] = 0
-        changed[1:] = (r_sorted[1:] != r_sorted[:-1]) | (k_sorted[1:] != k_sorted[:-1])
-        new_rank = np.empty(n, dtype=np.int64)
-        new_rank[sa] = np.cumsum(changed)
-        rank = new_rank
-        if rank[sa[-1]] == n - 1:
-            return sa
+        np.not_equal(sorted_key[1:], sorted_key[:-1], out=changed[1:])
+        rank = np.empty(n, dtype=np.int32)
+        rank[order] = np.cumsum(changed, dtype=np.int32)
+        ranks.append(rank)
+        if rank[order[-1]] == n - 1:
+            return order.astype(np.int32), ranks
         k *= 2
 
 
-def _lcp_kasai(arr: np.ndarray, sa: np.ndarray) -> np.ndarray:
-    """Kasai's algorithm; lcp[i] pairs sa[i] with sa[i+1]."""
+def _lcp(sa: np.ndarray, ranks: list[np.ndarray]) -> np.ndarray:
+    """lcp[i] = common prefix length of suffixes sa[i], sa[i+1].
+
+    Binary lifting over the rank levels of `_suffix_array`, top level first: a
+    pair advances by 2**k where both 2**k-token blocks are in range and share a
+    rank. The top level's ranks are all distinct, so every lcp is below
+    2**top and the lifts below the top sum to it.
+    """
     n = sa.size
     if n <= 1:
-        return np.empty(0, dtype=np.int64)
-    tokens = arr.tolist()
-    sa_list = sa.tolist()
-    rank = [0] * n
-    for r, p in enumerate(sa_list):
-        rank[p] = r
-    lcp = [0] * (n - 1)
-    h = 0
-    for i in range(n):
-        r = rank[i]
-        if r == n - 1:
-            h = 0
-            continue
-        j = sa_list[r + 1]
-        while i + h < n and j + h < n and tokens[i + h] == tokens[j + h]:
-            h += 1
-        lcp[r] = h
-        if h:
-            h -= 1
-    return np.asarray(lcp, dtype=np.int64)
+        return np.empty(0, dtype=np.int32)
+    a = sa[:-1].copy()
+    b = sa[1:].copy()
+    for k in range(len(ranks) - 2, -1, -1):
+        step = 1 << k
+        limit = n - step
+        live = np.flatnonzero((a <= limit) & (b <= limit))
+        rank = ranks[k]
+        live = live[rank[a[live]] == rank[b[live]]]
+        a[live] += step
+        b[live] += step
+    return a - sa[:-1]
 
 
 def build_suffix_index(stream: TokenStream) -> SuffixIndex:
-    sa = _suffix_array(stream.tokens)
-    lcp = _lcp_kasai(stream.tokens, sa)
+    sa, ranks = _suffix_array(stream.tokens)
+    lcp = _lcp(sa, ranks)
     return SuffixIndex(suffix_array=sa, lcp=lcp)
 
 
@@ -176,17 +190,35 @@ def _repeat_lengths(index: SuffixIndex) -> np.ndarray:
     sa = index.suffix_array
     lcp = index.lcp
     n = sa.size
-    rep = np.zeros(n, dtype=np.int64)
-    if n >= 2:
-        left = np.concatenate(([0], lcp))
-        right = np.concatenate((lcp, [0]))
-        rep[sa] = np.maximum(left, right)
+    by_rank = np.zeros(n, dtype=np.int32)
+    by_rank[:-1] = lcp
+    np.maximum(by_rank[1:], lcp, out=by_rank[1:])
+    rep = np.empty(n, dtype=np.int32)
+    rep[sa] = by_rank
     return rep
 
 
-def _doc_of(stream: TokenStream, pos: int, starts: np.ndarray) -> int:
-    i = int(np.searchsorted(starts, pos, side="right")) - 1
-    return i
+def _sparse_min(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse table for range minima, flattened: level k starts at offsets[k].
+
+    flat[offsets[k] + i] = min(values[i:i + 2**k]).
+    """
+    levels = [values]
+    width = 1
+    while 2 * width <= values.size:
+        prev = levels[-1]
+        levels.append(np.minimum(prev[:-width], prev[width:]))
+        width *= 2
+    offsets = np.cumsum([0] + [lv.size for lv in levels[:-1]])
+    return np.concatenate(levels), offsets
+
+
+def _range_min(table: tuple[np.ndarray, np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """min(values[lo:hi]) per element, for hi > lo."""
+    flat, offsets = table
+    k = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo)), exact for integers
+    base = offsets[k]
+    return np.minimum(flat[base + lo], flat[base + hi - (1 << k)])
 
 
 def find_duplicates(index: SuffixIndex, stream: TokenStream, min_match: int) -> list[DuplicateSpan]:
@@ -194,8 +226,18 @@ def find_duplicates(index: SuffixIndex, stream: TokenStream, min_match: int) -> 
 
     A position p starts a maximal span iff rep[p] >= min_match and no earlier
     position covers [p, p + rep[p]); since p -> p + rep[p] is non-decreasing,
-    that is exactly where the covered end strictly increases. Each span is
-    verified to occur at its earliest other position before being reported.
+    that is exactly where the covered end strictly increases.
+
+    The span's other occurrences are the suffix-array block around rank[p]
+    whose adjacent lcp values are >= rep[p]. The block bounds come from binary
+    lifting on a range-minimum table over lcp, and the earliest other
+    occurrence from a range-minimum table over sa, both vectorised over all
+    span starts: O(log n) per span, however often a passage repeats. A block
+    never leaves a run of lcp >= min_match, so the tables cover only the m
+    ranks inside such runs: O(m log m) time and int32 memory, which follow
+    the amount of duplicated text rather than the stream length.
+    Each span is verified against its earliest other occurrence before being
+    reported.
     """
     if min_match < 2:
         raise ValueError("min_match must be >= 2")
@@ -205,45 +247,66 @@ def find_duplicates(index: SuffixIndex, stream: TokenStream, min_match: int) -> 
     sa = index.suffix_array
     lcp = index.lcp
     rep = _repeat_lengths(index)
-    end = np.arange(n, dtype=np.int64) + rep
+    end = np.arange(n, dtype=np.int32) + rep
     keep = rep >= min_match
     keep[1:] &= end[1:] > end[:-1]
-    starts_positions = np.nonzero(keep)[0]
-    if starts_positions.size == 0:
+    starts = np.flatnonzero(keep)
+    if starts.size == 0:
         return []
+    lengths = rep[starts]
 
-    rank = np.empty(n, dtype=np.int64)
-    rank[sa] = np.arange(n, dtype=np.int64)
+    # Ranks next to an lcp >= min_match. Between two runs of them the
+    # compressed lcp is the original gap value, which is < min_match.
+    good = lcp >= min_match
+    in_run = np.zeros(n, dtype=bool)
+    in_run[:-1] |= good
+    in_run[1:] |= good
+    run_ranks = np.flatnonzero(in_run)
+    m = run_ranks.size
+    run_sa = sa[run_ranks]
+    # t = compressed rank of each span start; every start lies in a run.
+    by_pos = np.argsort(run_sa)
+    t = by_pos[np.searchsorted(run_sa, starts, sorter=by_pos)]
+
+    lcp_flat, lcp_offsets = _sparse_min(lcp[run_ranks[:-1]])
+    lo = t.copy()
+    hi = t.copy()
+    for k in range(lcp_offsets.size - 1, -1, -1):
+        width = 1 << k
+        level = lcp_flat[lcp_offsets[k]:lcp_offsets[k] + m - width]
+        # level[i] = min lcp over compressed ranks i..i + width.
+        left = lo - width
+        ok = left >= 0
+        ok[ok] = level[left[ok]] >= lengths[ok]
+        lo[ok] = left[ok]
+        ok = hi + width <= m - 1
+        ok[ok] = level[hi[ok]] >= lengths[ok]
+        hi[ok] += width
+    del lcp_flat
+
+    sa_min = _sparse_min(run_sa)
+    best = np.full(starts.size, n, dtype=np.int64)
+    has = lo < t
+    best[has] = _range_min(sa_min, lo[has], t[has])
+    has = t < hi
+    best[has] = np.minimum(best[has], _range_min(sa_min, t[has] + 1, hi[has] + 1))
+
     doc_starts = np.asarray([b[1] for b in stream.doc_boundaries], dtype=np.int64)
+    doc_of_start = np.searchsorted(doc_starts, starts, side="right") - 1
+    doc_of_match = np.searchsorted(doc_starts, best, side="right") - 1
     tokens = stream.tokens
-
     spans = []
-    for p in starts_positions.tolist():
-        length = int(rep[p])
-        # Earliest other occurrence: walk the SA block whose pairwise lcp >= length.
-        # Ranks other than r hold positions != p, so p itself is never collected.
-        r = int(rank[p])
-        best = n
-        rr = r
-        while rr > 0 and lcp[rr - 1] >= length:
-            rr -= 1
-            if sa[rr] < best:
-                best = int(sa[rr])
-        rr = r
-        while rr < n - 1 and lcp[rr] >= length:
-            rr += 1
-            if sa[rr] < best:
-                best = int(sa[rr])
-        if best >= n:
+    for p, length, q, doc_i, match_doc_i in zip(
+        starts.tolist(), lengths.tolist(), best.tolist(),
+        doc_of_start.tolist(), doc_of_match.tolist(),
+    ):
+        if q >= n:
             raise IntegrityError(f"span at {p} (len {length}) has no matching occurrence")
-        if not np.array_equal(tokens[p:p + length], tokens[best:best + length]):
-            raise IntegrityError(f"span at {p} does not match its occurrence at {best}")
-
-        doc_i = _doc_of(stream, p, doc_starts)
+        if not np.array_equal(tokens[p:p + length], tokens[q:q + length]):
+            raise IntegrityError(f"span at {p} does not match its occurrence at {q}")
         _, d_start, d_end = stream.doc_boundaries[doc_i]
         if not (d_start <= p and p + length <= d_end):
             raise IntegrityError(f"span at {p} crosses a document boundary")
-        match_doc_i = _doc_of(stream, best, doc_starts)
         spans.append(DuplicateSpan(
             doc_id=stream.doc_ids[doc_i],
             token_start=p - d_start,

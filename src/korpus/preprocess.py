@@ -115,21 +115,22 @@ def filter_short(shard: CorpusShard, min_words: int) -> tuple[CorpusShard, Clean
 
 def clean_shard(shard: CorpusShard, min_words: int) -> tuple[CorpusShard, CleanStats]:
     """Full cleaning pass: unescape -> strip URLs -> min-word filter."""
-    cleaned_docs = []
+    if min_words < 0:
+        raise ValueError("min_words must be >= 0")
+    kept = []
     unescaped_docs = 0
     urls_removed = 0
     for doc in shard.documents:
         doc, changed, n_urls = clean_document(doc)
         unescaped_docs += int(changed)
         urls_removed += n_urls
-        cleaned_docs.append(doc)
-    cleaned = CorpusShard.from_documents(cleaned_docs, source=shard.manifest.source)
-    filtered, fstats = filter_short(cleaned, min_words)
+        if doc.token_count >= min_words:
+            kept.append(doc)
     stats = CleanStats(
         input_docs=len(shard.documents),
         unescaped_docs=unescaped_docs,
         urls_removed=urls_removed,
-        dropped_short=fstats.dropped_short,
-        output_docs=fstats.output_docs,
+        dropped_short=len(shard.documents) - len(kept),
+        output_docs=len(kept),
     )
-    return filtered, stats
+    return CorpusShard.from_documents(kept, source=shard.manifest.source), stats

@@ -2,7 +2,8 @@
 
 The repeat-length oracle compares the stream against itself at every shift
 (O(n^2) total work) instead of sorting suffixes; span derivation and document
-flagging are re-implemented with plain loops.
+flagging are re-implemented with plain loops, and a span's earliest other
+occurrence is found by comparing it with every window of the stream.
 """
 
 from __future__ import annotations
@@ -76,3 +77,26 @@ def oracle_doc_spans(doc_token_lists: list[list[int]], min_match: int):
         else:
             raise AssertionError("oracle span crosses a document boundary")
     return by_doc, flagged
+
+
+def oracle_earliest_other(arr: np.ndarray, start: int, length: int) -> int:
+    """Smallest q != start with arr[q:q + length] == arr[start:start + length], or -1."""
+    windows = np.lib.stride_tricks.sliding_window_view(arr, length)
+    hits = np.flatnonzero((windows == arr[start:start + length]).all(axis=1))
+    hits = hits[hits != start]
+    return int(hits[0]) if hits.size else -1
+
+
+def oracle_match_docs(doc_token_lists: list[list[int]], doc_spans) -> list[int]:
+    """Document index of the earliest other occurrence of each (doc_i, start, length)."""
+    arr, bounds = build_oracle_stream(doc_token_lists)
+    out = []
+    for doc_i, start, length in doc_spans:
+        q = oracle_earliest_other(arr, bounds[doc_i][0] + start, length)
+        for match_i, (a, b) in enumerate(bounds):
+            if a <= q < b:
+                out.append(match_i)
+                break
+        else:
+            raise AssertionError(f"oracle span {doc_i, start, length} has no other occurrence")
+    return out

@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 from korpus.core import CorpusShard, Document, tokenize
 from korpus.dedup import (
     apply_policy, build_stream, build_suffix_index, dedup_shards,
-    find_duplicates, merge_spans, staged_dedup, _lcp_kasai, _suffix_array,
+    find_duplicates, merge_spans, staged_dedup, _lcp, _suffix_array,
 )
-from korpus.errors import IntegrityError
+from korpus import dedup
+from korpus.errors import CapacityError, IntegrityError
 
 from conftest import int_docs_to_shard, make_doc, random_token_docs
-from oracles import oracle_doc_spans
+from oracles import oracle_doc_spans, oracle_match_docs
 
 
 def brute_force_suffix_sort(tokens: list[int]) -> list[int]:
@@ -29,33 +30,61 @@ def brute_force_suffix_sort(tokens: list[int]) -> list[int]:
     return sorted(range(len(tokens)), key=functools.cmp_to_key(cmp))
 
 
+def random_tokens(n: int, vocab: int, seed: int) -> list[int]:
+    rng = random.Random(seed)
+    return [rng.randrange(vocab) for _ in range(n)]
+
+
+def planted_passage(copies: int = 40, length: int = 60, seed: int = 3) -> list[int]:
+    """One passage repeated `copies` times, each copy after a short random gap."""
+    rng = random.Random(seed)
+    passage = [rng.randrange(50) for _ in range(length)]
+    tokens: list[int] = []
+    for _ in range(copies):
+        tokens += [rng.randrange(50) for _ in range(rng.randrange(1, 20))] + passage
+    return tokens
+
+
+# Long repeats, so every prefix-doubling level and every lift of the LCP runs.
+DEEP_REPEATS = [
+    pytest.param([0] * 300, id="zeros-300"),
+    pytest.param([0, 1] * 200, id="alternating-200"),
+    pytest.param(planted_passage(), id="planted-40x60"),
+]
+
+
 class TestSuffixArray:
     def test_abab(self):
         arr = np.array([0, 1, 0, 1], dtype=np.int32)
-        sa = _suffix_array(arr)
-        lcp = _lcp_kasai(arr, sa)
+        sa, ranks = _suffix_array(arr)
+        lcp = _lcp(sa, ranks)
         assert sa.tolist() == [2, 0, 3, 1]  # suffixes starting at 0 and 2 adjacent
         assert lcp.tolist() == [2, 0, 1]  # lcp of suffixes at 0 and 2 is 2
 
     def test_single_token(self):
         arr = np.array([7], dtype=np.int32)
-        sa = _suffix_array(arr)
+        sa, ranks = _suffix_array(arr)
         assert sa.tolist() == [0]
-        assert _lcp_kasai(arr, sa).tolist() == []
+        assert _lcp(sa, ranks).tolist() == []
 
-    @pytest.mark.parametrize("n,vocab,seed", [(100, 5, 0), (1000, 50, 1), (10000, 50, 2)])
-    def test_matches_bruteforce_sort(self, n, vocab, seed):
-        rng = random.Random(seed)
-        tokens = [rng.randrange(vocab) for _ in range(n)]
-        sa = _suffix_array(np.asarray(tokens, dtype=np.int32))
+    @pytest.mark.parametrize("tokens", [
+        pytest.param(random_tokens(100, 5, 0), id="100-5-0"),
+        pytest.param(random_tokens(1000, 50, 1), id="1000-50-1"),
+        pytest.param(random_tokens(10000, 50, 2), id="10000-50-2"),
+        *DEEP_REPEATS,
+    ])
+    def test_matches_bruteforce_sort(self, tokens):
+        sa, _ = _suffix_array(np.asarray(tokens, dtype=np.int32))
         assert sa.tolist() == brute_force_suffix_sort(tokens)
 
-    def test_lcp_consistent_with_direct_comparison(self):
-        rng = random.Random(9)
-        tokens = [rng.randrange(8) for _ in range(500)]
+    @pytest.mark.parametrize("tokens", [
+        pytest.param(random_tokens(500, 8, 9), id="random"),
+        *DEEP_REPEATS,
+    ])
+    def test_lcp_consistent_with_direct_comparison(self, tokens):
         arr = np.asarray(tokens, dtype=np.int32)
-        sa = _suffix_array(arr)
-        lcp = _lcp_kasai(arr, sa)
+        sa, ranks = _suffix_array(arr)
+        lcp = _lcp(sa, ranks)
         for r in range(len(tokens) - 1):
             i, j = int(sa[r]), int(sa[r + 1])
             k = 0
@@ -94,6 +123,15 @@ class TestBuildStream:
         b = CorpusShard.from_documents([make_doc("same", "z w")])
         with pytest.raises(IntegrityError):
             build_stream([a, b])
+
+    def test_stream_length_capacity(self, monkeypatch):
+        # Positions and ranks are int32, so the stream length is capped like the ids.
+        shard = CorpusShard.from_documents([make_doc("x", "a a a"), make_doc("y", "a a")])
+        monkeypatch.setattr(dedup, "_MAX_IDS", 6)
+        assert build_stream([shard]).tokens.size == 6  # 3 + 1 separator + 2
+        monkeypatch.setattr(dedup, "_MAX_IDS", 5)
+        with pytest.raises(CapacityError):
+            build_stream([shard])
 
 
 def _find(shard_docs: list[list[int]], min_match: int):
@@ -134,9 +172,13 @@ class TestFindDuplicates:
             docs = random_token_docs(rng, rng.randrange(100, 1200), vocab=30)
             for mm in (2, 5, 10):
                 _, _, spans = _find(docs, mm)
-                got = {(s.doc_id, s.token_start, s.token_len) for s in spans}
+                got = {(s.doc_id, s.token_start, s.token_len, s.match_doc_id) for s in spans}
                 oracle_spans, _ = oracle_doc_spans(docs, mm)
-                want = {(f"rand-{i}", start, length) for i, start, length in oracle_spans}
+                matches = oracle_match_docs(docs, oracle_spans)
+                want = {
+                    (f"rand-{i}", start, length, f"rand-{match}")
+                    for (i, start, length), match in zip(oracle_spans, matches)
+                }
                 assert got == want, f"trial {trial} mm={mm}"
 
     def test_every_span_occurs_twice(self, rng):

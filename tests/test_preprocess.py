@@ -168,3 +168,13 @@ class TestCleanShard:
         shard = CorpusShard.from_documents([make_doc("x", text)])
         cleaned, stats = clean_shard(shard, 20)
         assert stats.output_docs == 0 and stats.dropped_short == 1
+
+    def test_output_checksummed_once(self, monkeypatch):
+        from korpus import core
+        shard = CorpusShard.from_documents([make_doc("x", "kurz"), make_doc("y", "w " * 30)])
+        calls = []
+        real = core.fnv1a_hex
+        monkeypatch.setattr(core, "fnv1a_hex", lambda texts: calls.append(1) or real(texts))
+        cleaned, _ = clean_shard(shard, 20)
+        assert len(calls) == 1
+        assert cleaned.manifest == CorpusShard.from_documents(cleaned.documents).manifest
