@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -75,6 +75,11 @@ class Manifest:
     checksum: str
 
 
+def _common_source(docs: Iterable[Document]) -> str:
+    sources = {d.source for d in docs}
+    return sources.pop() if len(sources) == 1 else "mixed"
+
+
 @dataclass(frozen=True)
 class CorpusShard:
     """Ordered, immutable sequence of documents with a verifiable manifest."""
@@ -86,8 +91,7 @@ class CorpusShard:
     def from_documents(cls, documents: Iterable[Document], source: str | None = None) -> "CorpusShard":
         docs = tuple(documents)
         if source is None:
-            sources = {d.source for d in docs}
-            source = sources.pop() if len(sources) == 1 else "mixed"
+            source = _common_source(docs)
         manifest = Manifest(
             source=source,
             doc_count=len(docs),
@@ -227,5 +231,15 @@ def iter_documents(shards: Iterable[CorpusShard]) -> Iterator[Document]:
 
 
 def merge_shards(shards: Iterable[CorpusShard], source: str | None = None) -> CorpusShard:
-    """Concatenate documents of several shards into one (order preserved)."""
-    return CorpusShard.from_documents(iter_documents(shards), source=source)
+    """Concatenate documents of several shards into one (order preserved).
+
+    A single shard keeps its counts and checksum and only takes the new source:
+    its manifest is trusted, as `read_shard` verified it.
+    """
+    shards = list(shards)
+    if len(shards) != 1:
+        return CorpusShard.from_documents(iter_documents(shards), source=source)
+    (shard,) = shards
+    if source is None:
+        source = _common_source(shard.documents)
+    return CorpusShard(shard.documents, replace(shard.manifest, source=source))

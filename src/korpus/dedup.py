@@ -22,6 +22,7 @@ need not itself occur twice.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,12 @@ class DedupReport:
 
 
 def build_stream(shards: list[CorpusShard]) -> TokenStream:
-    """Concatenate documents with unique separator ids between them."""
-    vocab: dict[str, int] = {}
+    """Concatenate documents with unique separator ids between them.
+
+    Token ids follow first occurrence in the stream.
+    """
+    vocab: defaultdict[str, int] = defaultdict()
+    vocab.default_factory = vocab.__len__  # an unseen token gets the next id
     ids: list[np.ndarray] = []
     boundaries = []
     doc_ids = []
@@ -85,14 +90,7 @@ def build_stream(shards: list[CorpusShard]) -> TokenStream:
                 raise IntegrityError(f"duplicate document id {doc.id!r} across shards")
             seen.add(doc.id)
             toks = tokenize(doc.text)
-            row = np.empty(len(toks), dtype=np.int64)
-            for i, tok in enumerate(toks):
-                tid = vocab.get(tok)
-                if tid is None:
-                    tid = len(vocab)
-                    vocab[tok] = tid
-                row[i] = tid
-            ids.append(row)
+            ids.append(np.fromiter(map(vocab.__getitem__, toks), dtype=np.int64, count=len(toks)))
             boundaries.append((doc_index, pos, pos + len(toks)))
             doc_ids.append(doc.id)
             pos += len(toks) + 1  # one separator slot after each doc but the last
@@ -113,6 +111,7 @@ def build_stream(shards: list[CorpusShard]) -> TokenStream:
         tokens[start:end] = row
         if i < n_docs - 1:
             tokens[end] = sentinel_base + i
+    vocab.default_factory = None  # lookups raise KeyError again; breaks the reference cycle
     return TokenStream(
         tokens=tokens,
         doc_boundaries=tuple(boundaries),
@@ -392,7 +391,10 @@ def apply_policy(
     out_shards = []
     for shard in shards:
         kept = [d for d in shard.documents if d.id not in removed]
-        out_shards.append(CorpusShard.from_documents(kept, source=shard.manifest.source))
+        if len(kept) == len(shard.documents):
+            out_shards.append(shard)  # nothing removed: its manifest still holds
+        else:
+            out_shards.append(CorpusShard.from_documents(kept, source=shard.manifest.source))
     report = DedupReport(
         input_tokens=sum(token_counts.values()),
         duplicate_tokens=duplicate_tokens,

@@ -100,3 +100,25 @@ def oracle_match_docs(doc_token_lists: list[list[int]], doc_spans) -> list[int]:
         else:
             raise AssertionError(f"oracle span {doc_i, start, length} has no other occurrence")
     return out
+
+
+def oracle_extract_features(text: str, buckets: int, ngram_min: int = 3, ngram_max: int = 5):
+    """Language-ID features by hashing one n-gram at a time with the scalar FNV-1a.
+
+    Buckets are counted in a Counter in loop order (n, then position), and the
+    counts are L2-normalized by their own dot product.
+    """
+    from collections import Counter
+
+    from korpus.core import fnv1a_bytes
+
+    norm = " ".join(text.split()).lower()
+    counts: Counter[int] = Counter()
+    for n in range(ngram_min, ngram_max + 1):
+        for i in range(len(norm) - n + 1):
+            counts[fnv1a_bytes(norm[i:i + n].encode("utf-8")) % buckets] += 1
+    idx = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
+    vals = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    if vals.size:
+        vals /= np.sqrt(vals @ vals)
+    return idx, vals

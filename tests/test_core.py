@@ -156,6 +156,21 @@ class TestMergeShards:
         merged = merge_shards([a, b], source="m")
         assert [d.id for d in merged.documents] == ["a-0", "b-0"]
 
+    @pytest.mark.parametrize("source", ["m", None])
+    def test_single_shard_keeps_manifest_without_rehash(self, monkeypatch, source):
+        from korpus import core
+        docs = [make_doc("x", "eins zwei", source="a"), make_doc("y", "drei", source="b")]
+        shard = CorpusShard.from_documents(docs, source="s")
+        calls = []
+        real = core.fnv1a_hex
+        monkeypatch.setattr(core, "fnv1a_hex", lambda texts: calls.append(1) or real(texts))
+        merged = merge_shards([shard], source=source)
+        assert calls == []
+        assert merged.documents == shard.documents
+        assert merged.manifest.source == ("mixed" if source is None else source)
+        monkeypatch.undo()
+        assert merged.manifest == CorpusShard.from_documents(docs, source=source).manifest
+
 
 class TestPipelineConfig:
     def test_defaults_valid(self):

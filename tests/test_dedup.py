@@ -246,6 +246,23 @@ class TestApplyPolicy:
         assert out[0].documents == shard.documents
         assert report.removed_docs == 0 and report.duplicate_tokens == 0
 
+    def test_untouched_shards_kept_without_rehash(self, rng, monkeypatch):
+        from korpus import core
+        shard, _, spans = self._two_doc_dup(rng)
+        clean = int_docs_to_shard([[7, 8, 9]], source="clean")
+        calls = []
+        real = core.fnv1a_hex
+        monkeypatch.setattr(core, "fnv1a_hex", lambda texts: calls.append(1) or real(texts))
+        out, _ = apply_policy([clean, shard], [], "remove_all")
+        assert out[0] is clean and out[1] is shard
+        assert calls == []
+        out, _ = apply_policy([clean, shard], spans, "remove_all")
+        assert out[0] is clean and len(calls) == 1  # only the shard that lost documents
+        monkeypatch.undo()
+        for before, after in zip([clean, shard], out):
+            assert after.manifest == CorpusShard.from_documents(
+                after.documents, source=before.manifest.source).manifest
+
     def test_remove_all_removes_both(self, rng):
         shard, _, spans = self._two_doc_dup(rng)
         out, report = apply_policy([shard], spans, "remove_all")

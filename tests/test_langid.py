@@ -1,15 +1,29 @@
+import hashlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from korpus import langid
 from korpus.core import CorpusShard
 from korpus.errors import ConfigError, UnscorableError
 from korpus.langid import (
-    filter_language, load_model, save_model, score, score_probs, train_langid,
+    extract_features, filter_language, load_model, save_model, score, score_probs, train_langid,
 )
 
 from conftest import de_sentence, en_sentence, make_doc, make_shard
+from oracles import oracle_extract_features
+
+# Umlauts and ß, emoji (the flag is two codepoints), CJK, a combining acute,
+# and whitespace that normalization folds: tab, newline, no-break and
+# ideographic spaces.
+_ALPHABET = "abcdeäöüßÄÖÜ😀🇩🇪中文字e\u0301 \t\n\u00a0\u3000"
+_TEXTS = st.lists(
+    st.one_of(st.text(_ALPHABET, max_size=40), st.sampled_from(["", " \t ", "ab", "ü", "😀x"])),
+    max_size=12,
+)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +100,30 @@ class TestTraining:
         assert np.array_equal(m1.bias, m2.bias)
 
 
+class TestFeatures:
+    @settings(max_examples=200, deadline=None)
+    @given(texts=_TEXTS, buckets=st.sampled_from([2**18, 1000, 97, 1]),
+           batch_chars=st.sampled_from([None, 1, 16]))
+    def test_batch_matches_per_ngram_oracle(self, texts, buckets, batch_chars):
+        bound = langid._BATCH_CHARS if batch_chars is None else batch_chars
+        with mock.patch.object(langid, "_BATCH_CHARS", bound):
+            got = extract_features(texts, buckets)
+        assert len(got) == len(texts)
+        for text, (idx, vals) in zip(texts, got):
+            want_idx, want_vals = oracle_extract_features(text, buckets)
+            assert idx.dtype == want_idx.dtype and idx.tolist() == want_idx.tolist()
+            assert vals.dtype == want_vals.dtype and vals.tobytes() == want_vals.tobytes()
+
+    def test_model_bytes_pinned(self, de_en_model, tmp_path):
+        # Digest of the model trained on features hashed one n-gram at a time
+        # (oracle_extract_features); the batched hashing must not move a bit.
+        path = tmp_path / "model.bin"
+        save_model(de_en_model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "e3f26d34bde9f6b0ddf9d82d621dc0ce87c7746be5f50dfce8872001e9b12dd5"
+        )
+
+
 class TestScoring:
     def test_german_scores_high(self, de_en_model):
         rng = random.Random(77)
@@ -94,9 +132,8 @@ class TestScoring:
 
     def test_reference_softmax_agreement(self, de_en_model):
         # slow reference: recompute the softmax from raw feature extraction
-        from korpus.langid import extract_features
         text = "die kluge Lehrerin liest im Garten"
-        idx, vals = extract_features(text, de_en_model.feature_buckets)
+        (idx, vals), = extract_features([text], de_en_model.feature_buckets)
         logits = de_en_model.weights[:, idx] @ vals + de_en_model.bias
         z = np.exp(logits - logits.max())
         reference = z / z.sum()
@@ -163,6 +200,11 @@ class TestFiltering:
             if previous is not None:
                 assert kept <= previous
             previous = kept
+
+    def test_batch_bound_does_not_change_kept(self, de_en_model, mixed_shard, monkeypatch):
+        kept = filter_language(de_en_model, mixed_shard, "de", 0.5)
+        monkeypatch.setattr(langid, "_BATCH_CHARS", 100)  # a few documents per batch
+        assert filter_language(de_en_model, mixed_shard, "de", 0.5).documents == kept.documents
 
     def test_unscorable_excluded(self, de_en_model, mixed_shard):
         kept = filter_language(de_en_model, mixed_shard, "de", 0.0)
