@@ -6,6 +6,11 @@ or digit, unless the word ending at the punctuation is a known German
 abbreviation. Chunks are packed greedily in order; a single sentence larger
 than the budget becomes its own chunk flagged oversized rather than being cut
 mid-sentence.
+
+Failure policy: a translator failure is recorded per chunk, never raised. A
+document with any failed chunk is dropped from the translated shard and listed
+among the failures (`chunk/<source>.failures.json` in a pipeline workspace)
+with the index and error of each failed chunk; its chunks are still listed.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import subprocess
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Document, tokenize
+from .core import CorpusShard, Document, tokenize
 
 # Lowercased, with trailing period; matched against the word before a split candidate.
 GERMAN_ABBREVIATIONS = frozenset({
@@ -62,7 +67,7 @@ def split_sentences(text: str) -> list[str]:
             continue
         if not (nxt.isupper() or nxt.isdigit()):
             continue
-        word = norm[:i].rsplit(" ", 1)[-1]
+        word = norm[norm.rfind(" ", 0, i) + 1:i]
         if word.lower() in GERMAN_ABBREVIATIONS:
             continue
         boundaries.append(i)
@@ -186,3 +191,40 @@ def translate_chunks(chunks: Sequence[Chunk], translator: Translator) -> list[Tr
         else:
             results.append(TranslationResult(chunk=chunk, text=out, error=None))
     return results
+
+
+def chunk_record(chunk: Chunk) -> dict:
+    """The JSON record of a chunk, as the chunk listings write it."""
+    return {
+        "doc_id": chunk.doc_id, "index": chunk.index, "text": chunk.text,
+        "token_count": chunk.token_count, "oversized": chunk.oversized,
+    }
+
+
+def translate_shard(
+    shard: CorpusShard,
+    budget: int,
+    translator: Translator,
+) -> tuple[list[TranslationResult], CorpusShard, list[dict]]:
+    """Chunk and translate every document, with one translator call per document.
+
+    Returns the result of every chunk in order, the shard of translated
+    documents, and one failure record per document with a failed chunk, which
+    is left out of that shard (see the module's failure policy).
+    """
+    results: list[TranslationResult] = []
+    translated: list[Document] = []
+    failures: list[dict] = []
+    for doc in shard.documents:
+        doc_results = translate_chunks(chunk_document(doc, budget), translator)
+        results += doc_results
+        bad = [r for r in doc_results if r.error is not None]
+        if bad:
+            failures.append({
+                "doc_id": doc.id,
+                "errors": [{"index": r.chunk.index, "error": r.error} for r in bad],
+            })
+        else:
+            translated.append(Document(id=doc.id, source=doc.source, domain=doc.domain,
+                                       text=" ".join(r.text for r in doc_results)))
+    return results, CorpusShard.from_documents(translated, source=shard.manifest.source), failures

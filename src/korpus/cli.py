@@ -103,12 +103,7 @@ def cmd_lm_train(args) -> int:
 def cmd_lm_score(args) -> int:
     model = qualfilter.read_arpa(args.model)
     shard = merge_shards([read_shard(p) for p in _glob_sorted(args.inputs)])
-    scores = []
-    for doc in shard.documents:
-        try:
-            scores.append(asdict(qualfilter.score_perplexity(model, doc)))
-        except KorpusError:
-            continue
+    scores = [asdict(s) for s in qualfilter.score_shard(model, shard)]
     write_json(args.out, scores)
     _log(f"[lm] scored {len(scores)} documents")
     return 0
@@ -117,35 +112,27 @@ def cmd_lm_score(args) -> int:
 def cmd_quality_filter(args) -> int:
     model = qualfilter.read_arpa(args.model)
     shard = merge_shards([read_shard(p) for p in _glob_sorted(args.inputs)])
-    kept, scores = qualfilter.filter_top_k([shard], model, args.top_k)
-    write_shard(kept[0], args.out)
+    kept, scores = qualfilter.filter_top_k(shard, model, args.top_k)
+    write_shard(kept, args.out)
     if args.scores:
         write_json(args.scores, [asdict(s) for s in scores])
-    _log(f"[quality-filter] kept {kept[0].manifest.doc_count}/{shard.manifest.doc_count} docs")
+    _log(f"[quality-filter] kept {kept.manifest.doc_count}/{shard.manifest.doc_count} docs")
     return 0
 
 
 def cmd_chunk(args) -> int:
     shard = merge_shards([read_shard(p) for p in _glob_sorted(args.inputs)])
-    translator = None
-    if args.translator_cmd:
-        translator = chunker.SubprocessTranslator(args.translator_cmd)
+    translator = (chunker.SubprocessTranslator(args.translator_cmd) if args.translator_cmd
+                  else chunker.identity_translator())
+    results, _, _ = chunker.translate_shard(shard, args.budget, translator)
     lines = []
-    for doc in shard.documents:
-        chunks = chunker.chunk_document(doc, args.budget)
-        results = None
-        if translator is not None:
-            results = chunker.translate_chunks(chunks, translator)
-        for i, c in enumerate(chunks):
-            record = {
-                "doc_id": c.doc_id, "index": c.index, "text": c.text,
-                "token_count": c.token_count, "oversized": c.oversized,
-            }
-            if results is not None:
-                record["translation"] = results[i].text
-                if results[i].error is not None:
-                    record["error"] = results[i].error
-            lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+    for r in results:
+        record = chunker.chunk_record(r.chunk)
+        if args.translator_cmd:
+            record["translation"] = r.text
+            if r.error is not None:
+                record["error"] = r.error
+        lines.append(json.dumps(record, ensure_ascii=False) + "\n")
     write_text(args.out, "".join(lines))
     _log(f"[chunk] wrote {len(lines)} chunks at budget {args.budget}")
     return 0

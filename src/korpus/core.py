@@ -9,11 +9,13 @@ Files are UTF-8 with LF line endings and are written byte-deterministically.
 from __future__ import annotations
 
 import enum
+import io
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .errors import IntegrityError, ShardFormatError
 
@@ -203,12 +205,26 @@ def read_shard(path: str | Path) -> CorpusShard:
     return shard
 
 
-def write_shard(shard: CorpusShard, path: str | Path) -> None:
-    """Write a shard byte-deterministically (atomic replace on success)."""
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
+    """Yield a binary handle on `<path>.tmp`, renamed over `path` once the block
+    exits cleanly. A reader never sees a partly written file, and a write that
+    raises leaves the earlier file as it was and no tmp file behind."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
+def write_shard(shard: CorpusShard, path: str | Path) -> None:
+    """Write a shard byte-deterministically (atomic replace on success)."""
+    with atomic_write(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="\n") as fh:
         for d in shard.documents:
             fh.write(json.dumps(
                 {"id": d.id, "source": d.source, "domain": d.domain.value, "text": d.text},
@@ -222,7 +238,6 @@ def write_shard(shard: CorpusShard, path: str | Path) -> None:
             ensure_ascii=False,
         ))
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def iter_documents(shards: Iterable[CorpusShard]) -> Iterator[Document]:

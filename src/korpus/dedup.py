@@ -38,13 +38,7 @@ class TokenStream:
     tokens: np.ndarray  # int32 token ids, separators included
     doc_boundaries: tuple[tuple[int, int, int], ...]  # (doc_index, start, end)
     doc_ids: tuple[str, ...]
-    vocab: dict[str, int]
-    inverse: tuple[str, ...]
     sentinel_base: int
-
-    def detokenize(self, doc_index: int) -> list[str]:
-        _, start, end = self.doc_boundaries[doc_index]
-        return [self.inverse[i] for i in self.tokens[start:end]]
 
 
 @dataclass(frozen=True)
@@ -111,13 +105,11 @@ def build_stream(shards: list[CorpusShard]) -> TokenStream:
         tokens[start:end] = row
         if i < n_docs - 1:
             tokens[end] = sentinel_base + i
-    vocab.default_factory = None  # lookups raise KeyError again; breaks the reference cycle
+    vocab.default_factory = None  # breaks the reference cycle, so the dict is freed on return
     return TokenStream(
         tokens=tokens,
         doc_boundaries=tuple(boundaries),
         doc_ids=tuple(doc_ids),
-        vocab=vocab,
-        inverse=tuple(vocab),
         sentinel_base=sentinel_base,
     )
 

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 # fnv1a_bytes is unused here; bench/test_bench.py checks that tracing leaves this binding alone.
-from .core import CorpusShard, fnv1a_bytes
+from .core import CorpusShard, atomic_write, fnv1a_bytes
 from .errors import ConfigError, UnscorableError
 from .rng import SplitMix64
 
@@ -280,9 +280,7 @@ def filter_language(
 
 
 def save_model(model: LangIdModel, path: str | Path) -> None:
-    """Byte-deterministic binary serialization (little-endian float64)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Byte-deterministic binary serialization (little-endian float64), written atomically."""
     header = json.dumps({
         "labels": list(model.labels),
         "feature_buckets": model.feature_buckets,
@@ -290,7 +288,7 @@ def save_model(model: LangIdModel, path: str | Path) -> None:
         "ngram_max": model.ngram_max,
         "loss_history": list(model.loss_history),
     }, ensure_ascii=False, sort_keys=True)
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(header.encode("utf-8"))
         fh.write(b"\n")

@@ -34,7 +34,7 @@ except ImportError:  # Python >= 3.12 or a build without it
 
 from . import __version__, chunker, dedup, langid, mixer, qualfilter, report as report_mod
 from .core import (
-    CorpusShard, PipelineConfig, fnv1a_bytes, merge_shards, read_shard, write_shard,
+    CorpusShard, PipelineConfig, atomic_write, fnv1a_bytes, merge_shards, read_shard, write_shard,
 )
 from .errors import ConfigError, IntegrityError, KorpusError, StageError
 from .preprocess import clean_shard
@@ -193,13 +193,9 @@ def validate_config(path: str | Path) -> list[str]:
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write UTF-8 text through a sibling tmp file and a rename, so a reader
-    never sees a partly written file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(text.encode("utf-8"))
-    tmp.replace(path)
+    """Write UTF-8 text atomically (see `core.atomic_write`)."""
+    with atomic_write(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def write_json(path: str | Path, payload) -> None:
@@ -441,9 +437,9 @@ class PipelineRun:
             out = outdir / f"{src.name}.jsonl"
             scores_path = outdir / f"{src.name}.scores.json"
             kept, scores = qualfilter.filter_top_k(
-                [self._read_source(src.name)], model, self.cfg.params.quality_top_k,
+                self._read_source(src.name), model, self.cfg.params.quality_top_k,
             )
-            write_shard(kept[0], out)
+            write_shard(kept, out)
             write_json(scores_path, [asdict(s) for s in scores])
             written += [out, scores_path]
         return written
@@ -462,31 +458,12 @@ class PipelineRun:
             chunks_path = outdir / f"{src.name}.chunks.jsonl"
             out = outdir / f"{src.name}.jsonl"
             failures_path = outdir / f"{src.name}.failures.json"
-            shard = self._read_source(src.name)
-            chunk_lines = []
-            out_docs = []
-            failures = []
-            for doc in shard.documents:
-                chunks = chunker.chunk_document(doc, budget)
-                results = chunker.translate_chunks(chunks, translator)
-                for c in chunks:
-                    chunk_lines.append(json.dumps({
-                        "doc_id": c.doc_id, "index": c.index, "text": c.text,
-                        "token_count": c.token_count, "oversized": c.oversized,
-                    }, ensure_ascii=False) + "\n")
-                bad = [r for r in results if r.error is not None]
-                if bad:
-                    failures.append({
-                        "doc_id": doc.id,
-                        "errors": [{"index": r.chunk.index, "error": r.error} for r in bad],
-                    })
-                    continue  # a document with failed chunks is dropped, and reported
-                text = " ".join(r.text for r in results)
-                out_docs.append(type(doc)(
-                    id=doc.id, source=doc.source, domain=doc.domain, text=text,
-                ))
-            write_text(chunks_path, "".join(chunk_lines))
-            write_shard(CorpusShard.from_documents(out_docs, source=src.name), out)
+            results, translated, failures = chunker.translate_shard(
+                self._read_source(src.name), budget, translator)
+            write_text(chunks_path, "".join(
+                json.dumps(chunker.chunk_record(r.chunk), ensure_ascii=False) + "\n"
+                for r in results))
+            write_shard(translated, out)
             write_json(failures_path, failures)
             written += [chunks_path, out, failures_path]
         return written

@@ -98,21 +98,6 @@ def clean_document(doc: Document) -> tuple[Document, bool, int]:
     return doc, changed, n_urls
 
 
-def filter_short(shard: CorpusShard, min_words: int) -> tuple[CorpusShard, CleanStats]:
-    """Drop documents with fewer than min_words whitespace tokens (order preserved)."""
-    if min_words < 0:
-        raise ValueError("min_words must be >= 0")
-    kept = [d for d in shard.documents if d.token_count >= min_words]
-    stats = CleanStats(
-        input_docs=len(shard.documents),
-        unescaped_docs=0,
-        urls_removed=0,
-        dropped_short=len(shard.documents) - len(kept),
-        output_docs=len(kept),
-    )
-    return CorpusShard.from_documents(kept, source=shard.manifest.source), stats
-
-
 def clean_shard(shard: CorpusShard, min_words: int) -> tuple[CorpusShard, CleanStats]:
     """Full cleaning pass: unescape -> strip URLs -> min-word filter."""
     if min_words < 0:

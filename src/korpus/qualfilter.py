@@ -28,10 +28,10 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .core import CorpusShard, Document, tokenize
+from .core import CorpusShard, Document, atomic_write, tokenize
 from .errors import ConfigError, UnscorableError
 
 UNK = "<unk>"
@@ -46,8 +46,6 @@ _D_MAX = 1.0 - 1e-9
 class NgramModel:
     order: int
     vocab: dict[str, int]  # token -> id; <unk>=0, <s>=1, </s>=2
-    counts: list[dict[tuple[str, ...], int]]  # adjusted counts per order (may be empty if loaded)
-    discounts: list[tuple[float, float, float]]
     probs: dict[tuple[str, ...], float]  # ngram -> p(last | rest)
     backoffs: dict[tuple[str, ...], float]  # context -> interpolation weight
 
@@ -219,14 +217,7 @@ def train_ngram(
                 lower = probs[ctx[1:] + (w,)]
                 probs[ctx + (w,)] = max(a - _discount_for(a, d_k), 0.0) / denom + gamma * lower
 
-    return NgramModel(
-        order=order,
-        vocab=vocab,
-        counts=adj,
-        discounts=discounts,
-        probs=probs,
-        backoffs=backoffs,
-    )
+    return NgramModel(order=order, vocab=vocab, probs=probs, backoffs=backoffs)
 
 
 def score_perplexity(model: NgramModel, doc: Document) -> PerplexityScore:
@@ -257,28 +248,28 @@ def select_top_k(scores: list[PerplexityScore], k: int) -> list[str]:
     return [s.doc_id for s in ranked[:k]]
 
 
+def score_shard(model: NgramModel, shard: CorpusShard) -> list[PerplexityScore]:
+    """Scores of the shard's documents in order; unscorable documents are skipped."""
+    scores = []
+    for doc in shard.documents:
+        try:
+            scores.append(score_perplexity(model, doc))
+        except UnscorableError:
+            continue
+    return scores
+
+
 def filter_top_k(
-    shards: list[CorpusShard],
+    shard: CorpusShard,
     model: NgramModel,
     k: int,
-) -> tuple[list[CorpusShard], list[PerplexityScore]]:
+) -> tuple[CorpusShard, list[PerplexityScore]]:
     """Score every document and keep the k best; unscorable documents are dropped."""
-    scores = []
-    for shard in shards:
-        for doc in shard.documents:
-            try:
-                scores.append(score_perplexity(model, doc))
-            except UnscorableError:
-                continue
+    scores = score_shard(model, shard)
     chosen = set(select_top_k(scores, k))
-    out = [
-        CorpusShard.from_documents(
-            (d for d in shard.documents if d.id in chosen),
-            source=shard.manifest.source,
-        )
-        for shard in shards
-    ]
-    return out, scores
+    kept = CorpusShard.from_documents(
+        (d for d in shard.documents if d.id in chosen), source=shard.manifest.source)
+    return kept, scores
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +281,11 @@ def _arpa_entries(model: NgramModel, k: int) -> list[tuple[str, ...]]:
         return sorted((w,) for w in model.vocab)
     grams = {g for g in model.probs if len(g) == k}
     grams.update(g for g in model.backoffs if len(g) == k)
-    if model.counts:
-        grams.update(model.counts[k - 1])
     return sorted(grams)
 
 
 def write_arpa(model: NgramModel, path: str | Path) -> None:
     """Standard ARPA text format, 17 significant digits (lossless round-trip)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     per_order = [_arpa_entries(model, k) for k in range(1, model.order + 1)]
     lines = ["\\data\\"]
     for k, entries in enumerate(per_order, start=1):
@@ -315,9 +302,8 @@ def write_arpa(model: NgramModel, path: str | Path) -> None:
             lines.append(row)
     lines.append("")
     lines.append("\\end\\")
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    with atomic_write(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_arpa(path: str | Path) -> NgramModel:
@@ -371,11 +357,4 @@ def read_arpa(path: str | Path) -> NgramModel:
     for g in sorted(g for g in probs if len(g) == 1):
         if g[0] not in vocab:
             vocab[g[0]] = len(vocab)
-    return NgramModel(
-        order=order,
-        vocab=vocab,
-        counts=[],
-        discounts=[],
-        probs=probs,
-        backoffs=backoffs,
-    )
+    return NgramModel(order=order, vocab=vocab, probs=probs, backoffs=backoffs)

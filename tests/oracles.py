@@ -122,3 +122,32 @@ def oracle_extract_features(text: str, buckets: int, ngram_min: int = 3, ngram_m
     if vals.size:
         vals /= np.sqrt(vals @ vals)
     return idx, vals
+
+
+def oracle_split_sentences(text: str) -> list[str]:
+    """Sentence split that finds the word before each candidate boundary by
+    copying and splitting the whole text prefix (quadratic in the text length)."""
+    from korpus.chunker import GERMAN_ABBREVIATIONS
+
+    norm = " ".join(text.split())
+    if not norm:
+        return []
+    boundaries = []
+    for i, ch in enumerate(norm):
+        if ch != " " or i + 1 >= len(norm):
+            continue
+        if norm[i - 1] not in ".!?…":
+            continue
+        nxt = norm[i + 1]
+        if not (nxt.isupper() or nxt.isdigit()):
+            continue
+        if norm[:i].rsplit(" ", 1)[-1].lower() in GERMAN_ABBREVIATIONS:
+            continue
+        boundaries.append(i)
+    sentences = []
+    start = 0
+    for b in boundaries:
+        sentences.append(norm[start:b])
+        start = b + 1
+    sentences.append(norm[start:])
+    return sentences

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,18 @@ from korpus.chunker import (
 from korpus.core import tokenize
 
 from conftest import de_text, make_doc
+from oracles import oracle_split_sentences
+
+# Abbreviations in several cases, terminals, ellipses, digits and words that
+# start a sentence or continue one, joined by runs of mixed whitespace.
+_PIECES = st.sampled_from([
+    "Dr.", "dr.", "z.B.", "Z.B.", "bzw.", "usw.", "S.", "d.h.", "Nr.", "etc.",
+    "Haus.", "Haus", "haus.", "Ende!", "Wie?", "so…", "…", "...", "1990.", "25", "7.",
+    "Müller", "über", "Übel", "ok", ".", "!", "?", "A", "x.", "Ä.",
+])
+_SPLIT_TEXTS = st.lists(
+    st.tuples(_PIECES, st.sampled_from([" ", "  ", "\n", "\t ", ""])), max_size=40,
+).map(lambda parts: "".join(p + sep for p, sep in parts))
 
 
 class TestSplitSentences:
@@ -50,6 +63,24 @@ class TestSplitSentences:
         sentences = split_sentences(text)
         assert " ".join(sentences) == " ".join(text.split())
         assert all(sentences)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SPLIT_TEXTS)
+    def test_matches_prefix_copying_oracle(self, text):
+        assert split_sentences(text) == oracle_split_sentences(text)
+
+    def test_megabyte_document_in_linear_time(self, rng):
+        # ~1M characters in ~110k short sentences; copying the text prefix at
+        # each boundary took about 50 s.
+        pool = ["Ja.", "Nein!", "Gut so.", "Wirklich?", "Es war 1990.", "Na und…",
+                "Dr. Müller kam.", "7 Tage."]
+        sentences = [rng.choice(pool) for _ in range(110_000)]
+        text = " ".join(sentences)
+        assert len(text) > 1_000_000
+        start = time.perf_counter()
+        got = split_sentences(text)
+        assert time.perf_counter() - start < 10.0
+        assert got == sentences
 
 
 class TestChunkSentences:

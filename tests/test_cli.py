@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import korpus
+from korpus.chunker import chunk_document, chunk_record
 from korpus.cli import main
 from korpus.core import read_shard, write_shard
 from korpus.pipeline import STAGES, run_pipeline, validate_config
@@ -148,6 +150,74 @@ class TestChunkCommand:
                      "--budget", "32", "--out", str(out), "--translator-cmd", cmd]) == 0
         records = [json.loads(l) for l in out.read_text().splitlines()]
         assert all(r["translation"] == r["text"] for r in records)
+
+
+# Echoes its input unless a document carries the marker, then exits nonzero.
+_FAIL_ON_MARKER = " ".join(shlex.quote(a) for a in [sys.executable, "-c", (
+    "import sys; t = sys.stdin.read(); sys.exit(5) if 'KAPUTT' in t else sys.stdout.write(t)")])
+
+
+def _notes_workspace(tmp_path, translator: str | None):
+    """A config whose one source only runs the chunk step; returns (config, input shard)."""
+    rng = random.Random(5)
+    texts = [" ".join(med_sentence(rng) for _ in range(4)) for _ in range(5)]
+    texts[2] = "Die KAPUTT Notiz. " + texts[2]
+    (tmp_path / "inputs").mkdir()
+    shard = make_shard(texts, source="notes", domain="medical", prefix="notes")
+    write_shard(shard, tmp_path / "inputs" / "notes.jsonl")
+    config = {
+        "params": {"chunk_budget_tokens": 12},
+        "sources": [{"name": "notes", "domain": "medical", "paths": ["inputs/notes.jsonl"],
+                     "steps": {"chunk_translate": True}}],
+        "datasets": [{"name": "mini", "sources": ["notes"]}],
+    }
+    if translator is not None:
+        config["translator"] = {"command": translator}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    return cfg, shard
+
+
+class TestChunkTranslationFailures:
+    def test_failed_document_dropped_and_listed(self, tmp_path):
+        cfg, shard = _notes_workspace(tmp_path, _FAIL_ON_MARKER)
+        ws = tmp_path / "ws"
+        assert main(["pipeline", "--config", str(cfg), "--workspace", str(ws)]) == 0
+        chunks = {d.id: chunk_document(d, 12) for d in shard.documents}
+        assert len(chunks["notes-2"]) > 1
+
+        failures = json.loads((ws / "chunk" / "notes.failures.json").read_text())
+        assert [f["doc_id"] for f in failures] == ["notes-2"]
+        assert [e["index"] for e in failures[0]["errors"]] == list(range(len(chunks["notes-2"])))
+        assert all("exited 5" in e["error"] for e in failures[0]["errors"])
+
+        kept = read_shard(ws / "chunk" / "notes.jsonl")
+        assert [(d.id, d.text) for d in kept.documents] == [
+            (d.id, " ".join(d.text.split())) for d in shard.documents if d.id != "notes-2"]
+
+        listed = [json.loads(l) for l in (ws / "chunk" / "notes.chunks.jsonl").read_text().splitlines()]
+        assert listed == [chunk_record(c) for doc_chunks in chunks.values() for c in doc_chunks]
+
+        out = tmp_path / "cli.jsonl"
+        assert main(["chunk", "--in", str(tmp_path / "inputs" / "notes.jsonl"), "--budget", "12",
+                     "--out", str(out), "--translator-cmd", _FAIL_ON_MARKER]) == 0
+        records = [json.loads(l) for l in out.read_text().splitlines()]
+        assert [(r["doc_id"], r["index"]) for r in records] == \
+            [(r["doc_id"], r["index"]) for r in listed]
+        for r in records:
+            if r["doc_id"] == "notes-2":
+                assert r["translation"] is None and "exited 5" in r["error"]
+            else:
+                assert r["translation"] == r["text"] and "error" not in r
+
+    def test_cli_chunk_writes_the_runner_listing(self, tmp_path):
+        cfg, _ = _notes_workspace(tmp_path, None)
+        ws = tmp_path / "ws"
+        assert main(["pipeline", "--config", str(cfg), "--workspace", str(ws)]) == 0
+        out = tmp_path / "cli.jsonl"
+        assert main(["chunk", "--in", str(tmp_path / "inputs" / "notes.jsonl"), "--budget", "12",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (ws / "chunk" / "notes.chunks.jsonl").read_bytes()
 
 
 class TestMixCommand:

@@ -112,11 +112,21 @@ class TestBuildStream:
         assert len(seps) == 4 and len(set(seps)) == 4
 
     def test_round_trip_detokenize(self, rng):
+        # Equal tokens get equal ids and distinct tokens distinct ids, all below
+        # the separators, at the positions doc_boundaries gives.
         docs = random_token_docs(rng, 2000)
         shard = int_docs_to_shard(docs)
         stream = build_stream([shard])
-        for i, doc in enumerate(shard.documents):
-            assert stream.detokenize(i) == tokenize(doc.text)
+        id_of: dict[str, int] = {}
+        token_of: dict[int, str] = {}
+        for (i, start, end), doc in zip(stream.doc_boundaries, shard.documents):
+            ids = stream.tokens[start:end].tolist()
+            assert stream.doc_ids[i] == doc.id
+            assert len(ids) == len(tokenize(doc.text))
+            for tok, tid in zip(tokenize(doc.text), ids):
+                assert id_of.setdefault(tok, tid) == tid
+                assert token_of.setdefault(tid, tok) == tok
+        assert max(token_of) < stream.sentinel_base
 
     def test_duplicate_ids_rejected(self):
         a = CorpusShard.from_documents([make_doc("same", "x y")])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from unittest import mock
@@ -230,6 +231,19 @@ class TestSerialization:
         save_model(de_en_model, a)
         save_model(de_en_model, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_save_keeps_earlier_file(self, de_en_model, tmp_path):
+        class Unwritable:  # fails after the header and the weights are written
+            def astype(self, dtype):
+                raise OSError("disk full")
+
+        path = tmp_path / "model.bin"
+        save_model(de_en_model, path)
+        earlier = path.read_bytes()
+        with pytest.raises(OSError, match="disk full"):
+            save_model(dataclasses.replace(de_en_model, bias=Unwritable()), path)
+        assert path.read_bytes() == earlier
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

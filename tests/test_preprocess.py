@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from korpus.preprocess import clean_shard, filter_short, strip_urls, unescape_html
+from korpus.preprocess import clean_shard, strip_urls, unescape_html
 
 from conftest import make_doc, make_shard
 from korpus.core import CorpusShard
@@ -99,14 +99,14 @@ class TestFilterShort:
         doc19 = " ".join(f"w{i}" for i in range(19))
         doc20 = " ".join(f"w{i}" for i in range(20))
         shard = make_shard([doc19, doc20])
-        filtered, stats = filter_short(shard, 20)
+        filtered, stats = clean_shard(shard, 20)
         assert [d.token_count for d in filtered.documents] == [20]
         assert stats.dropped_short == 1
         assert stats.output_docs == stats.input_docs - stats.dropped_short
 
     def test_zero_threshold_is_identity(self):
         shard = make_shard(["", "ein wort", "mehr als eins"])
-        filtered, stats = filter_short(shard, 0)
+        filtered, stats = clean_shard(shard, 0)
         assert filtered.documents == shard.documents
         assert stats.dropped_short == 0
 
@@ -114,7 +114,7 @@ class TestFilterShort:
         texts = [" ".join("w" for _ in range(rng.randrange(0, 40))) for _ in range(100)]
         shard = make_shard(texts)
         for threshold in (0, 5, 20, 39):
-            filtered, _ = filter_short(shard, threshold)
+            filtered, _ = clean_shard(shard, threshold)
             expected = [d.id for d in shard.documents if len(d.text.split()) >= threshold]
             assert [d.id for d in filtered.documents] == expected
 
@@ -123,7 +123,7 @@ class TestFilterShort:
         shard = make_shard(texts)
         previous = None
         for threshold in range(0, 32):
-            kept = {d.id for d in filter_short(shard, threshold)[0].documents}
+            kept = {d.id for d in clean_shard(shard, threshold)[0].documents}
             if previous is not None:
                 assert kept <= previous
             previous = kept

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -125,7 +126,7 @@ class TestPerplexity:
         vocab = {UNK: 0, BOS: 1, EOS: 2, "a": 3, "b": 4, "c": 5}
         pred = [w for w in vocab if w != BOS]
         v = len(pred)
-        model = NgramModel(order=1, vocab=vocab, counts=[], discounts=[],
+        model = NgramModel(order=1, vocab=vocab,
                            probs={(w,): 1.0 / v for w in pred}, backoffs={})
         for text in ("a b c", "a", "c c c c c c c"):
             score = score_perplexity(model, make_doc("x", text))
@@ -222,8 +223,8 @@ class TestSelection:
         model = toy_model()
         shard = CorpusShard.from_documents(
             [make_doc("good", "a b a"), make_doc("empty", "")])
-        kept, scores = filter_top_k([shard], model, 10)
-        assert [d.id for d in kept[0].documents] == ["good"]
+        kept, scores = filter_top_k(shard, model, 10)
+        assert [d.id for d in kept.documents] == ["good"]
         assert [s.doc_id for s in scores] == ["good"]
 
 
@@ -241,6 +242,19 @@ class TestArpa:
             a = score_perplexity(model, doc)
             b = score_perplexity(loaded, doc)
             assert b.perplexity == pytest.approx(a.perplexity, rel=1e-10)
+
+    def test_arpa_bytes_pinned(self, tmp_path):
+        # Digest of the parent's output for an order-4 model with <unk> and a
+        # literal <s> in the text; an ARPA writer rewrite must not move a byte.
+        rng = random.Random(4)
+        texts = [" ".join(med_sentence(rng) for _ in range(2)) for _ in range(60)]
+        texts.append("Die Kontrolle <s> zeigte stabile Werte <s>")
+        model = train_ngram([make_shard(texts, prefix="r")], order=4, min_count=2)
+        path = tmp_path / "m.arpa"
+        write_arpa(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "31a50acdd3e61d8aded7472c3c02fa87ce45a506ea72725ef6c2a068e09e1085"
+        )
 
     def test_write_deterministic(self, tmp_path):
         model = toy_model()
