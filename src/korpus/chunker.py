@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import CorpusShard, Document, tokenize
+from .errors import ConfigError
 
 # Lowercased, with trailing period; matched against the word before a split candidate.
 GERMAN_ABBREVIATIONS = frozenset({
@@ -88,7 +89,7 @@ def chunk_sentences(
 ) -> list[Chunk]:
     """Greedy first-fit packing in order; lossless over the input sentences."""
     if budget < 1:
-        raise ValueError("budget must be >= 1")
+        raise ConfigError("budget must be >= 1")
     counter = token_counter or (lambda s: len(tokenize(s)))
     chunks: list[Chunk] = []
     current: list[str] = []

@@ -13,7 +13,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import chunker, dedup, langid, mixer, qualfilter, report as report_mod
-from .core import PipelineConfig, merge_shards, read_shard, write_shard
+from .core import merge_shards, read_shard, write_shard
 from .errors import ConfigError, IntegrityError, KorpusError, ShardFormatError, StageError
 from .pipeline import run_pipeline, validate_config, write_json, write_text
 from .preprocess import clean_shard
@@ -145,7 +145,7 @@ def cmd_mix(args) -> int:
     for src, shard in zip(spec.sources, shards):
         write_shard(shard, outdir / f"{src.source}.jsonl")
     if args.report:
-        write_json(args.report, json.loads(report_mod.render(composition, "json")))
+        write_text(args.report, report_mod.render(composition, "json"))
     docs, tokens = composition.totals()
     _log(f"[mix] dataset {spec.name}: {docs} docs, {tokens} tokens")
     return 0

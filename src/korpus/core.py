@@ -119,7 +119,7 @@ class CorpusShard:
 
 @dataclass
 class PipelineConfig:
-    """Tunable thresholds shared across stages."""
+    """Tunable thresholds shared across stages; `config_schema.json` holds their rules."""
 
     min_match_tokens: int = 100
     langid_threshold: float = 0.9
@@ -129,26 +129,6 @@ class PipelineConfig:
     chunk_budget_tokens: int = 128
     mix_seed: int = 0
     dedup_policy: str = "remove_all"
-
-    def validate(self) -> list[str]:
-        problems = []
-        if self.min_match_tokens < 2:
-            problems.append("min_match_tokens must be >= 2")
-        if not 0.0 <= self.langid_threshold <= 1.0:
-            problems.append("langid_threshold must lie in [0, 1]")
-        if self.min_words < 0:
-            problems.append("min_words must be >= 0")
-        if self.ngram_order < 1:
-            problems.append("ngram_order must be >= 1")
-        if self.quality_top_k < 1:
-            problems.append("quality_top_k must be >= 1")
-        if self.chunk_budget_tokens < 1:
-            problems.append("chunk_budget_tokens must be >= 1")
-        if not 0 <= self.mix_seed < 2**64:
-            problems.append("mix_seed must be an unsigned 64-bit integer")
-        if self.dedup_policy not in ("remove_all", "keep_first"):
-            problems.append("dedup_policy must be 'remove_all' or 'keep_first'")
-        return problems
 
 
 _REQUIRED_FIELDS = ("id", "source", "domain", "text")

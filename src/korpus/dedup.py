@@ -28,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CorpusShard, tokenize
-from .errors import CapacityError, IntegrityError
+from .errors import CapacityError, ConfigError, IntegrityError
 
 _MAX_IDS = 2**31 - 1
+COMBINED = "combined"  # stage name of the final pass over every group's survivors
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,7 @@ def find_duplicates(index: SuffixIndex, stream: TokenStream, min_match: int) -> 
     reported.
     """
     if min_match < 2:
-        raise ValueError("min_match must be >= 2")
+        raise ConfigError("min_match must be >= 2")
     n = stream.tokens.size
     if n == 0:
         return []
@@ -340,7 +341,7 @@ def apply_policy(
     therefore always kept, and purely internal repeats never delete a document.
     """
     if policy not in ("remove_all", "keep_first"):
-        raise ValueError(f"unknown dedup policy {policy!r}")
+        raise ConfigError(f"unknown dedup policy {policy!r}")
     order: dict[str, int] = {}
     token_counts: dict[str, int] = {}
     for shard in shards:
@@ -422,13 +423,15 @@ def staged_dedup(
     """Per-group passes followed by one combined pass over the survivors."""
     names = [name for name, _ in stage_groups]
     if len(set(names)) != len(names):
-        raise ValueError("stage group names must be unique")
+        raise ConfigError("stage group names must be unique")
+    if COMBINED in names:
+        raise ConfigError(f"stage group name {COMBINED!r} is reserved for the final pass")
     reports = []
     survivors: list[CorpusShard] = []
     for name, shards in stage_groups:
         out, report = dedup_shards(shards, min_match, policy, stage=name)
         reports.append(report)
         survivors.extend(out)
-    final, combined = dedup_shards(survivors, min_match, policy, stage="combined")
+    final, combined = dedup_shards(survivors, min_match, policy, stage=COMBINED)
     reports.append(combined)
     return final, reports

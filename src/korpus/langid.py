@@ -51,8 +51,6 @@ class LangIdModel:
     feature_buckets: int
     weights: np.ndarray  # [labels, buckets]
     bias: np.ndarray  # [labels]
-    ngram_min: int = NGRAM_MIN
-    ngram_max: int = NGRAM_MAX
     loss_history: tuple[float, ...] = ()
 
 
@@ -66,18 +64,17 @@ def _normalize(text: str) -> str:
     return " ".join(text.split()).lower()
 
 
-def extract_features(texts: Sequence[str], buckets: int = DEFAULT_BUCKETS,
-                     ngram_min: int = NGRAM_MIN, ngram_max: int = NGRAM_MAX,
-                     ) -> list[tuple[np.ndarray, np.ndarray]]:
+def extract_features(texts: Sequence[str],
+                     buckets: int = DEFAULT_BUCKETS) -> list[tuple[np.ndarray, np.ndarray]]:
     """Hashed n-gram counts of each text, L2-normalized so the per-example SGD
     step size is independent of text length.
 
     Returns one (bucket_ids, values) pair per text; a text without an n-gram
     gets two empty arrays. Bucket ids are in order of first occurrence: every
-    `ngram_min`-gram by position, then the longer n-grams.
+    NGRAM_MIN-gram by position, then the longer n-grams.
     """
     return [pair for norms in _batches(map(_normalize, texts), len)
-            for pair in _hash_batch(norms, buckets, ngram_min, ngram_max)]
+            for pair in _hash_batch(norms, buckets)]
 
 
 def _batches(items: Iterable, chars: Callable[..., int]) -> Iterator[list]:
@@ -96,8 +93,7 @@ def _batches(items: Iterable, chars: Callable[..., int]) -> Iterator[list]:
         yield batch
 
 
-def _hash_batch(norms: list[str], buckets: int, ngram_min: int, ngram_max: int,
-                ) -> list[tuple[np.ndarray, np.ndarray]]:
+def _hash_batch(norms: list[str], buckets: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Features of normalized texts: one FNV-1a pass over all their n-grams."""
     lens = np.fromiter(map(len, norms), dtype=np.int64, count=len(norms))
     data = np.frombuffer("".join(norms).encode("utf-8"), dtype=np.uint8)
@@ -106,16 +102,16 @@ def _hash_batch(norms: list[str], buckets: int, ngram_min: int, ngram_max: int,
     doc = np.repeat(np.arange(len(norms)), lens)  # document of each character
     doc_start = np.cumsum(lens) - lens
     doc_end = np.repeat(doc_start + lens, lens)  # per character, its document's end
-    # Each n-gram gets a slot: documents in turn, each one's ngram_min-grams by
+    # Each n-gram gets a slot: documents in turn, each one's NGRAM_MIN-grams by
     # position, then its longer n-grams, the order a loop over one text takes.
-    per_n = [np.maximum(lens - n + 1, 0) for n in range(ngram_min, ngram_max + 1)]
+    per_n = [np.maximum(lens - n + 1, 0) for n in range(NGRAM_MIN, NGRAM_MAX + 1)]
     grams = sum(per_n, np.zeros_like(lens))  # n-grams per document
     n_slots = max(int(grams.sum()), 1)  # a divisor below
     slot_base = np.cumsum(grams) - grams
     n_chars = starts.size
     h = np.full(n_chars, _FNV_OFFSET, dtype=np.uint64)
     keys = [np.empty(0, dtype=np.int64)]
-    for n in range(1, ngram_max + 1):
+    for n in range(1, NGRAM_MAX + 1):
         # h[c] holds the hash of characters c .. c+n-2; extend it by character c+n-1.
         h = h[:max(n_chars - n + 1, 0)]
         at, w = starts[n - 1:], width[n - 1:]
@@ -124,10 +120,10 @@ def _hash_batch(norms: list[str], buckets: int, ngram_min: int, ngram_max: int,
         for j in range(1, int(w.max(initial=1))):
             sel = np.flatnonzero(w > j)
             h[sel] = (h[sel] ^ data[at[sel] + j]) * _FNV_PRIME
-        if n >= ngram_min:
+        if n >= NGRAM_MIN:
             c = np.flatnonzero(np.arange(h.size) + n <= doc_end[:h.size])  # inside its document
             slot = slot_base[doc[c]] + c - doc_start[doc[c]]
-            slot_base = slot_base + per_n[n - ngram_min]
+            slot_base = slot_base + per_n[n - NGRAM_MIN]
             keys.append((h[c] % np.uint64(buckets)).astype(np.int64) * n_slots + slot)
     # Keys (below buckets * n_slots, far inside int64) are distinct, so an
     # unstable sort groups each bucket's n-grams by slot; a group that starts a
@@ -230,10 +226,6 @@ def train_langid(
     )
 
 
-def _model_features(model: LangIdModel, texts: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray]]:
-    return extract_features(texts, model.feature_buckets, model.ngram_min, model.ngram_max)
-
-
 def _probs(model: LangIdModel, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
     if idx.size == 0:
         raise UnscorableError("no character n-grams extracted; text is unscorable")
@@ -242,7 +234,7 @@ def _probs(model: LangIdModel, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 def score_probs(model: LangIdModel, text: str) -> np.ndarray:
     """Full softmax distribution over labels; raises UnscorableError on no features."""
-    return _probs(model, *_model_features(model, [text])[0])
+    return _probs(model, *extract_features([text], model.feature_buckets)[0])
 
 
 def _score(model: LangIdModel, idx: np.ndarray, vals: np.ndarray) -> LangScore:
@@ -252,7 +244,7 @@ def _score(model: LangIdModel, idx: np.ndarray, vals: np.ndarray) -> LangScore:
 
 
 def score(model: LangIdModel, text: str) -> LangScore:
-    return _score(model, *_model_features(model, [text])[0])
+    return _score(model, *extract_features([text], model.feature_buckets)[0])
 
 
 def filter_language(
@@ -269,7 +261,8 @@ def filter_language(
     kept = []
     # One batch of documents at a time, so the features held stay bounded.
     for docs in _batches(shard.documents, lambda doc: len(doc.text)):
-        for doc, (idx, vals) in zip(docs, _model_features(model, [d.text for d in docs])):
+        features = extract_features([d.text for d in docs], model.feature_buckets)
+        for doc, (idx, vals) in zip(docs, features):
             try:
                 s = _score(model, idx, vals)
             except UnscorableError:
@@ -284,8 +277,8 @@ def save_model(model: LangIdModel, path: str | Path) -> None:
     header = json.dumps({
         "labels": list(model.labels),
         "feature_buckets": model.feature_buckets,
-        "ngram_min": model.ngram_min,
-        "ngram_max": model.ngram_max,
+        "ngram_min": NGRAM_MIN,
+        "ngram_max": NGRAM_MAX,
         "loss_history": list(model.loss_history),
     }, ensure_ascii=False, sort_keys=True)
     with atomic_write(path) as fh:
@@ -302,6 +295,10 @@ def load_model(path: str | Path) -> LangIdModel:
         if magic != _MAGIC:
             raise ConfigError(f"{path}: not a language-id model file")
         header = json.loads(fh.readline().decode("utf-8"))
+        if (header["ngram_min"], header["ngram_max"]) != (NGRAM_MIN, NGRAM_MAX):
+            raise ConfigError(
+                f"{path}: model hashes {header['ngram_min']}-{header['ngram_max']}-grams; "
+                f"this version reads only {NGRAM_MIN}-{NGRAM_MAX}-grams")
         labels = tuple(header["labels"])
         buckets = int(header["feature_buckets"])
         weights = np.frombuffer(
@@ -313,7 +310,5 @@ def load_model(path: str | Path) -> LangIdModel:
         feature_buckets=buckets,
         weights=weights,
         bias=bias,
-        ngram_min=int(header["ngram_min"]),
-        ngram_max=int(header["ngram_max"]),
         loss_history=tuple(header.get("loss_history", ())),
     )

@@ -79,10 +79,22 @@ def load_schema() -> dict:
         return json.load(fh)
 
 
+def _is_json_integer(checker, instance) -> bool:
+    return isinstance(instance, int) and not isinstance(instance, bool)
+
+
+# The stock "integer" type also accepts floats with an integral value, such as
+# 5.0; every integer setting must be a JSON integer.
+_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", _is_json_integer),
+)(load_schema())
+
+
 def _schema_diagnostics(obj: dict) -> list[str]:
-    validator = jsonschema.Draft202012Validator(load_schema())
     out = []
-    for err in sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path)):
+    for err in sorted(_VALIDATOR.iter_errors(obj), key=lambda e: list(e.absolute_path)):
         loc = "$" + "".join(
             f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path
         )
@@ -114,36 +126,18 @@ def parse_config(path: str | Path) -> tuple[RunConfig | None, list[str]]:
     if diags:
         return None, diags
 
+    # The schema allows no other keys, so each object maps onto its dataclass.
     params = PipelineConfig(**obj.get("params", {}))
-    diags.extend(params.validate())
-
-    sources = []
-    for s in obj["sources"]:
-        steps = s.get("steps", {})
-        sources.append(SourceConfig(
-            name=s["name"],
-            domain=s["domain"],
-            paths=list(s["paths"]),
-            dedup_group=s.get("dedup_group"),
-            preprocess=steps.get("preprocess", False),
-            langid=steps.get("langid", False),
-            quality_filter=steps.get("quality_filter", False),
-            chunk_translate=steps.get("chunk_translate", False),
-        ))
+    sources = [
+        SourceConfig(**{k: v for k, v in s.items() if k != "steps"}, **s.get("steps", {}))
+        for s in obj["sources"]
+    ]
     names = [s.name for s in sources]
     if len(set(names)) != len(names):
         diags.append("$.sources: source names must be unique")
 
-    datasets = []
-    for i, d in enumerate(obj["datasets"]):
-        ds = DatasetConfig(
-            name=d["name"],
-            sources=list(d["sources"]),
-            budget_tokens=d.get("budget_tokens"),
-            trim_source=d.get("trim_source"),
-            seed=d.get("seed"),
-        )
-        datasets.append(ds)
+    datasets = [DatasetConfig(**d) for d in obj["datasets"]]
+    for i, ds in enumerate(datasets):
         for srcname in ds.sources:
             if srcname not in names:
                 diags.append(f"$.datasets[{i}].sources: unknown source {srcname!r}")
@@ -200,6 +194,11 @@ def write_text(path: str | Path, text: str) -> None:
 
 def write_json(path: str | Path, payload) -> None:
     write_text(path, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+
+
+def _given(settings: dict, *keys: str) -> dict:
+    """The settings among `keys` that the config sets; the callee's defaults fill in the rest."""
+    return {k: settings[k] for k in keys if k in settings}
 
 
 def _checksum_file(path: Path) -> str:
@@ -295,11 +294,6 @@ class PipelineRun:
             return dataset.seed
         return self.cfg.params.mix_seed
 
-    def _langid_seed(self) -> int:
-        if self.seed_override is not None:
-            return self.seed_override
-        return int(self.cfg.langid_cfg.get("seed", 0)) if self.cfg.langid_cfg else 0
-
     # -- stages --------------------------------------------------------------
 
     def run(self, stop_after: str | None = None) -> dict:
@@ -363,13 +357,10 @@ class PipelineRun:
             )
             for lang, pats in cfg["train"].items()
         }
-        model = langid.train_langid(
-            corpora,
-            epochs=int(cfg.get("epochs", 10)),
-            learning_rate=float(cfg.get("learning_rate", 1.0)),
-            seed=self._langid_seed(),
-            feature_buckets=int(cfg.get("feature_buckets", langid.DEFAULT_BUCKETS)),
-        )
+        options = _given(cfg, "epochs", "learning_rate", "seed", "feature_buckets")
+        if self.seed_override is not None:
+            options["seed"] = self.seed_override
+        model = langid.train_langid(corpora, **options)
         langid.save_model(model, model_path)
         written = [model_path]
         for src in flagged:
@@ -382,40 +373,33 @@ class PipelineRun:
             written.append(out)
         return written
 
-    def _stage_dedup(self) -> list[Path]:
+    def _dedup_groups(self) -> dict[str, list[str]]:
+        """Dedup group -> its member sources, both in config order."""
         groups: dict[str, list[str]] = {}
         for src in self.cfg.sources:
             if src.dedup_group:
                 groups.setdefault(src.dedup_group, []).append(src.name)
+        return groups
+
+    def _stage_dedup(self) -> list[Path]:
+        groups = self._dedup_groups()
         if not groups:
             return []
         outdir = self.ws / "dedup"
-        stage_groups = []
-        shard_owner: list[str] = []
-        for gname, members in groups.items():
-            shards = []
-            for name in members:
-                for p in self.state[name]:
-                    shards.append(read_shard(p))
-                    shard_owner.append(name)
-            stage_groups.append((gname, shards))
         final, reports = dedup.staged_dedup(
-            stage_groups,
+            [(g, [self._read_source(name) for name in members]) for g, members in groups.items()],
             self.cfg.params.min_match_tokens,
             self.cfg.params.dedup_policy,
         )
-        per_source: dict[str, list[CorpusShard]] = {}
-        for owner, shard in zip(shard_owner, final):
-            per_source.setdefault(owner, []).append(shard)
+        members = [name for names in groups.values() for name in names]
         written: list[Path] = []
-        for members in groups.values():
-            for name in members:
-                out = outdir / f"{name}.jsonl"
-                write_shard(merge_shards(per_source.get(name, []), source=name), out)
-                written.append(out)
+        for name, shard in zip(members, final):  # one shard per source, in stream order
+            out = outdir / f"{name}.jsonl"
+            write_shard(shard, out)
+            written.append(out)
         for rep in reports:
             path = outdir / f"report-{rep.stage}.json"
-            write_json(path, json.loads(report_mod.render(rep, "json")))
+            write_text(path, report_mod.render(rep, "json"))
             written.append(path)
         return written
 
@@ -429,7 +413,7 @@ class PipelineRun:
         model = qualfilter.train_ngram(
             [read_shard(p) for p in ref_paths],
             order=self.cfg.params.ngram_order,
-            min_count=int(self.cfg.quality_lm.get("min_count", 2)),
+            **_given(self.cfg.quality_lm, "min_count"),
         )
         qualfilter.write_arpa(model, model_path)
         written = [model_path]
@@ -492,35 +476,34 @@ class PipelineRun:
             shards, composition = mixer.assemble(spec)
             for shard, out in zip(shards, outs):
                 write_shard(shard, out)
-            write_json(comp_path, json.loads(report_mod.render(composition, "json")))
+            write_text(comp_path, report_mod.render(composition, "json"))
             written += outs + [comp_path]
         return written
 
     def _stage_report(self) -> list[Path]:
+        """Summarise what this config's stages wrote; other files in the
+        workspace, left by an earlier config, are not read."""
         outdir = self.ws / "report"
         payload: dict = {"datasets": {}, "dedup": [], "preprocess": {}}
         md: list[str] = ["# Pipeline summary", ""]
-        pre_dir = self.ws / "preprocess"
         for src in self.cfg.sources:
-            stats_path = pre_dir / f"{src.name}.stats.json"
-            if stats_path.exists():
+            if src.preprocess:
+                stats_path = self.ws / "preprocess" / f"{src.name}.stats.json"
                 payload["preprocess"][src.name] = json.loads(
                     stats_path.read_text(encoding="utf-8"))
-        dedup_dir = self.ws / "dedup"
-        if dedup_dir.exists():
-            md.append("## Deduplication")
-            md.append("")
-            for p in sorted(dedup_dir.glob("report-*.json")):
-                obj = json.loads(p.read_text(encoding="utf-8"))
-                payload["dedup"].append(obj)
-                rep = report_mod.parse_report(json.dumps(obj))
-                md.append(report_mod.render(rep, "markdown"))
+        groups = self._dedup_groups()
+        if groups:
+            md += ["## Deduplication", ""]
+            # By file name, not group name: "report-a-b.json" sorts before "report-a.json".
+            for name in sorted(f"report-{g}.json" for g in [*groups, dedup.COMBINED]):
+                text = (self.ws / "dedup" / name).read_text(encoding="utf-8")
+                payload["dedup"].append(json.loads(text))
+                md.append(report_mod.render(report_mod.parse_report(text), "markdown"))
         for ds in self.cfg.datasets:
-            comp_path = self.ws / "datasets" / ds.name / "composition.json"
-            obj = json.loads(comp_path.read_text(encoding="utf-8"))
-            payload["datasets"][ds.name] = obj
+            text = (self.ws / "datasets" / ds.name / "composition.json").read_text(encoding="utf-8")
+            payload["datasets"][ds.name] = json.loads(text)
             md += [f"## Dataset: {ds.name}", ""]
-            md.append(report_mod.render(report_mod.parse_report(json.dumps(obj)), "markdown"))
+            md.append(report_mod.render(report_mod.parse_report(text), "markdown"))
         summary_json = outdir / "summary.json"
         summary_md = outdir / "summary.md"
         write_json(summary_json, payload)

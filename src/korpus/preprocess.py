@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass, replace
 
 from .core import CorpusShard, Document, tokenize
+from .errors import ConfigError
 
 _NAMED_ENTITIES = {
     "amp": "&",
@@ -101,7 +102,7 @@ def clean_document(doc: Document) -> tuple[Document, bool, int]:
 def clean_shard(shard: CorpusShard, min_words: int) -> tuple[CorpusShard, CleanStats]:
     """Full cleaning pass: unescape -> strip URLs -> min-word filter."""
     if min_words < 0:
-        raise ValueError("min_words must be >= 0")
+        raise ConfigError("min_words must be >= 0")
     kept = []
     unescaped_docs = 0
     urls_removed = 0

@@ -243,7 +243,7 @@ def score_perplexity(model: NgramModel, doc: Document) -> PerplexityScore:
 def select_top_k(scores: list[PerplexityScore], k: int) -> list[str]:
     """Ids of the k lowest-perplexity documents; ties break on ascending doc_id."""
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise ConfigError("k must be >= 0")
     ranked = sorted(scores, key=lambda s: (s.perplexity, s.doc_id))
     return [s.doc_id for s in ranked[:k]]
 

@@ -10,6 +10,7 @@ from korpus.chunker import (
     chunk_sentences, identity_translator, split_sentences, translate_chunks,
 )
 from korpus.core import tokenize
+from korpus.errors import ConfigError
 
 from conftest import de_text, make_doc
 from oracles import oracle_split_sentences
@@ -111,7 +112,7 @@ class TestChunkSentences:
         assert chunks[0].oversized and chunks[0].token_count == 3
 
     def test_budget_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             chunk_sentences(["x"], 0)
 
     @settings(max_examples=60, deadline=None)

@@ -258,21 +258,32 @@ class TestValidateCommand:
         assert validate_config(config) == []
         assert main(["validate", "--config", str(config)]) == 0
 
-    def test_min_match_too_small(self, tmp_path, capsys):
+    @pytest.mark.parametrize("field,value", [
+        ("min_match_tokens", 1),
+        ("langid_threshold", 1.5),
+        ("min_words", -1),
+        ("ngram_order", 0),
+        ("quality_top_k", 0),
+        ("quality_top_k", 5.0),  # integral, but not a JSON integer
+        ("chunk_budget_tokens", 0),
+        ("mix_seed", -1),
+        ("dedup_policy", "drop_everything"),
+    ])
+    def test_param_rejected(self, tmp_path, capsys, field, value):
         config = build_pipeline_fixture(tmp_path)
         obj = json.loads(config.read_text())
-        obj["params"]["min_match_tokens"] = 1
+        obj["params"][field] = value
         config.write_text(json.dumps(obj), encoding="utf-8")
         assert main(["validate", "--config", str(config)]) == 2
-        assert "min_match_tokens" in capsys.readouterr().out
+        assert f"$.params.{field}:" in capsys.readouterr().out
 
-    def test_threshold_out_of_range(self, tmp_path, capsys):
+    def test_dedup_group_named_combined(self, tmp_path, capsys):
         config = build_pipeline_fixture(tmp_path)
         obj = json.loads(config.read_text())
-        obj["params"]["langid_threshold"] = 1.5
+        obj["sources"][1]["dedup_group"] = "combined"
         config.write_text(json.dumps(obj), encoding="utf-8")
         assert main(["validate", "--config", str(config)]) == 2
-        assert "langid_threshold" in capsys.readouterr().out
+        assert "$.sources[1].dedup_group:" in capsys.readouterr().out
 
     def test_unknown_key_named(self, tmp_path, capsys):
         config = build_pipeline_fixture(tmp_path)
@@ -289,6 +300,40 @@ class TestValidateCommand:
         config.write_text(json.dumps(obj), encoding="utf-8")
         assert main(["validate", "--config", str(config)]) == 2
         assert "phantom" in capsys.readouterr().out
+
+
+@pytest.fixture
+def lm_inputs(tmp_path):
+    """A shard of German prose and an ARPA model trained on it."""
+    rng = random.Random(5)
+    shard = tmp_path / "de.jsonl"
+    write_shard(make_shard([de_text(rng, 3) for _ in range(6)], source="de", prefix="de"), shard)
+    model = tmp_path / "lm.arpa"
+    assert main(["lm", "train", "--in", str(shard), "--model", str(model), "--order", "3"]) == 0
+    return shard, model
+
+
+class TestArgumentErrors:
+    """Out-of-range arguments are config errors: exit 2 and a one-line message."""
+
+    @pytest.mark.parametrize("argv", [
+        ["preprocess", "--in", "{shard}", "--out", "{out}/o.jsonl", "--min-words", "-1"],
+        ["chunk", "--in", "{shard}", "--out", "{out}/o.jsonl", "--budget", "0"],
+        ["dedup", "--group", "a={shard}", "--out-dir", "{out}", "--min-match", "1"],
+        ["dedup", "--group", "a={shard}", "--group", "a={shard}", "--out-dir", "{out}"],
+        ["dedup", "--group", "combined={shard}", "--out-dir", "{out}"],
+        ["quality-filter", "--model", "{model}", "--in", "{shard}", "--out", "{out}/o.jsonl",
+         "--top-k", "-1"],
+    ], ids=["min-words", "budget", "min-match", "repeated-group", "group-combined", "top-k"])
+    def test_exit_2_without_traceback(self, lm_inputs, tmp_path, argv):
+        shard, model = lm_inputs
+        argv = [a.format(shard=shard, model=model, out=tmp_path / "out") for a in argv]
+        env = {**os.environ, "PYTHONPATH": str(Path(korpus.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "korpus.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestPipelineCommand:
@@ -359,6 +404,28 @@ class TestPipelineCommand:
         write_shard(CorpusShard.from_documents([edited, *rest], source="gc4"), path)
         read_shard(path)  # still a valid shard: only the marker checksum catches the edit
         assert main(["pipeline", "--config", str(config), "--workspace", str(ws)]) == 4
+
+    def test_rerun_after_config_change_reports_like_fresh_run(self, tmp_path):
+        config = build_pipeline_fixture(tmp_path)
+        ws = tmp_path / "ws"
+        assert main(["pipeline", "--config", str(config), "--workspace", str(ws)]) == 0
+        obj = json.loads(config.read_text(encoding="utf-8"))
+        for src in obj["sources"]:
+            if src.get("dedup_group"):
+                src["dedup_group"] = "formal-" + src["dedup_group"]
+            if src["name"] == "reddit":
+                src["steps"]["preprocess"] = False
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        fresh = tmp_path / "fresh"
+        for workspace in (ws, fresh):
+            assert main(["pipeline", "--config", str(config), "--workspace", str(workspace)]) == 0
+        # The earlier run's files are still there; the report must not read them.
+        assert (ws / "dedup" / "report-gc4.json").exists()
+        assert (ws / "preprocess" / "reddit.stats.json").exists()
+        for name in ("summary.json", "summary.md"):
+            assert (ws / "report" / name).read_bytes() == (fresh / "report" / name).read_bytes()
+        summary = json.loads((fresh / "report" / "summary.json").read_text(encoding="utf-8"))
+        assert len(summary["dedup"]) == 4 and summary["preprocess"] == {}
 
     @pytest.mark.parametrize("change", ["min_words", "seed_override", "raw_input"])
     def test_resume_after_change_reruns_every_stage(self, tmp_path, capsys, change):

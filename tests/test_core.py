@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from korpus.core import (
     read_shard, tokenize, write_shard,
 )
 from korpus.errors import IntegrityError, ShardFormatError
+from korpus.pipeline import _schema_diagnostics
 
 from conftest import make_doc, make_shard
 
@@ -174,15 +176,10 @@ class TestMergeShards:
 
 class TestPipelineConfig:
     def test_defaults_valid(self):
-        assert PipelineConfig().validate() == []
-
-    @pytest.mark.parametrize("field,value", [
-        ("min_match_tokens", 1),
-        ("langid_threshold", 1.5),
-        ("ngram_order", 0),
-        ("chunk_budget_tokens", 0),
-        ("dedup_policy", "drop_everything"),
-    ])
-    def test_invariants(self, field, value):
-        cfg = PipelineConfig(**{field: value})
-        assert cfg.validate(), f"{field}={value} should be rejected"
+        """The defaults live only in the dataclass; the schema's rules must accept them."""
+        config = {
+            "params": dataclasses.asdict(PipelineConfig()),
+            "sources": [{"name": "s", "domain": "formal", "paths": ["s.jsonl"]}],
+            "datasets": [{"name": "d", "sources": ["s"]}],
+        }
+        assert _schema_diagnostics(config) == []

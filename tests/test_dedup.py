@@ -11,7 +11,7 @@ from korpus.dedup import (
     find_duplicates, merge_spans, staged_dedup, _lcp, _suffix_array,
 )
 from korpus import dedup
-from korpus.errors import CapacityError, IntegrityError
+from korpus.errors import CapacityError, ConfigError, IntegrityError
 
 from conftest import int_docs_to_shard, make_doc, random_token_docs
 from oracles import oracle_doc_spans, oracle_match_docs
@@ -161,7 +161,7 @@ class TestFindDuplicates:
         shard = int_docs_to_shard([[1, 2, 3]])
         stream = build_stream([shard])
         index = build_suffix_index(stream)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             find_duplicates(index, stream, 1)
 
     def test_planted_passage_both_docs_flagged(self, rng):
@@ -350,8 +350,15 @@ class TestStagedDedup:
 
     def test_duplicate_group_names_rejected(self):
         shard = int_docs_to_shard([[1, 2]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             staged_dedup([("g", [shard]), ("g", [shard])], 2, "remove_all")
+
+    def test_group_named_combined_rejected(self):
+        # The final pass reports as "combined"; a group of that name would
+        # share its report file and vanish from the summary.
+        shard = int_docs_to_shard([[1, 2]])
+        with pytest.raises(ConfigError, match="combined"):
+            staged_dedup([("combined", [shard])], 2, "remove_all")
 
 
 @settings(max_examples=25, deadline=None)

@@ -245,6 +245,17 @@ class TestSerialization:
         assert path.read_bytes() == earlier
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("key,value", [("ngram_min", 2), ("ngram_max", 6)])
+    def test_other_ngram_range_rejected(self, de_en_model, tmp_path, key, value):
+        path = tmp_path / "model.bin"
+        save_model(de_en_model, path)
+        head, body = path.read_bytes().split(b"\n", 1)  # magic and JSON header, then weights
+        stored = f'"{key}": {getattr(langid, key.upper())}'.encode()
+        assert stored in head
+        path.write_bytes(head.replace(stored, f'"{key}": {value}'.encode()) + b"\n" + body)
+        with pytest.raises(ConfigError, match="grams"):
+            load_model(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a model")
