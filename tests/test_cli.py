@@ -258,9 +258,23 @@ class TestValidateCommand:
         assert validate_config(config) == []
         assert main(["validate", "--config", str(config)]) == 0
 
+    def test_min_match_too_small(self, tmp_path, capsys):
+        config = build_pipeline_fixture(tmp_path)
+        obj = json.loads(config.read_text())
+        obj["params"]["min_match_tokens"] = 1
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["validate", "--config", str(config)]) == 2
+        assert "$.params.min_match_tokens:" in capsys.readouterr().out
+
+    def test_threshold_out_of_range(self, tmp_path, capsys):
+        config = build_pipeline_fixture(tmp_path)
+        obj = json.loads(config.read_text())
+        obj["params"]["langid_threshold"] = 1.5
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["validate", "--config", str(config)]) == 2
+        assert "$.params.langid_threshold:" in capsys.readouterr().out
+
     @pytest.mark.parametrize("field,value", [
-        ("min_match_tokens", 1),
-        ("langid_threshold", 1.5),
         ("min_words", -1),
         ("ngram_order", 0),
         ("quality_top_k", 0),

@@ -174,12 +174,29 @@ class TestMergeShards:
         assert merged.manifest == CorpusShard.from_documents(docs, source=source).manifest
 
 
+def _config_with_params(params):
+    return {
+        "params": params,
+        "sources": [{"name": "s", "domain": "formal", "paths": ["s.jsonl"]}],
+        "datasets": [{"name": "d", "sources": ["s"]}],
+    }
+
+
 class TestPipelineConfig:
     def test_defaults_valid(self):
         """The defaults live only in the dataclass; the schema's rules must accept them."""
-        config = {
-            "params": dataclasses.asdict(PipelineConfig()),
-            "sources": [{"name": "s", "domain": "formal", "paths": ["s.jsonl"]}],
-            "datasets": [{"name": "d", "sources": ["s"]}],
-        }
+        config = _config_with_params(dataclasses.asdict(PipelineConfig()))
         assert _schema_diagnostics(config) == []
+
+    @pytest.mark.parametrize("field,value", [
+        ("min_match_tokens", 1),
+        ("langid_threshold", 1.5),
+        ("ngram_order", 0),
+        ("chunk_budget_tokens", 0),
+        ("dedup_policy", "drop_everything"),
+    ])
+    def test_invariants(self, field, value):
+        """The schema is the only rule set for config values; it rejects each broken one."""
+        params = {**dataclasses.asdict(PipelineConfig()), field: value}
+        diagnostics = _schema_diagnostics(_config_with_params(params))
+        assert any(d.startswith(f"$.params.{field}:") for d in diagnostics), diagnostics
