@@ -213,6 +213,8 @@ def translate_shard(
     documents, and one failure record per document with a failed chunk, which
     is left out of that shard (see the module's failure policy).
     """
+    if budget < 1:
+        raise ConfigError("budget must be >= 1")
     results: list[TranslationResult] = []
     translated: list[Document] = []
     failures: list[dict] = []

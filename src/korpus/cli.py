@@ -13,9 +13,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import chunker, dedup, langid, mixer, qualfilter, report as report_mod
-from .core import merge_shards, read_shard, write_shard
+from .core import PipelineConfig, merge_shards, read_shard, write_shard
 from .errors import ConfigError, IntegrityError, KorpusError, ShardFormatError, StageError
-from .pipeline import run_pipeline, validate_config, write_json, write_text
+from .pipeline import _given, parse_mix_spec, run_pipeline, validate_config, write_json, write_text
 from .preprocess import clean_shard
 
 
@@ -52,9 +52,7 @@ def cmd_langid_train(args) -> int:
             raise ConfigError(f"--lang expects LANG=GLOB, got {spec!r}")
         corpora[lang] = merge_shards([read_shard(p) for p in _glob_sorted([pattern])],
                                      source=lang)
-    model = langid.train_langid(
-        corpora, epochs=args.epochs, learning_rate=args.learning_rate, seed=args.seed,
-    )
+    model = langid.train_langid(corpora, **_given(vars(args), "epochs", "learning_rate", "seed"))
     langid.save_model(model, args.model)
     _log(f"[langid] trained on {sorted(corpora)}; "
          f"final loss {model.loss_history[-1]:.4f}" if model.loss_history else "[langid] trained")
@@ -94,7 +92,7 @@ def cmd_dedup(args) -> int:
 
 def cmd_lm_train(args) -> int:
     reference = [read_shard(p) for p in _glob_sorted(args.inputs)]
-    model = qualfilter.train_ngram(reference, order=args.order, min_count=args.min_count)
+    model = qualfilter.train_ngram(reference, order=args.order, **_given(vars(args), "min_count"))
     qualfilter.write_arpa(model, args.model)
     _log(f"[lm] trained order-{args.order} model over {len(model.vocab)} vocabulary entries")
     return 0
@@ -139,15 +137,18 @@ def cmd_chunk(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    spec = mixer.DatasetSpec.from_json(args.spec)
-    shards, composition = mixer.assemble(spec)
+    spec = parse_mix_spec(args.spec)
+    shards, composition = mixer.assemble(
+        [(s["source"], s["domain"], s["paths"]) for s in spec["sources"]],
+        **_given(spec, "budget_tokens", "trim_source", "seed"),
+    )
     outdir = Path(args.out_dir)
-    for src, shard in zip(spec.sources, shards):
-        write_shard(shard, outdir / f"{src.source}.jsonl")
+    for src, shard in zip(spec["sources"], shards):
+        write_shard(shard, outdir / f"{src['source']}.jsonl")
     if args.report:
         write_text(args.report, report_mod.render(composition, "json"))
     docs, tokens = composition.totals()
-    _log(f"[mix] dataset {spec.name}: {docs} docs, {tokens} tokens")
+    _log(f"[mix] dataset {spec['name']}: {docs} docs, {tokens} tokens")
     return 0
 
 
@@ -186,12 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="korpus", description=__doc__)
     parser.add_argument("--seed-override", type=int, default=None,
                         help="replace every configured seed (pipeline subcommand)")
+    defaults = PipelineConfig()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("preprocess", help="clean text and drop short documents")
     p.add_argument("--in", dest="inputs", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-words", type=int, default=20)
+    p.add_argument("--min-words", type=int, default=defaults.min_words)
     p.add_argument("--stats", default=None)
     p.set_defaults(fn=cmd_preprocess)
 
@@ -200,22 +202,24 @@ def build_parser() -> argparse.ArgumentParser:
     t = lid.add_parser("train")
     t.add_argument("--model", required=True)
     t.add_argument("--lang", action="append", required=True, metavar="LANG=GLOB")
-    t.add_argument("--epochs", type=int, default=10)
-    t.add_argument("--learning-rate", type=float, default=1.0)
-    t.add_argument("--seed", type=int, default=0)
+    # Left out unless given, so the defaults of `train_langid` / `train_ngram` apply.
+    t.add_argument("--epochs", type=int, default=argparse.SUPPRESS)
+    t.add_argument("--learning-rate", type=float, default=argparse.SUPPRESS)
+    t.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     t.set_defaults(fn=cmd_langid_train)
     f = lid.add_parser("filter")
     f.add_argument("--model", required=True)
     f.add_argument("--target", required=True)
-    f.add_argument("--threshold", type=float, default=0.9)
+    f.add_argument("--threshold", type=float, default=defaults.langid_threshold)
     f.add_argument("--in", dest="inputs", nargs="+", required=True)
     f.add_argument("--out", required=True)
     f.set_defaults(fn=cmd_langid_filter)
 
     p = sub.add_parser("dedup", help="exact-substring deduplication")
     p.add_argument("--group", action="append", required=True, metavar="NAME=GLOB")
-    p.add_argument("--min-match", type=int, default=100)
-    p.add_argument("--policy", choices=["remove-all", "keep-first"], default="remove-all")
+    p.add_argument("--min-match", type=int, default=defaults.min_match_tokens)
+    p.add_argument("--policy", choices=["remove-all", "keep-first"],
+                   default=defaults.dedup_policy.replace("_", "-"))
     p.add_argument("--out-dir", required=True)
     p.add_argument("--report", default=None)
     p.set_defaults(fn=cmd_dedup)
@@ -225,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     t = lm.add_parser("train")
     t.add_argument("--in", dest="inputs", nargs="+", required=True)
     t.add_argument("--model", required=True)
-    t.add_argument("--order", type=int, default=5)
-    t.add_argument("--min-count", type=int, default=2)
+    t.add_argument("--order", type=int, default=defaults.ngram_order)
+    t.add_argument("--min-count", type=int, default=argparse.SUPPRESS)
     t.set_defaults(fn=cmd_lm_train)
     s = lm.add_parser("score")
     s.add_argument("--model", required=True)
@@ -244,13 +248,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chunk", help="sentence-split and pack into token budgets")
     p.add_argument("--in", dest="inputs", nargs="+", required=True)
-    p.add_argument("--budget", type=int, default=128)
+    p.add_argument("--budget", type=int, default=defaults.chunk_budget_tokens)
     p.add_argument("--out", required=True)
     p.add_argument("--translator-cmd", default=None,
                    help="shell command speaking the line protocol (adds a translation field)")
     p.set_defaults(fn=cmd_chunk)
 
-    p = sub.add_parser("mix", help="assemble a dataset from a spec file")
+    p = sub.add_parser(
+        "mix", help="assemble a dataset from a spec file",
+        description="Assemble one dataset from a JSON spec: {\"name\": ..., \"sources\": "
+                    "[{\"source\": ..., \"domain\": ..., \"paths\": [...]}, ...]} and optionally "
+                    "\"budget_tokens\" and \"trim_source\" (set together) and \"seed\". "
+                    "The spec follows the rules of a pipeline config's datasets[] entry.")
     p.add_argument("--spec", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--report", default=None)

@@ -220,11 +220,6 @@ def write_shard(shard: CorpusShard, path: str | Path) -> None:
         fh.write("\n")
 
 
-def iter_documents(shards: Iterable[CorpusShard]) -> Iterator[Document]:
-    for shard in shards:
-        yield from shard.documents
-
-
 def merge_shards(shards: Iterable[CorpusShard], source: str | None = None) -> CorpusShard:
     """Concatenate documents of several shards into one (order preserved).
 
@@ -233,7 +228,8 @@ def merge_shards(shards: Iterable[CorpusShard], source: str | None = None) -> Co
     """
     shards = list(shards)
     if len(shards) != 1:
-        return CorpusShard.from_documents(iter_documents(shards), source=source)
+        return CorpusShard.from_documents(
+            (doc for shard in shards for doc in shard.documents), source=source)
     (shard,) = shards
     if source is None:
         source = _common_source(shard.documents)

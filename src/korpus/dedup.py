@@ -407,11 +407,7 @@ def dedup_shards(
 ) -> tuple[list[CorpusShard], DedupReport]:
     """One full pass: stream, index, span search, policy application."""
     stream = build_stream(shards)
-    if stream.tokens.size == 0:
-        spans: list[DuplicateSpan] = []
-    else:
-        index = build_suffix_index(stream)
-        spans = find_duplicates(index, stream, min_match)
+    spans = find_duplicates(build_suffix_index(stream), stream, min_match)
     return apply_policy(shards, spans, policy, stage=stage)
 
 

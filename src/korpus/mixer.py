@@ -1,67 +1,34 @@
 """Dataset assembly with token-budget matching.
 
-A dataset spec names its sources (with a declared domain and shard paths) and
+A dataset lists its sources as (name, domain, shard paths) triples and
 optionally a token budget together with the single source to down-sample.
 Budget trimming removes whole documents of the trim source, drawn by a seeded
 SplitMix64 permutation, until the total token count is at or below budget;
 removing one document fewer would exceed it. All other sources pass through
 untouched.
+
+The pipeline runner takes these from a config's `datasets[]`; `korpus mix
+--spec` reads them from a JSON file of the shape
+
+    {"name": "variety",
+     "sources": [{"source": "gc4", "domain": "formal", "paths": ["gc4.jsonl"]}, ...],
+     "budget_tokens": 1000000, "trim_source": "gc4", "seed": 0}
+
+where `budget_tokens`, `trim_source` and `seed` are optional. Both follow the
+same rules (`$defs/dataset` in `config_schema.json`, plus the cross-field
+checks in `korpus.pipeline`): budget and trim source are set together, the
+trim source is one of the sources, and source names are unique.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 from .core import CorpusShard, merge_shards, read_shard
 from .errors import ConfigError
 from .report import CompositionReport, CompositionRow
 from .rng import SplitMix64
-
-
-@dataclass(frozen=True)
-class SourceSpec:
-    source: str
-    domain: str
-    paths: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    name: str
-    sources: tuple[SourceSpec, ...]
-    budget_tokens: int | None = None
-    trim_source: str | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.budget_tokens is not None and self.budget_tokens < 0:
-            raise ConfigError("budget_tokens must be >= 0")
-        if self.trim_source is not None:
-            if self.trim_source not in {s.source for s in self.sources}:
-                raise ConfigError(
-                    f"trim_source {self.trim_source!r} is not among the dataset sources"
-                )
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "DatasetSpec":
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        try:
-            sources = tuple(
-                SourceSpec(source=s["source"], domain=s["domain"], paths=tuple(s["paths"]))
-                for s in obj["sources"]
-            )
-            return cls(
-                name=obj["name"],
-                sources=sources,
-                budget_tokens=obj.get("budget_tokens"),
-                trim_source=obj.get("trim_source"),
-                seed=int(obj.get("seed", 0)),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"{path}: malformed dataset spec ({exc})") from None
 
 
 def trim_to_budget(
@@ -105,31 +72,36 @@ def trim_to_budget(
     return out
 
 
-def assemble(spec: DatasetSpec) -> tuple[list[CorpusShard], CompositionReport]:
-    """Read all source shards, trim to budget if requested, and report composition.
+def assemble(
+    sources: Sequence[tuple[str, str, Sequence[str | Path]]],
+    budget_tokens: int | None = None,
+    trim_source: str | None = None,
+    seed: int = 0,
+) -> tuple[list[CorpusShard], CompositionReport]:
+    """Read all (name, domain, paths) sources, trim `trim_source` if a budget
+    is given, and report composition.
 
-    Returns one merged shard per source, in spec order.
+    Returns one merged shard per source, in the given order.
     """
-    per_source: list[tuple[SourceSpec, CorpusShard]] = []
-    for src in spec.sources:
-        shards = []
-        for p in src.paths:
+    shards = []
+    for name, _, paths in sources:
+        parts = []
+        for p in paths:
             if not Path(p).exists():
-                raise ConfigError(f"source {src.source!r}: missing shard {p}")
-            shards.append(read_shard(p))
-        per_source.append((src, merge_shards(shards, source=src.source)))
+                raise ConfigError(f"source {name!r}: missing shard {p}")
+            parts.append(read_shard(p))
+        shards.append(merge_shards(parts, source=name))
 
-    shards = [shard for _, shard in per_source]
-    if spec.budget_tokens is not None and spec.trim_source is not None:
-        shards = trim_to_budget(shards, spec.trim_source, spec.budget_tokens, spec.seed)
+    if budget_tokens is not None:
+        shards = trim_to_budget(shards, trim_source, budget_tokens, seed)
 
     rows = []
     total_tokens = sum(s.manifest.token_count for s in shards)
-    for (src, _), shard in zip(per_source, shards):
+    for (name, domain, _), shard in zip(sources, shards):
         share = shard.manifest.token_count / total_tokens if total_tokens else 0.0
         rows.append(CompositionRow(
-            domain=src.domain,
-            source=src.source,
+            domain=domain,
+            source=name,
             doc_count=shard.manifest.doc_count,
             token_count=shard.manifest.token_count,
             share=share,

@@ -92,9 +92,13 @@ _VALIDATOR = jsonschema.validators.extend(
 )(load_schema())
 
 
-def _schema_diagnostics(obj: dict) -> list[str]:
+# A `korpus mix --spec` file: one dataset with its sources' domains and shard paths.
+_MIX_SPEC_VALIDATOR = _VALIDATOR.evolve(schema={"$ref": "#/$defs/mix_spec"})
+
+
+def _schema_diagnostics(obj, validator=_VALIDATOR) -> list[str]:
     out = []
-    for err in sorted(_VALIDATOR.iter_errors(obj), key=lambda e: list(e.absolute_path)):
+    for err in sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path)):
         loc = "$" + "".join(
             f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path
         )
@@ -114,15 +118,43 @@ def _resolve_paths(patterns: list[str], base: Path) -> list[Path]:
     return out
 
 
+def _load_json(path: Path, validator) -> tuple[object, list[str]]:
+    """The JSON value in the file and its schema diagnostics."""
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        return None, [f"$: invalid JSON: {exc.msg} (line {exc.lineno})"]
+    return obj, _schema_diagnostics(obj, validator)
+
+
+def _dataset_diagnostics(loc: str, names: list[str], budget_tokens: int | None,
+                         trim_source: str | None) -> list[str]:
+    """The rules between a dataset's fields that the schema does not state."""
+    diags = []
+    if len(set(names)) != len(names):
+        diags.append(f"{loc}.sources: source names must be unique")
+    if trim_source is not None and trim_source not in names:
+        diags.append(f"{loc}.trim_source: {trim_source!r} not among dataset sources")
+    if (budget_tokens is None) != (trim_source is None):
+        diags.append(f"{loc}: budget_tokens and trim_source must be set together")
+    return diags
+
+
+def parse_mix_spec(path: str | Path) -> dict:
+    """The validated spec of `korpus mix --spec`; raises ConfigError naming each problem."""
+    obj, diags = _load_json(Path(path), _MIX_SPEC_VALIDATOR)
+    if not diags:
+        diags = _dataset_diagnostics("$", [s["source"] for s in obj["sources"]],
+                                     obj.get("budget_tokens"), obj.get("trim_source"))
+    if diags:
+        raise ConfigError("; ".join(diags))
+    return obj
+
+
 def parse_config(path: str | Path) -> tuple[RunConfig | None, list[str]]:
     """Parse and validate; returns (config or None, diagnostics)."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return None, [f"$: invalid JSON: {exc.msg} (line {exc.lineno})"]
-    diags = _schema_diagnostics(obj)
+    obj, diags = _load_json(path, _VALIDATOR)
     if diags:
         return None, diags
 
@@ -141,10 +173,8 @@ def parse_config(path: str | Path) -> tuple[RunConfig | None, list[str]]:
         for srcname in ds.sources:
             if srcname not in names:
                 diags.append(f"$.datasets[{i}].sources: unknown source {srcname!r}")
-        if ds.trim_source is not None and ds.trim_source not in ds.sources:
-            diags.append(f"$.datasets[{i}].trim_source: {ds.trim_source!r} not among dataset sources")
-        if (ds.budget_tokens is None) != (ds.trim_source is None):
-            diags.append(f"$.datasets[{i}]: budget_tokens and trim_source must be set together")
+        diags += _dataset_diagnostics(f"$.datasets[{i}]", ds.sources, ds.budget_tokens,
+                                      ds.trim_source)
 
     langid_cfg = obj.get("langid")
     if any(s.langid for s in sources) and langid_cfg is None:
@@ -346,7 +376,7 @@ class PipelineRun:
     def _stage_langid(self) -> list[Path]:
         cfg = self.cfg.langid_cfg
         flagged = [s for s in self.cfg.sources if s.langid]
-        if not flagged or cfg is None:
+        if not flagged:
             return []
         outdir = self.ws / "langid"
         model_path = outdir / "model.bin"
@@ -405,7 +435,7 @@ class PipelineRun:
 
     def _stage_qualfilter(self) -> list[Path]:
         flagged = [s for s in self.cfg.sources if s.quality_filter]
-        if not flagged or self.cfg.quality_lm is None:
+        if not flagged:
             return []
         outdir = self.ws / "qualfilter"
         model_path = outdir / "model.arpa"
@@ -454,26 +484,15 @@ class PipelineRun:
 
     def _stage_mix(self) -> list[Path]:
         written: list[Path] = []
-        src_by_name = {s.name: s for s in self.cfg.sources}
+        domain = {s.name: s.domain for s in self.cfg.sources}
         for ds in self.cfg.datasets:
             dsdir = self.ws / "datasets" / ds.name
             comp_path = dsdir / "composition.json"
             outs = [dsdir / f"{name}.jsonl" for name in ds.sources]
-            spec = mixer.DatasetSpec(
-                name=ds.name,
-                sources=tuple(
-                    mixer.SourceSpec(
-                        source=name,
-                        domain=src_by_name[name].domain,
-                        paths=tuple(str(p) for p in self.state[name]),
-                    )
-                    for name in ds.sources
-                ),
-                budget_tokens=ds.budget_tokens,
-                trim_source=ds.trim_source,
-                seed=self._mix_seed(ds),
+            shards, composition = mixer.assemble(
+                [(name, domain[name], self.state[name]) for name in ds.sources],
+                ds.budget_tokens, ds.trim_source, self._mix_seed(ds),
             )
-            shards, composition = mixer.assemble(spec)
             for shard, out in zip(shards, outs):
                 write_shard(shard, out)
             write_text(comp_path, report_mod.render(composition, "json"))

@@ -265,6 +265,8 @@ def filter_top_k(
     k: int,
 ) -> tuple[CorpusShard, list[PerplexityScore]]:
     """Score every document and keep the k best; unscorable documents are dropped."""
+    if k < 0:
+        raise ConfigError("k must be >= 0")
     scores = score_shard(model, shard)
     chosen = set(select_top_k(scores, k))
     kept = CorpusShard.from_documents(

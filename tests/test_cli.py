@@ -240,6 +240,34 @@ class TestMixCommand:
         payload = json.loads(report.read_text())
         assert payload["type"] == "composition"
 
+    @pytest.mark.parametrize("change,expected", [
+        ({"seed": 3.7}, "$.seed: 3.7 is not of type 'integer'"),
+        ({"seed": "3"}, "$.seed: '3' is not of type 'integer'"),
+        ({"seed": -1}, "$.seed: -1 is less than the minimum of 0"),
+        ({"budget_tokens": 10}, "$: budget_tokens and trim_source must be set together"),
+        ({"trim_source": "gc4"}, "$: budget_tokens and trim_source must be set together"),
+        ({"budget_tokens": 10.5, "trim_source": "gc4"}, "$.budget_tokens: 10.5 is not of type"),
+        ({"budget_token": 10}, "$: Unevaluated properties are not allowed ('budget_token'"),
+        ({"sources": [("gc4", "bogus")]}, "$.sources[0].domain: 'bogus' is not one of"),
+        ({"sources": [("gc4", "formal")] * 2}, "$.sources: source names must be unique"),
+    ], ids=["float-seed", "string-seed", "negative-seed", "budget-without-trim",
+            "trim-without-budget", "float-budget", "unknown-key", "bogus-domain",
+            "duplicate-source"])
+    def test_malformed_spec_exits_2(self, tmp_path, rng, capsys, change, expected):
+        """A spec follows the rules of a config's datasets[] entry."""
+        write_shard(make_shard([de_text(rng, 2) for _ in range(3)], source="gc4", prefix="gc4"),
+                    tmp_path / "gc4.jsonl")
+        spec = {"name": "mini", "sources": [("gc4", "formal")], **change}
+        spec["sources"] = [{"source": name, "domain": domain, "paths": [str(tmp_path / "gc4.jsonl")]}
+                           for name, domain in spec["sources"]]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        outdir = tmp_path / "ds"
+        assert main(["mix", "--spec", str(spec_path), "--out-dir", str(outdir)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {expected}"), line
+        assert not outdir.exists()
+
 
 class TestReportCommand:
     def test_markdown_output(self, tmp_path, capsys):
@@ -307,6 +335,14 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(config)]) == 2
         assert "unbekannt" in capsys.readouterr().out
 
+    def test_duplicate_dataset_source(self, tmp_path, capsys):
+        config = build_pipeline_fixture(tmp_path)
+        obj = json.loads(config.read_text())
+        obj["datasets"][0]["sources"] = ["gc4", "gc4"]
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["validate", "--config", str(config)]) == 2
+        assert "$.datasets[0].sources:" in capsys.readouterr().out
+
     def test_unknown_dataset_source(self, tmp_path, capsys):
         config = build_pipeline_fixture(tmp_path)
         obj = json.loads(config.read_text())
@@ -338,10 +374,16 @@ class TestArgumentErrors:
         ["dedup", "--group", "combined={shard}", "--out-dir", "{out}"],
         ["quality-filter", "--model", "{model}", "--in", "{shard}", "--out", "{out}/o.jsonl",
          "--top-k", "-1"],
-    ], ids=["min-words", "budget", "min-match", "repeated-group", "group-combined", "top-k"])
+        ["chunk", "--in", "{empty}", "--out", "{out}/o.jsonl", "--budget", "0"],
+        ["dedup", "--group", "a={empty}", "--out-dir", "{out}", "--min-match", "1"],
+    ], ids=["min-words", "budget", "min-match", "repeated-group", "group-combined", "top-k",
+            "budget-empty-shard", "min-match-empty-shard"])
     def test_exit_2_without_traceback(self, lm_inputs, tmp_path, argv):
         shard, model = lm_inputs
-        argv = [a.format(shard=shard, model=model, out=tmp_path / "out") for a in argv]
+        empty = tmp_path / "empty.jsonl"
+        write_shard(CorpusShard.from_documents([], source="empty"), empty)
+        argv = [a.format(shard=shard, model=model, empty=empty, out=tmp_path / "out")
+                for a in argv]
         env = {**os.environ, "PYTHONPATH": str(Path(korpus.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-m", "korpus.cli", *argv],
                               capture_output=True, text=True, env=env)

@@ -3,13 +3,16 @@ import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from jsonschema import Draft202012Validator
+from referencing import Registry
+from referencing.jsonschema import DRAFT202012
 
 from korpus.core import (
     CorpusShard, Document, Domain, PipelineConfig, fnv1a_hex, merge_shards,
     read_shard, tokenize, write_shard,
 )
 from korpus.errors import IntegrityError, ShardFormatError
-from korpus.pipeline import _schema_diagnostics
+from korpus.pipeline import _MIX_SPEC_VALIDATOR, _schema_diagnostics, load_schema
 
 from conftest import make_doc, make_shard
 
@@ -200,3 +203,26 @@ class TestPipelineConfig:
         params = {**dataclasses.asdict(PipelineConfig()), field: value}
         diagnostics = _schema_diagnostics(_config_with_params(params))
         assert any(d.startswith(f"$.params.{field}:") for d in diagnostics), diagnostics
+
+
+def _refs(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "$ref":
+                yield value
+            else:
+                yield from _refs(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _refs(value)
+
+
+def test_config_schema_is_valid_and_every_ref_resolves():
+    """A broken schema or `$ref` would otherwise fail only once a config reaches it."""
+    schema = load_schema()
+    Draft202012Validator.check_schema(schema)
+    resolver = Registry().resolver_with_root(DRAFT202012.create_resource(schema))
+    refs = set(_refs(schema)) | set(_refs(_MIX_SPEC_VALIDATOR.schema))
+    assert {"#/$defs/domain", "#/$defs/seed", "#/$defs/dataset", "#/$defs/mix_spec"} <= refs
+    for ref in refs:
+        resolver.lookup(ref)  # raises referencing.exceptions.Unresolvable

@@ -4,7 +4,8 @@ import pytest
 
 from korpus.core import CorpusShard, write_shard
 from korpus.errors import ConfigError
-from korpus.mixer import DatasetSpec, SourceSpec, assemble, trim_to_budget
+from korpus.mixer import assemble, trim_to_budget
+from korpus.pipeline import parse_mix_spec
 from korpus.report import CompositionReport
 
 from conftest import de_text, make_doc, make_shard
@@ -88,13 +89,13 @@ class TestAssemble:
             shard = make_shard(texts, source=name, domain=domain, prefix=name)
             path = tmp_path / f"{name}.jsonl"
             write_shard(shard, path)
-            out.append(SourceSpec(source=name, domain=domain, paths=(str(path),)))
-        return tuple(out)
+            out.append((name, domain, [str(path)]))
+        return out
 
     def test_single_source_no_budget_is_identity(self, tmp_path, rng):
         texts = [de_text(rng, 2) for _ in range(5)]
         sources = self._write_sources(tmp_path, [("solo", "formal", texts)])
-        shards, report = assemble(DatasetSpec(name="d", sources=sources))
+        shards, report = assemble(sources)
         assert [d.text for d in shards[0].documents] == texts
         assert report.rows[0].share == 1.0
 
@@ -104,7 +105,7 @@ class TestAssemble:
             ("b", "legal", [de_text(rng, 2) for _ in range(3)]),
             ("c", "medical", [de_text(rng, 2) for _ in range(2)]),
         ])
-        shards, report = assemble(DatasetSpec(name="d", sources=sources))
+        shards, report = assemble(sources)
         assert report.totals()[1] == sum(s.manifest.token_count for s in shards)
         assert abs(sum(r.share for r in report.rows) - 1.0) <= 1e-9
 
@@ -117,45 +118,38 @@ class TestAssemble:
             ("books", "literature", [de_text(rng, 2) for _ in range(2)]),
         ]
         sources = self._write_sources(tmp_path, all_specs)
-        _, quality = assemble(DatasetSpec(name="quality", sources=sources[:1]))
-        _, variety = assemble(DatasetSpec(name="variety", sources=sources))
+        _, quality = assemble(sources[:1])
+        _, variety = assemble(sources)
         assert {r.domain for r in quality.rows} == {"formal"}
         assert {r.domain for r in variety.rows} == {
             "formal", "informal", "medical", "legal", "literature"}
 
     def test_missing_shard_names_source(self, tmp_path):
-        spec = DatasetSpec(name="d", sources=(
-            SourceSpec(source="ghost", domain="formal", paths=(str(tmp_path / "nix.jsonl"),)),
-        ))
         with pytest.raises(ConfigError, match="ghost"):
-            assemble(spec)
+            assemble([("ghost", "formal", [str(tmp_path / "nix.jsonl")])])
 
     def test_trim_inside_assemble_is_seeded(self, tmp_path):
         shard = hundred_token_shard()
         path = tmp_path / "gc4.jsonl"
         write_shard(shard, path)
-        spec = DatasetSpec(
-            name="d",
-            sources=(SourceSpec(source="gc4", domain="formal", paths=(str(path),)),),
-            budget_tokens=600,
-            trim_source="gc4",
-            seed=11,
-        )
-        shards_a, report_a = assemble(spec)
-        shards_b, report_b = assemble(spec)
+        sources = [("gc4", "formal", [str(path)])]
+        shards_a, report_a = assemble(sources, budget_tokens=600, trim_source="gc4", seed=11)
+        shards_b, report_b = assemble(sources, budget_tokens=600, trim_source="gc4", seed=11)
         assert [d.id for d in shards_a[0].documents] == [d.id for d in shards_b[0].documents]
         assert report_a == report_b
         assert report_a.totals()[1] == 600
 
 
-class TestDatasetSpec:
-    def test_trim_source_must_exist(self):
-        with pytest.raises(ConfigError):
-            DatasetSpec(name="d",
-                        sources=(SourceSpec("a", "formal", ("x",)),),
-                        budget_tokens=10, trim_source="missing")
+def _write_spec(tmp_path, payload):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
 
-    def test_from_json(self, tmp_path):
+
+class TestMixSpec:
+    """`korpus mix --spec` files follow the rules of a config's datasets[] entries."""
+
+    def test_parse(self, tmp_path):
         payload = {
             "name": "quality",
             "sources": [{"source": "gc4", "domain": "formal", "paths": ["a.jsonl"]}],
@@ -163,14 +157,15 @@ class TestDatasetSpec:
             "trim_source": None,
             "seed": 3,
         }
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        spec = DatasetSpec.from_json(path)
-        assert spec.name == "quality" and spec.seed == 3
-        assert spec.sources[0].paths == ("a.jsonl",)
+        assert parse_mix_spec(_write_spec(tmp_path, payload)) == payload
 
-    def test_from_json_malformed(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text('{"name": "x"}', encoding="utf-8")
-        with pytest.raises(ConfigError):
-            DatasetSpec.from_json(path)
+    def test_trim_source_must_exist(self, tmp_path):
+        path = _write_spec(tmp_path, {
+            "name": "d", "sources": [{"source": "a", "domain": "formal", "paths": ["x"]}],
+            "budget_tokens": 10, "trim_source": "missing"})
+        with pytest.raises(ConfigError, match=r"^\$\.trim_source: 'missing' not among"):
+            parse_mix_spec(path)
+
+    def test_parse_malformed(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^\$: 'sources' is a required property$"):
+            parse_mix_spec(_write_spec(tmp_path, {"name": "x"}))

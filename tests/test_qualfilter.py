@@ -5,6 +5,7 @@ import random
 import pytest
 
 from korpus.core import CorpusShard, Document
+from korpus import qualfilter
 from korpus.errors import ConfigError, UnscorableError
 from korpus.qualfilter import (
     BOS, EOS, UNK, NgramModel, filter_top_k, read_arpa, score_perplexity,
@@ -226,6 +227,14 @@ class TestSelection:
         kept, scores = filter_top_k(shard, model, 10)
         assert [d.id for d in kept.documents] == ["good"]
         assert [s.doc_id for s in scores] == ["good"]
+
+    def test_filter_top_k_checks_k_before_scoring(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("scored before the argument check")
+        monkeypatch.setattr(qualfilter, "score_shard", fail)
+        shard = CorpusShard.from_documents([make_doc("good", "a b a")])
+        with pytest.raises(ConfigError, match="k must be >= 0"):
+            filter_top_k(shard, toy_model(), -1)
 
 
 class TestArpa:
