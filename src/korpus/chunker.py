@@ -185,13 +185,8 @@ class SubprocessTranslator(Translator):
 def translate_chunks(chunks: Sequence[Chunk], translator: Translator) -> list[TranslationResult]:
     """One result per chunk, in order; failures are recorded per chunk."""
     outputs = translator.translate_many([c.text for c in chunks])
-    results = []
-    for chunk, out in zip(chunks, outputs):
-        if isinstance(out, Exception):
-            results.append(TranslationResult(chunk=chunk, text=None, error=str(out)))
-        else:
-            results.append(TranslationResult(chunk=chunk, text=out, error=None))
-    return results
+    return [TranslationResult(chunk, None, str(out)) if isinstance(out, Exception)
+            else TranslationResult(chunk, out, None) for chunk, out in zip(chunks, outputs)]
 
 
 def chunk_record(chunk: Chunk) -> dict:

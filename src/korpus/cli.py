@@ -1,12 +1,15 @@
 """korpus command line: one subcommand per pipeline stage plus the runner.
 
+Input flags (--in, --lang, --group) take glob patterns relative to the working
+directory; each pattern must match a file, and its matches are read in sorted
+order.
+
 Exit codes: 0 success, 2 config error, 3 stage failure, 4 integrity error.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob as globmod
 import json
 import sys
 from dataclasses import asdict
@@ -15,7 +18,9 @@ from pathlib import Path
 from . import chunker, dedup, langid, mixer, qualfilter, report as report_mod
 from .core import PipelineConfig, merge_shards, read_shard, write_shard
 from .errors import ConfigError, IntegrityError, KorpusError, ShardFormatError, StageError
-from .pipeline import _given, parse_mix_spec, run_pipeline, validate_config, write_json, write_text
+from .pipeline import (
+    _given, parse_mix_spec, resolve_paths, run_pipeline, validate_config, write_json, write_text,
+)
 from .preprocess import clean_shard
 
 
@@ -23,18 +28,8 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _glob_sorted(patterns: list[str]) -> list[str]:
-    out: list[str] = []
-    for pat in patterns:
-        matches = sorted(globmod.glob(pat))
-        if not matches:
-            raise ConfigError(f"no files match {pat!r}")
-        out.extend(matches)
-    return out
-
-
 def cmd_preprocess(args) -> int:
-    shard = merge_shards([read_shard(p) for p in _glob_sorted(args.inputs)])
+    shard = merge_shards([read_shard(p) for p in resolve_paths(args.inputs, Path())])
     cleaned, stats = clean_shard(shard, args.min_words)
     write_shard(cleaned, args.out)
     if args.stats:
@@ -50,7 +45,7 @@ def cmd_langid_train(args) -> int:
         lang, _, pattern = spec.partition("=")
         if not pattern:
             raise ConfigError(f"--lang expects LANG=GLOB, got {spec!r}")
-        corpora[lang] = merge_shards([read_shard(p) for p in _glob_sorted([pattern])],
+        corpora[lang] = merge_shards([read_shard(p) for p in resolve_paths([pattern], Path())],
                                      source=lang)
     model = langid.train_langid(corpora, **_given(vars(args), "epochs", "learning_rate", "seed"))
     langid.save_model(model, args.model)
@@ -61,7 +56,7 @@ def cmd_langid_train(args) -> int:
 
 def cmd_langid_filter(args) -> int:
     model = langid.load_model(args.model)
-    shard = merge_shards([read_shard(p) for p in _glob_sorted(args.inputs)])
+    shard = merge_shards([read_shard(p) for p in resolve_paths(args.inputs, Path())])
     filtered = langid.filter_language(model, shard, args.target, args.threshold)
     write_shard(filtered, args.out)
     _log(f"[langid] kept {filtered.manifest.doc_count}/{shard.manifest.doc_count} docs")
@@ -74,7 +69,7 @@ def cmd_dedup(args) -> int:
         name, _, pattern = spec.partition("=")
         if not pattern:
             raise ConfigError(f"--group expects NAME=GLOB, got {spec!r}")
-        stage_groups.append((name, [read_shard(p) for p in _glob_sorted([pattern])]))
+        stage_groups.append((name, [read_shard(p) for p in resolve_paths([pattern], Path())]))
     policy = args.policy.replace("-", "_")
     final, reports = dedup.staged_dedup(stage_groups, args.min_match, policy)
     outdir = Path(args.out_dir)
@@ -91,7 +86,7 @@ def cmd_dedup(args) -> int:
 
 
 def cmd_lm_train(args) -> int:
-    reference = [read_shard(p) for p in _glob_sorted(args.inputs)]
+    reference = [read_shard(p) for p in resolve_paths(args.inputs, Path())]
     model = qualfilter.train_ngram(reference, order=args.order, **_given(vars(args), "min_count"))
     qualfilter.write_arpa(model, args.model)
     _log(f"[lm] trained order-{args.order} model over {len(model.vocab)} vocabulary entries")
@@ -100,7 +95,7 @@ def cmd_lm_train(args) -> int:
 
 def cmd_lm_score(args) -> int:
     model = qualfilter.read_arpa(args.model)
-    shard = merge_shards([read_shard(p) for p in _glob_sorted(args.inputs)])
+    shard = merge_shards([read_shard(p) for p in resolve_paths(args.inputs, Path())])
     scores = [asdict(s) for s in qualfilter.score_shard(model, shard)]
     write_json(args.out, scores)
     _log(f"[lm] scored {len(scores)} documents")
@@ -109,7 +104,7 @@ def cmd_lm_score(args) -> int:
 
 def cmd_quality_filter(args) -> int:
     model = qualfilter.read_arpa(args.model)
-    shard = merge_shards([read_shard(p) for p in _glob_sorted(args.inputs)])
+    shard = merge_shards([read_shard(p) for p in resolve_paths(args.inputs, Path())])
     kept, scores = qualfilter.filter_top_k(shard, model, args.top_k)
     write_shard(kept, args.out)
     if args.scores:
@@ -119,7 +114,7 @@ def cmd_quality_filter(args) -> int:
 
 
 def cmd_chunk(args) -> int:
-    shard = merge_shards([read_shard(p) for p in _glob_sorted(args.inputs)])
+    shard = merge_shards([read_shard(p) for p in resolve_paths(args.inputs, Path())])
     translator = (chunker.SubprocessTranslator(args.translator_cmd) if args.translator_cmd
                   else chunker.identity_translator())
     results, _, _ = chunker.translate_shard(shard, args.budget, translator)
@@ -259,7 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Assemble one dataset from a JSON spec: {\"name\": ..., \"sources\": "
                     "[{\"source\": ..., \"domain\": ..., \"paths\": [...]}, ...]} and optionally "
                     "\"budget_tokens\" and \"trim_source\" (set together) and \"seed\". "
-                    "The spec follows the rules of a pipeline config's datasets[] entry.")
+                    "The spec follows the rules of a pipeline config's datasets[] entry. "
+                    "Each entry of \"paths\" is a glob pattern that must match a file, "
+                    "read in sorted order; a relative one resolves against the spec "
+                    "file's directory.")
     p.add_argument("--spec", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--report", default=None)
@@ -295,10 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrityError as exc:
         _log(f"integrity error: {exc}")
         return 4
-    except KorpusError as exc:
-        _log(f"stage failure: {exc}")
-        return 3
-    except OSError as exc:
+    except (KorpusError, OSError) as exc:
         _log(f"stage failure: {exc}")
         return 3
 

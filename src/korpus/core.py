@@ -154,30 +154,33 @@ def read_shard(path: str | Path) -> CorpusShard:
     path = Path(path)
     docs: list[Document] = []
     manifest: Manifest | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ShardFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise ShardFormatError(f"{path}:{lineno}: expected a JSON object")
-            if obj.get("__manifest__"):
+    try:  # a decode error surfaces from the line iterator
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ShardFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+                if not isinstance(obj, dict):
+                    raise ShardFormatError(f"{path}:{lineno}: expected a JSON object")
+                if obj.get("__manifest__"):
+                    if manifest is not None:
+                        raise ShardFormatError(f"{path}:{lineno}: multiple manifest lines")
+                    manifest = Manifest(
+                        source=obj.get("source", ""),
+                        doc_count=obj.get("doc_count", -1),
+                        token_count=obj.get("token_count", -1),
+                        checksum=obj.get("checksum", ""),
+                    )
+                    continue
                 if manifest is not None:
-                    raise ShardFormatError(f"{path}:{lineno}: multiple manifest lines")
-                manifest = Manifest(
-                    source=obj.get("source", ""),
-                    doc_count=obj.get("doc_count", -1),
-                    token_count=obj.get("token_count", -1),
-                    checksum=obj.get("checksum", ""),
-                )
-                continue
-            if manifest is not None:
-                raise ShardFormatError(f"{path}:{lineno}: record after manifest line")
-            docs.append(_parse_record(obj, path, lineno))
+                    raise ShardFormatError(f"{path}:{lineno}: record after manifest line")
+                docs.append(_parse_record(obj, path, lineno))
+    except UnicodeDecodeError as exc:
+        raise ShardFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if manifest is None:
         raise ShardFormatError(f"{path}: missing manifest line")
     shard = CorpusShard(tuple(docs), manifest)

@@ -78,7 +78,6 @@ def build_stream(shards: list[CorpusShard]) -> TokenStream:
     doc_ids = []
     seen: set[str] = set()
     pos = 0
-    doc_index = 0
     for shard in shards:
         for doc in shard.documents:
             if doc.id in seen:
@@ -86,11 +85,10 @@ def build_stream(shards: list[CorpusShard]) -> TokenStream:
             seen.add(doc.id)
             toks = tokenize(doc.text)
             ids.append(np.fromiter(map(vocab.__getitem__, toks), dtype=np.int64, count=len(toks)))
-            boundaries.append((doc_index, pos, pos + len(toks)))
+            boundaries.append((len(doc_ids), pos, pos + len(toks)))
             doc_ids.append(doc.id)
             pos += len(toks) + 1  # one separator slot after each doc but the last
-            doc_index += 1
-    n_docs = doc_index
+    n_docs = len(doc_ids)
     n_separators = max(0, n_docs - 1)
     if len(vocab) + n_separators > _MAX_IDS:
         raise CapacityError(
@@ -173,8 +171,7 @@ def _lcp(sa: np.ndarray, ranks: list[np.ndarray]) -> np.ndarray:
 
 def build_suffix_index(stream: TokenStream) -> SuffixIndex:
     sa, ranks = _suffix_array(stream.tokens)
-    lcp = _lcp(sa, ranks)
-    return SuffixIndex(suffix_array=sa, lcp=lcp)
+    return SuffixIndex(suffix_array=sa, lcp=_lcp(sa, ranks))
 
 
 def _repeat_lengths(index: SuffixIndex) -> np.ndarray:

@@ -163,6 +163,14 @@ def train_langid(
     """Train a softmax classifier; deterministic for a given seed."""
     if len(corpora) < 2:
         raise ConfigError("language identification needs at least 2 languages")
+    if epochs < 1:
+        raise ConfigError("epochs must be >= 1")
+    if not learning_rate > 0:
+        raise ConfigError("learning_rate must be > 0")
+    if feature_buckets < 1:
+        raise ConfigError("feature_buckets must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed must lie in [0, 2**64)")
     labels = tuple(sorted(corpora))
     features = iter(extract_features(
         [doc.text for label in labels for doc in corpora[label].documents], feature_buckets,
@@ -193,9 +201,9 @@ def train_langid(
 
     losses = []
     best = mean_loss()
-    total_updates = max(1, max(0, epochs) * len(examples))
+    total_updates = epochs * len(examples)
     done = 0
-    for _ in range(max(0, epochs)):
+    for _ in range(epochs):
         rng.shuffle(examples)
         prev_w = weights.copy()
         prev_b = bias.copy()
@@ -290,25 +298,31 @@ def save_model(model: LangIdModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LangIdModel:
+    """Read a `save_model` file; raises ConfigError naming the file if it is not one."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ConfigError(f"{path}: not a language-id model file")
-        header = json.loads(fh.readline().decode("utf-8"))
-        if (header["ngram_min"], header["ngram_max"]) != (NGRAM_MIN, NGRAM_MAX):
-            raise ConfigError(
-                f"{path}: model hashes {header['ngram_min']}-{header['ngram_max']}-grams; "
-                f"this version reads only {NGRAM_MIN}-{NGRAM_MAX}-grams")
+        magic, header, body = fh.read(len(_MAGIC)), fh.readline(), fh.read()
+    if magic != _MAGIC:
+        raise ConfigError(f"{path}: not a language-id model file")
+    try:
+        header = json.loads(header)
+        grams = (header["ngram_min"], header["ngram_max"])
         labels = tuple(header["labels"])
         buckets = int(header["feature_buckets"])
-        weights = np.frombuffer(
-            fh.read(len(labels) * buckets * 8), dtype="<f8"
-        ).reshape(len(labels), buckets).astype(np.float64)
-        bias = np.frombuffer(fh.read(len(labels) * 8), dtype="<f8").astype(np.float64)
+        if buckets < 1 or len(labels) < 2:
+            raise ValueError(f"{len(labels)} labels and {buckets} feature buckets")
+        values = np.frombuffer(body, dtype="<f8").astype(np.float64)
+        # The reshape fails unless the body holds exactly the weights and the bias.
+        weights = values[:-len(labels)].reshape(len(labels), buckets)
+        loss_history = tuple(header.get("loss_history", ()))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: corrupt language-id model ({exc})") from None
+    if grams != (NGRAM_MIN, NGRAM_MAX):
+        raise ConfigError(f"{path}: model hashes {grams[0]}-{grams[1]}-grams; "
+                          f"this version reads only {NGRAM_MIN}-{NGRAM_MAX}-grams")
     return LangIdModel(
         labels=labels,
         feature_buckets=buckets,
         weights=weights,
-        bias=bias,
-        loss_history=tuple(header.get("loss_history", ())),
+        bias=values[-len(labels):],
+        loss_history=loss_history,
     )

@@ -17,7 +17,10 @@ The pipeline runner takes these from a config's `datasets[]`; `korpus mix
 where `budget_tokens`, `trim_source` and `seed` are optional. Both follow the
 same rules (`$defs/dataset` in `config_schema.json`, plus the cross-field
 checks in `korpus.pipeline`): budget and trim source are set together, the
-trim source is one of the sources, and source names are unique.
+trim source is one of the sources, and source names are unique. Each path is
+a glob pattern: a relative one resolves against the directory of the config or
+spec that names it, its matches are read in sorted order, and each pattern
+must match a file.
 """
 
 from __future__ import annotations
@@ -83,27 +86,16 @@ def assemble(
 
     Returns one merged shard per source, in the given order.
     """
-    shards = []
-    for name, _, paths in sources:
-        parts = []
-        for p in paths:
-            if not Path(p).exists():
-                raise ConfigError(f"source {name!r}: missing shard {p}")
-            parts.append(read_shard(p))
-        shards.append(merge_shards(parts, source=name))
+    shards = [merge_shards([read_shard(p) for p in paths], source=name)
+              for name, _, paths in sources]
 
     if budget_tokens is not None:
         shards = trim_to_budget(shards, trim_source, budget_tokens, seed)
 
-    rows = []
     total_tokens = sum(s.manifest.token_count for s in shards)
-    for (name, domain, _), shard in zip(sources, shards):
-        share = shard.manifest.token_count / total_tokens if total_tokens else 0.0
-        rows.append(CompositionRow(
-            domain=domain,
-            source=name,
-            doc_count=shard.manifest.doc_count,
-            token_count=shard.manifest.token_count,
-            share=share,
-        ))
-    return shards, CompositionReport(rows=tuple(rows))
+    rows = tuple(
+        CompositionRow(domain=domain, source=name, doc_count=shard.manifest.doc_count,
+                       token_count=shard.manifest.token_count,
+                       share=shard.manifest.token_count / total_tokens if total_tokens else 0.0)
+        for (name, domain, _), shard in zip(sources, shards))
+    return shards, CompositionReport(rows=rows)

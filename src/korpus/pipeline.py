@@ -7,10 +7,10 @@ identical config over identical inputs yields a byte-identical workspace.
 Resume contract. A completed stage writes `markers/<stage>.json` holding the
 run key and a checksum of each output it wrote (no timestamps, no absolute
 paths). The run key is a sha256 over the korpus version, the parsed config
-without its directory, the seed override and the bytes of every raw input file:
-source paths, langid training corpora and the KN reference. A stage is cached
-only if its marker carries this run's key, so a change to any of these reruns
-every stage. A cached stage re-checks every output checksum its marker
+without its resolved paths, the seed override and the bytes of every raw
+input file: source paths, langid training corpora and the KN reference. A
+stage is cached only if its marker carries this run's key, so a change to any
+of these reruns every stage. A cached stage re-checks every output checksum its marker
 recorded; a missing or modified output raises IntegrityError (CLI exit 4).
 --force reruns every stage whatever the markers say. An interrupted run
 resumed later is indistinguishable from an uninterrupted one.
@@ -71,7 +71,10 @@ class RunConfig:
     langid_cfg: dict | None
     quality_lm: dict | None
     translator: dict | None
-    base_dir: Path
+    # The files of each source, language and the reference, resolved once.
+    source_files: dict[str, list[Path]]
+    langid_files: dict[str, list[Path]]
+    reference_files: list[Path]
 
 
 def load_schema() -> dict:
@@ -106,15 +109,28 @@ def _schema_diagnostics(obj, validator=_VALIDATOR) -> list[str]:
     return out
 
 
-def _resolve_paths(patterns: list[str], base: Path) -> list[Path]:
-    """Globs resolve relative to the config file directory, sorted for determinism."""
+def resolve_paths(patterns: list[str], base: Path) -> list[Path]:
+    """The one rule for every input path: a relative glob pattern resolves against
+    `base`, the directory of the config or mix spec that names it (the working
+    directory for a CLI flag); each pattern's matches are sorted, and a pattern
+    that matches no file raises ConfigError naming it."""
     out: list[Path] = []
     for pat in patterns:
-        p = Path(pat)
-        if not p.is_absolute():
-            p = base / p
-        matches = sorted(globmod.glob(str(p)))
-        out.extend(Path(m) for m in matches)
+        matches = sorted(m for m in globmod.glob(str(base / pat)) if Path(m).is_file())
+        if not matches:
+            raise ConfigError(f"no files match {pat!r}")
+        out.extend(map(Path, matches))
+    return out
+
+
+def _resolve_each(loc: str, patterns: list[str], base: Path, diags: list[str]) -> list[Path]:
+    """`resolve_paths`, with a diagnostic at `loc[j]` for each dead pattern j."""
+    out: list[Path] = []
+    for j, pat in enumerate(patterns):
+        try:
+            out += resolve_paths([pat], base)
+        except ConfigError as exc:
+            diags.append(f"{loc}[{j}]: {exc}")
     return out
 
 
@@ -122,6 +138,10 @@ def _load_json(path: Path, validator) -> tuple[object, list[str]]:
     """The JSON value in the file and its schema diagnostics."""
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        return None, [f"$: cannot read {path}: {exc.strerror}"]
+    except UnicodeDecodeError as exc:
+        return None, [f"$: not UTF-8 text: {exc.reason} at byte {exc.start}"]
     except json.JSONDecodeError as exc:
         return None, [f"$: invalid JSON: {exc.msg} (line {exc.lineno})"]
     return obj, _schema_diagnostics(obj, validator)
@@ -141,11 +161,15 @@ def _dataset_diagnostics(loc: str, names: list[str], budget_tokens: int | None,
 
 
 def parse_mix_spec(path: str | Path) -> dict:
-    """The validated spec of `korpus mix --spec`; raises ConfigError naming each problem."""
-    obj, diags = _load_json(Path(path), _MIX_SPEC_VALIDATOR)
+    """The validated spec of `korpus mix --spec`, each source's `paths` resolved
+    against the spec's directory; raises ConfigError naming each problem."""
+    path = Path(path)
+    obj, diags = _load_json(path, _MIX_SPEC_VALIDATOR)
     if not diags:
         diags = _dataset_diagnostics("$", [s["source"] for s in obj["sources"]],
                                      obj.get("budget_tokens"), obj.get("trim_source"))
+        for i, src in enumerate(obj["sources"]):
+            src["paths"] = _resolve_each(f"$.sources[{i}].paths", src["paths"], path.parent, diags)
     if diags:
         raise ConfigError("; ".join(diags))
     return obj
@@ -187,15 +211,15 @@ def parse_config(path: str | Path) -> tuple[RunConfig | None, list[str]]:
         diags.append("$.quality_lm: required because a source enables the quality_filter step")
 
     base = path.parent
-    for i, s in enumerate(sources):
-        if not _resolve_paths(s.paths, base):
-            diags.append(f"$.sources[{i}].paths: no files match {s.paths}")
+    source_files = {s.name: _resolve_each(f"$.sources[{i}].paths", s.paths, base, diags)
+                    for i, s in enumerate(sources)}
+    langid_files, reference_files = {}, []
     if langid_cfg is not None:
-        for lang, pats in langid_cfg["train"].items():
-            if not _resolve_paths(list(pats), base):
-                diags.append(f"$.langid.train.{lang}: no files match {pats}")
-    if quality_lm is not None and not _resolve_paths(list(quality_lm["reference"]), base):
-        diags.append("$.quality_lm.reference: no files match")
+        langid_files = {lang: _resolve_each(f"$.langid.train.{lang}", pats, base, diags)
+                        for lang, pats in langid_cfg["train"].items()}
+    if quality_lm is not None:
+        reference_files = _resolve_each("$.quality_lm.reference", quality_lm["reference"],
+                                        base, diags)
 
     if diags:
         return None, diags
@@ -206,7 +230,9 @@ def parse_config(path: str | Path) -> tuple[RunConfig | None, list[str]]:
         langid_cfg=langid_cfg,
         quality_lm=quality_lm,
         translator=obj.get("translator"),
-        base_dir=base,
+        source_files=source_files,
+        langid_files=langid_files,
+        reference_files=reference_files,
     ), []
 
 
@@ -236,18 +262,16 @@ def _checksum_file(path: Path) -> str:
 
 
 def _run_key(config: RunConfig, seed_override: int | None) -> str:
-    """sha256 over the korpus version, the parsed config without its directory,
-    the seed override and the bytes of every raw input file, in resolved order."""
-    settings = asdict(config)
-    del settings["base_dir"]  # absolute; markers must not depend on where the workspace lives
+    """sha256 over the korpus version, the parsed config without its resolved file
+    lists (their paths depend on where the config lives), the seed override and
+    the bytes of every raw input file, in resolved order."""
+    settings = {k: v for k, v in asdict(config).items()
+                if k not in ("source_files", "langid_files", "reference_files")}
     key = sha256(
         json.dumps([__version__, settings, seed_override], sort_keys=True).encode("utf-8"))
-    patterns = [pat for src in config.sources for pat in src.paths]
-    if config.langid_cfg is not None:
-        patterns += [pat for pats in config.langid_cfg["train"].values() for pat in pats]
-    if config.quality_lm is not None:
-        patterns += config.quality_lm["reference"]
-    for path in _resolve_paths(patterns, config.base_dir):
+    files = [p for paths in config.source_files.values() for p in paths]
+    files += [p for paths in config.langid_files.values() for p in paths]
+    for path in files + config.reference_files:
         digest = sha256()
         with open(path, "rb") as fh:  # in blocks: a whole-file read raises the peak RSS
             for block in iter(lambda: fh.read(1 << 16), b""):
@@ -279,9 +303,7 @@ class PipelineRun:
         self.log = log
         self.seed_override = seed_override
         self.key = _run_key(config, seed_override)
-        self.state: dict[str, list[Path]] = {}
-        for src in config.sources:
-            self.state[src.name] = _resolve_paths(src.paths, config.base_dir)
+        self.state: dict[str, list[Path]] = dict(config.source_files)
 
     # -- marker bookkeeping ------------------------------------------------
 
@@ -330,7 +352,6 @@ class PipelineRun:
         if stop_after is not None and stop_after not in STAGES:
             raise ConfigError(f"unknown stage {stop_after!r}")
         self.ws.mkdir(parents=True, exist_ok=True)
-        summary: dict = {}
         for stage in STAGES:
             outputs = self._cached_outputs(stage)
             if outputs is not None:
@@ -351,10 +372,8 @@ class PipelineRun:
                     self.state[src.name] = [self.ws / stage / f"{src.name}.jsonl"]
             if stage == stop_after:
                 self.log(f"[pipeline] stopped after {stage}")
-                return summary
-        summary_path = self.ws / "report" / "summary.json"
-        summary = json.loads(summary_path.read_text(encoding="utf-8"))
-        return summary
+                return {}
+        return json.loads((self.ws / "report" / "summary.json").read_text(encoding="utf-8"))
 
     def _read_source(self, name: str) -> CorpusShard:
         return merge_shards([read_shard(p) for p in self.state[name]], source=name)
@@ -381,11 +400,8 @@ class PipelineRun:
         outdir = self.ws / "langid"
         model_path = outdir / "model.bin"
         corpora = {
-            lang: merge_shards(
-                [read_shard(p) for p in _resolve_paths(list(pats), self.cfg.base_dir)],
-                source=lang,
-            )
-            for lang, pats in cfg["train"].items()
+            lang: merge_shards([read_shard(p) for p in paths], source=lang)
+            for lang, paths in self.cfg.langid_files.items()
         }
         options = _given(cfg, "epochs", "learning_rate", "seed", "feature_buckets")
         if self.seed_override is not None:
@@ -439,9 +455,8 @@ class PipelineRun:
             return []
         outdir = self.ws / "qualfilter"
         model_path = outdir / "model.arpa"
-        ref_paths = _resolve_paths(list(self.cfg.quality_lm["reference"]), self.cfg.base_dir)
         model = qualfilter.train_ngram(
-            [read_shard(p) for p in ref_paths],
+            [read_shard(p) for p in self.cfg.reference_files],
             order=self.cfg.params.ngram_order,
             **_given(self.cfg.quality_lm, "min_count"),
         )

@@ -59,16 +59,9 @@ def strip_urls(text: str) -> tuple[str, int]:
     Returns the cleaned text and the number of URLs removed. Whitespace not
     adjacent to a removed URL is preserved.
     """
-    pieces = []
-    last = 0
-    count = 0
-    for m in _URL_RE.finditer(text):
-        pieces.append(text[last:m.start()])
-        last = m.end()
-        count += 1
-    if count == 0:
+    pieces = _URL_RE.split(text)
+    if len(pieces) == 1:
         return text, 0
-    pieces.append(text[last:])
     result = pieces[0]
     for nxt in pieces[1:]:
         left = result.rstrip()
@@ -77,7 +70,7 @@ def strip_urls(text: str) -> tuple[str, int]:
             result = left + " " + right
         else:
             result = left or right
-    return result, count
+    return result, len(pieces) - 1
 
 
 @dataclass(frozen=True)

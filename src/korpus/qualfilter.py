@@ -63,11 +63,8 @@ class NgramModel:
     def conditional(self, token: str, context: tuple[str, ...]) -> float:
         """p(token | context) with backoff; strictly positive for any input."""
         w = self._map_event(token)
-        ctx = tuple(self._map_context(t) for t in context)
-        if self.order > 1:
-            ctx = ctx[-(self.order - 1):]
-        else:
-            ctx = ()
+        keep = self.order - 1  # context tokens the model conditions on
+        ctx = tuple(self._map_context(t) for t in context)[-keep:] if keep else ()
         coef = 1.0
         while True:
             p = self.probs.get(ctx + (w,))
@@ -88,13 +85,7 @@ class PerplexityScore:
 
 
 def _discount_for(count: int, d: tuple[float, float, float]) -> float:
-    if count <= 0:
-        return 0.0
-    if count == 1:
-        return d[0]
-    if count == 2:
-        return d[1]
-    return d[2]
+    return d[min(count, 3) - 1] if count > 0 else 0.0
 
 
 def _estimate_discounts(table: dict[tuple[str, ...], int], order_k: int) -> tuple[float, float, float]:
@@ -293,8 +284,7 @@ def write_arpa(model: NgramModel, path: str | Path) -> None:
     for k, entries in enumerate(per_order, start=1):
         lines.append(f"ngram {k}={len(entries)}")
     for k, entries in enumerate(per_order, start=1):
-        lines.append("")
-        lines.append(f"\\{k}-grams:")
+        lines += ["", f"\\{k}-grams:"]
         for g in entries:
             p = model.probs.get(g)
             logp = "-99" if p is None else f"{math.log10(p):.17g}"
@@ -302,8 +292,7 @@ def write_arpa(model: NgramModel, path: str | Path) -> None:
             if k < model.order and g in model.backoffs:
                 row += f"\t{math.log10(model.backoffs[g]):.17g}"
             lines.append(row)
-    lines.append("")
-    lines.append("\\end\\")
+    lines += ["", "\\end\\"]
     with atomic_write(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
@@ -317,39 +306,44 @@ def read_arpa(path: str | Path) -> NgramModel:
     section = 0
     expected: dict[int, int] = {}
     seen: Counter[int] = Counter()
-    with open(path, encoding="utf-8") as fh:
-        state = "preamble"
-        for raw_line in fh:
-            line = raw_line.strip()
-            if not line:
-                continue
-            if line == "\\data\\":
-                state = "data"
-                continue
-            if line == "\\end\\":
-                break
-            if line.startswith("\\") and line.endswith("-grams:"):
-                section = int(line[1:-7])
-                order = max(order, section)
-                state = "grams"
-                continue
-            if state == "data":
-                name, _, count = line.partition("=")
-                expected[int(name.split()[1])] = int(count)
-                continue
-            if state != "grams":
-                raise ConfigError(f"{path}: unexpected line outside any section: {line!r}")
-            parts = line.split()
-            if len(parts) < 1 + section:
-                raise ConfigError(f"{path}: short line in \\{section}-grams section: {line!r}")
-            gram = tuple(parts[1:1 + section])
-            rest = parts[1 + section:]
-            seen[section] += 1
-            logp = float(parts[0])
-            if logp > -98.0:  # -99 marks placeholder entries such as <s>
-                probs[gram] = 10.0 ** logp
-            if rest:
-                backoffs[gram] = 10.0 ** float(rest[0])
+    try:
+        with open(path, encoding="utf-8") as fh:
+            state = "preamble"
+            for lineno, raw_line in enumerate(fh, start=1):
+                line = raw_line.strip()
+                if not line:
+                    continue
+                if line == "\\data\\":
+                    state = "data"
+                    continue
+                if line == "\\end\\":
+                    break
+                if line.startswith("\\") and line.endswith("-grams:"):
+                    section = int(line[1:-7])
+                    order = max(order, section)
+                    state = "grams"
+                    continue
+                if state == "data":
+                    name, _, count = line.partition("=")
+                    expected[int(name.split()[1])] = int(count)
+                    continue
+                if state != "grams":
+                    raise ConfigError(f"{path}: unexpected line outside any section: {line!r}")
+                parts = line.split()
+                if len(parts) < 1 + section:
+                    raise ConfigError(f"{path}: short line in \\{section}-grams section: {line!r}")
+                gram = tuple(parts[1:1 + section])
+                rest = parts[1 + section:]
+                seen[section] += 1
+                logp = float(parts[0])
+                if logp > -98.0:  # -99 marks placeholder entries such as <s>
+                    probs[gram] = 10.0 ** logp
+                if rest:
+                    backoffs[gram] = 10.0 ** float(rest[0])
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except (ValueError, IndexError, OverflowError):  # a number, count or header
+        raise ConfigError(f"{path}:{lineno}: cannot parse {raw_line.strip()!r}") from None
     if order == 0:
         raise ConfigError(f"{path}: no n-gram sections found")
     for k, n in expected.items():

@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 import re
@@ -7,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import korpus
+from korpus import langid
 from korpus.chunker import chunk_document, chunk_record
 from korpus.cli import main
 from korpus.core import read_shard, write_shard
@@ -363,8 +366,13 @@ def lm_inputs(tmp_path):
     return shard, model
 
 
+LANGID_TRAIN = ["langid", "train", "--model", "{out}/m.bin", "--lang", "de={shard}",
+                "--lang", "en={shard}"]
+
+
 class TestArgumentErrors:
-    """Out-of-range arguments are config errors: exit 2 and a one-line message."""
+    """Out-of-range arguments and unreadable inputs are config errors: exit 2
+    and a one-line message."""
 
     @pytest.mark.parametrize("argv", [
         ["preprocess", "--in", "{shard}", "--out", "{out}/o.jsonl", "--min-words", "-1"],
@@ -376,20 +384,129 @@ class TestArgumentErrors:
          "--top-k", "-1"],
         ["chunk", "--in", "{empty}", "--out", "{out}/o.jsonl", "--budget", "0"],
         ["dedup", "--group", "a={empty}", "--out-dir", "{out}", "--min-match", "1"],
+        [*LANGID_TRAIN, "--epochs", "-3"],
+        [*LANGID_TRAIN, "--epochs", "0"],
+        [*LANGID_TRAIN, "--learning-rate", "-1"],
+        [*LANGID_TRAIN, "--seed", "-1"],
+        ["preprocess", "--in", "{latin1}", "--out", "{out}/o.jsonl"],
+        ["validate", "--config", "{latin1}"],
+        ["mix", "--spec", "{latin1}", "--out-dir", "{out}"],
+        ["validate", "--config", "{out}/missing.json"],
+        ["lm", "score", "--model", "{bad_arpa}", "--in", "{shard}", "--out", "{out}/s.json"],
+        ["langid", "filter", "--model", "{bad_lid}", "--target", "de", "--in", "{shard}",
+         "--out", "{out}/o.jsonl"],
     ], ids=["min-words", "budget", "min-match", "repeated-group", "group-combined", "top-k",
-            "budget-empty-shard", "min-match-empty-shard"])
+            "budget-empty-shard", "min-match-empty-shard", "epochs-negative", "epochs-zero",
+            "learning-rate-negative", "seed-negative", "shard-not-utf8", "config-not-utf8",
+            "spec-not-utf8", "config-missing", "arpa-unparsable", "langid-model-truncated"])
     def test_exit_2_without_traceback(self, lm_inputs, tmp_path, argv):
         shard, model = lm_inputs
         empty = tmp_path / "empty.jsonl"
         write_shard(CorpusShard.from_documents([], source="empty"), empty)
-        argv = [a.format(shard=shard, model=model, empty=empty, out=tmp_path / "out")
-                for a in argv]
+        latin1 = tmp_path / "latin1.jsonl"  # read as a shard, a config and a spec
+        latin1.write_bytes('{"text": "Grüße"}\n'.encode("latin-1"))
+        bad_arpa = tmp_path / "bad.arpa"
+        bad_arpa.write_text(model.read_text(encoding="utf-8").replace("ngram 1=", "ngram 1=x"),
+                            encoding="utf-8")
+        bad_lid = tmp_path / "lid.bin"
+        langid.save_model(langid.LangIdModel(("de", "en"), 4, np.zeros((2, 4)), np.zeros(2)),
+                          bad_lid)
+        bad_lid.write_bytes(bad_lid.read_bytes()[:-8])
+        argv = [a.format(shard=shard, model=model, empty=empty, out=tmp_path / "out",
+                         latin1=latin1, bad_arpa=bad_arpa, bad_lid=bad_lid) for a in argv]
         env = {**os.environ, "PYTHONPATH": str(Path(korpus.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-m", "korpus.cli", *argv],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestInputPaths:
+    """One rule for every input path: a relative glob pattern resolves against
+    the file that names it (the working directory for a CLI flag), each
+    pattern's matches are sorted, and every pattern must match a file."""
+
+    DEAD = "inputs/gone-*.jsonl"
+
+    @pytest.mark.parametrize("entry", ["config", "mix-spec", "cli-in"])
+    def test_dead_pattern_beside_live_one(self, tmp_path, monkeypatch, capsys, entry):
+        config = build_pipeline_fixture(tmp_path)
+        monkeypatch.chdir(tmp_path / "inputs")  # not the directory of the config or spec
+        if entry == "config":
+            obj = json.loads(config.read_text(encoding="utf-8"))
+            obj["sources"][0]["paths"].append(self.DEAD)
+            config.write_text(json.dumps(obj), encoding="utf-8")
+            argv = ["validate", "--config", str(config)]
+            expected = f"$.sources[0].paths[1]: no files match {self.DEAD!r}"
+        elif entry == "mix-spec":
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"name": "d", "sources": [
+                {"source": "gc4", "domain": "formal", "paths": ["inputs/gc4.jsonl", self.DEAD]},
+            ]}), encoding="utf-8")
+            argv = ["mix", "--spec", str(spec), "--out-dir", str(tmp_path / "ds")]
+            expected = f"error: $.sources[0].paths[1]: no files match {self.DEAD!r}"
+        else:
+            monkeypatch.chdir(tmp_path)
+            argv = ["preprocess", "--in", "inputs/gc4.jsonl", self.DEAD,
+                    "--out", str(tmp_path / "o.jsonl")]
+            expected = f"error: no files match {self.DEAD!r}"
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert expected in (captured.out + captured.err).splitlines()
+        assert not (tmp_path / "ds").exists() and not (tmp_path / "o.jsonl").exists()
+
+    def test_directory_is_not_a_file(self, tmp_path, monkeypatch, capsys):
+        """A pattern that matches only directories matches no file."""
+        config = build_pipeline_fixture(tmp_path)
+        obj = json.loads(config.read_text(encoding="utf-8"))
+        obj["sources"][0]["paths"] = ["input*"]
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["validate", "--config", str(config)]) == 2
+        assert "$.sources[0].paths[0]: no files match 'input*'" in capsys.readouterr().out
+        monkeypatch.chdir(tmp_path)
+        assert main(["preprocess", "--in", "inputs", "--out", str(tmp_path / "o.jsonl")]) == 2
+        assert capsys.readouterr().err == "error: no files match 'inputs'\n"
+
+    def test_spec_paths_resolve_against_the_spec(self, tmp_path, monkeypatch, rng):
+        data = tmp_path / "data"
+        for name in ("gc4-b", "gc4-a", "news"):
+            write_shard(make_shard([de_text(rng, 2) for _ in range(4)], source=name[:4],
+                                   prefix=name), data / f"{name}.jsonl")
+
+        def spec(gc4_paths, news_paths):
+            return {"name": "mini", "budget_tokens": 700, "trim_source": "gc4", "seed": 3,
+                    "sources": [{"source": "gc4", "domain": "formal", "paths": gc4_paths},
+                                {"source": "news", "domain": "formal", "paths": news_paths}]}
+
+        (data / "spec.json").write_text(json.dumps(spec(["gc4-*.jsonl"], ["news.jsonl"])),
+                                        encoding="utf-8")
+        (tmp_path / "abs.json").write_text(json.dumps(spec(
+            [str(data / "gc4-a.jsonl"), str(data / "gc4-b.jsonl")], [str(data / "news.jsonl")])),
+            encoding="utf-8")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        for name, spec_path in [("rel", data / "spec.json"), ("abs", tmp_path / "abs.json")]:
+            assert main(["mix", "--spec", str(spec_path), "--out-dir", str(tmp_path / name),
+                         "--report", str(tmp_path / name / "composition.json")]) == 0
+        assert workspace_digest(tmp_path / "rel") == workspace_digest(tmp_path / "abs")
+        composition = json.loads((tmp_path / "rel" / "composition.json").read_text())
+        assert 0 < composition["totals"]["token_count"] <= 700  # trimmed across both gc4 shards
+        assert read_shard(tmp_path / "rel" / "gc4.jsonl").documents[0].id == "gc4-a-0"
+
+    def test_each_pattern_globbed_once_per_run(self, tmp_path, monkeypatch):
+        config = build_pipeline_fixture(tmp_path)
+        obj = json.loads(config.read_text(encoding="utf-8"))
+        patterns = [p for s in obj["sources"] for p in s["paths"]]
+        patterns += [p for pats in obj["langid"]["train"].values() for p in pats]
+        patterns += obj["quality_lm"]["reference"]
+        calls = []
+        real_glob = glob.glob
+        monkeypatch.setattr(glob, "glob", lambda *a, **kw: calls.append(a[0]) or real_glob(*a, **kw))
+        run_pipeline(config, tmp_path / "ws")
+        assert len(calls) == len(patterns)
 
 
 class TestPipelineCommand:

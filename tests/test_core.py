@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,6 +89,13 @@ class TestShardIO:
         path.write_text('{"id": "a", "source": "s", "domain": "formal", "text": "x"}\n{oops\n',
                         encoding="utf-8")
         with pytest.raises(ShardFormatError, match=":2:"):
+            read_shard(path)
+
+    def test_not_utf8_names_file(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes('{"id": "a", "source": "s", "domain": "formal", "text": "Grüße"}\n'
+                         .encode("latin-1"))
+        with pytest.raises(ShardFormatError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
             read_shard(path)
 
     def test_missing_manifest(self, tmp_path):

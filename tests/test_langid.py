@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -52,6 +53,24 @@ class TestTraining:
         other = make_shard(["text"], source="en", prefix="o")
         with pytest.raises(ConfigError):
             train_langid({"de": empty, "en": other}, epochs=1, learning_rate=0.1)
+
+    @pytest.mark.parametrize("option,value,rule", [
+        ("epochs", 0, "epochs must be >= 1"),
+        ("epochs", -3, "epochs must be >= 1"),
+        ("learning_rate", 0.0, "learning_rate must be > 0"),
+        ("learning_rate", -1.0, "learning_rate must be > 0"),
+        ("learning_rate", float("nan"), "learning_rate must be > 0"),
+        ("feature_buckets", 0, "feature_buckets must be >= 1"),
+        ("seed", -1, "seed must lie in"),
+        ("seed", 2**64, "seed must lie in"),
+    ])
+    def test_bad_argument_rejected_before_features(self, monkeypatch, option, value, rule):
+        """The rules of the config schema, checked before any document is hashed."""
+        monkeypatch.setattr(langid, "extract_features", mock.Mock(side_effect=AssertionError))
+        corpora = {"de": make_shard(["hallo welt"], source="de", prefix="d"),
+                   "en": make_shard(["hello world"], source="en", prefix="e")}
+        with pytest.raises(ConfigError, match=rule):
+            train_langid(corpora, **{option: value})
 
     def test_holdout_accuracy(self):
         rng = random.Random(17)
@@ -254,6 +273,25 @@ class TestSerialization:
         assert stored in head
         path.write_bytes(head.replace(stored, f'"{key}": {value}'.encode()) + b"\n" + body)
         with pytest.raises(ConfigError, match="grams"):
+            load_model(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda head, body: head + b"\n" + body[:-8],  # truncated bias
+        lambda head, body: head + b"\n" + body[:-3],  # truncated mid-value
+        lambda head, body: head + b"\n" + body + bytes(8),  # trailing value
+        lambda head, body: head[:-5] + b"\n" + body,  # header cut short: not JSON
+        lambda head, body: head.replace(b'"labels"', b'"namen"') + b"\n" + body,
+        lambda head, body: head.replace(b'"feature_buckets": ', b'"feature_buckets": -') + b"\n" + body,
+        lambda head, body: langid._MAGIC + b"[1, 2]\n" + body,
+    ], ids=["bias-truncated", "value-truncated", "trailing-bytes", "header-cut", "labels-missing",
+            "negative-buckets", "header-not-object"])
+    def test_corrupt_model_names_file(self, tmp_path, corrupt):
+        model = langid.LangIdModel(("de", "en"), 4, np.arange(8.0).reshape(2, 4), np.ones(2))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        head, body = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(corrupt(head, body))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
             load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -124,10 +124,6 @@ class TestAssemble:
         assert {r.domain for r in variety.rows} == {
             "formal", "informal", "medical", "legal", "literature"}
 
-    def test_missing_shard_names_source(self, tmp_path):
-        with pytest.raises(ConfigError, match="ghost"):
-            assemble([("ghost", "formal", [str(tmp_path / "nix.jsonl")])])
-
     def test_trim_inside_assemble_is_seeded(self, tmp_path):
         shard = hundred_token_shard()
         path = tmp_path / "gc4.jsonl"
@@ -150,6 +146,7 @@ class TestMixSpec:
     """`korpus mix --spec` files follow the rules of a config's datasets[] entries."""
 
     def test_parse(self, tmp_path):
+        write_shard(hundred_token_shard(), tmp_path / "a.jsonl")
         payload = {
             "name": "quality",
             "sources": [{"source": "gc4", "domain": "formal", "paths": ["a.jsonl"]}],
@@ -157,7 +154,17 @@ class TestMixSpec:
             "trim_source": None,
             "seed": 3,
         }
-        assert parse_mix_spec(_write_spec(tmp_path, payload)) == payload
+        spec = parse_mix_spec(_write_spec(tmp_path, payload))
+        payload["sources"][0]["paths"] = [tmp_path / "a.jsonl"]  # against the spec's directory
+        assert spec == payload
+
+    def test_missing_shard_names_source(self, tmp_path):
+        path = _write_spec(tmp_path, {
+            "name": "d", "sources": [{"source": "ghost", "domain": "formal",
+                                      "paths": ["nix.jsonl"]}]})
+        with pytest.raises(ConfigError,
+                           match=r"^\$\.sources\[0\]\.paths\[0\]: no files match 'nix\.jsonl'$"):
+            parse_mix_spec(path)
 
     def test_trim_source_must_exist(self, tmp_path):
         path = _write_spec(tmp_path, {

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 
 import pytest
 
@@ -298,6 +299,30 @@ class TestArpa:
         write_arpa(model, path)
         text = path.read_text(encoding="utf-8")
         assert f"-99\t{BOS}" in text
+
+    @pytest.mark.parametrize("old,new", [
+        ("ngram 1=", "ngram 1=x"),  # count
+        ("ngram 2=", "ngram="),  # count without an order
+        ("\\2-grams:", "\\zwei-grams:"),  # section header
+        (f"\t{EOS}\n", f"\t{EOS}\tnull\n"),  # backoff weight
+        ("\n-", "\nminus"),  # log probability
+    ], ids=["count", "count-order", "section", "backoff", "logprob"])
+    def test_unparsable_line_names_file_and_line(self, tmp_path, old, new):
+        path = tmp_path / "m.arpa"
+        write_arpa(toy_model(), path)
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        text = text.replace(old, new, 1)
+        lineno = text[:text.index(new)].count("\n") + 1 + new.startswith("\n")
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:{lineno}: cannot parse"):
+            read_arpa(path)
+
+    def test_not_utf8_names_file(self, tmp_path):
+        path = tmp_path / "m.arpa"
+        path.write_bytes("\\data\\\nngram 1=1\n\n\\1-grams:\n-1\tGrüße\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            read_arpa(path)
 
     def test_normalization_survives_round_trip(self, tmp_path):
         model = toy_model()
