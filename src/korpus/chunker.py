@@ -124,12 +124,8 @@ def chunk_sentences(
     return chunks
 
 
-def chunk_document(
-    doc: Document,
-    budget: int,
-    token_counter: Callable[[str], int] | None = None,
-) -> list[Chunk]:
-    return chunk_sentences(split_sentences(doc.text), budget, token_counter, doc_id=doc.id)
+def chunk_document(doc: Document, budget: int) -> list[Chunk]:
+    return chunk_sentences(split_sentences(doc.text), budget, doc_id=doc.id)
 
 
 class Translator:

@@ -2,7 +2,7 @@
 
 Input flags (--in, --lang, --group) take glob patterns relative to the working
 directory; each pattern must match a file, and its matches are read in sorted
-order.
+order. `korpus pipeline --seed-override N` replaces every configured seed.
 
 Exit codes: 0 success, 2 config error, 3 stage failure, 4 integrity error.
 """
@@ -72,14 +72,12 @@ def cmd_dedup(args) -> int:
         stage_groups.append((name, [read_shard(p) for p in resolve_paths([pattern], Path())]))
     policy = args.policy.replace("-", "_")
     final, reports = dedup.staged_dedup(stage_groups, args.min_match, policy)
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = Path(args.out_dir)  # created by the writes: there is always a combined report
     # One output file per surviving input shard, numbered in stream order.
     for i, shard in enumerate(final):
         write_shard(shard, outdir / f"shard-{i:04d}.jsonl")
-    if args.report:
-        write_json(args.report, [json.loads(report_mod.render(r, "json")) for r in reports])
     for rep in reports:
+        write_text(outdir / f"report-{rep.stage}.json", report_mod.render(rep, "json"))
         _log(f"[dedup] stage {rep.stage}: {rep.duplicate_tokens}/{rep.input_tokens} "
              f"duplicate tokens, removed {rep.removed_docs} docs")
     return 0
@@ -150,7 +148,10 @@ def cmd_mix(args) -> int:
 def cmd_report(args) -> int:
     rendered = []
     for p in args.inputs:
-        rep = report_mod.parse_report(Path(p).read_text(encoding="utf-8"))
+        try:
+            rep = report_mod.parse_report(Path(p).read_text(encoding="utf-8"))
+        except (ValueError, OSError) as exc:  # UnicodeDecodeError is a ValueError
+            raise ConfigError(f"{p}: not a readable report: {exc}") from exc
         rendered.append(report_mod.render(rep, args.format))
     sep = "\n" if args.format == "markdown" else ""
     sys.stdout.write(sep.join(rendered))
@@ -180,8 +181,6 @@ def cmd_validate(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="korpus", description=__doc__)
-    parser.add_argument("--seed-override", type=int, default=None,
-                        help="replace every configured seed (pipeline subcommand)")
     defaults = PipelineConfig()
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -210,13 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--out", required=True)
     f.set_defaults(fn=cmd_langid_filter)
 
-    p = sub.add_parser("dedup", help="exact-substring deduplication")
+    p = sub.add_parser("dedup", help="exact-substring deduplication (reports: report-<stage>.json)")
     p.add_argument("--group", action="append", required=True, metavar="NAME=GLOB")
     p.add_argument("--min-match", type=int, default=defaults.min_match_tokens)
     p.add_argument("--policy", choices=["remove-all", "keep-first"],
                    default=defaults.dedup_policy.replace("_", "-"))
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--report", default=None)
     p.set_defaults(fn=cmd_dedup)
 
     p = sub.add_parser("lm", help="n-gram language model")
@@ -274,6 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true")
     p.add_argument("--stop-after", default=None,
                    help="halt after the named stage (for debugging and resume tests)")
+    p.add_argument("--seed-override", type=int, default=None,
+                   help="replace every configured seed")
     p.set_defaults(fn=cmd_pipeline)
 
     p = sub.add_parser("validate", help="check a pipeline config")

@@ -22,6 +22,7 @@ need not itself occur twice.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ from .errors import CapacityError, ConfigError, IntegrityError
 
 _MAX_IDS = 2**31 - 1
 COMBINED = "combined"  # stage name of the final pass over every group's survivors
+NAME_PATTERN = "^[A-Za-z0-9][A-Za-z0-9_-]*$"  # group names are file names: `$defs/name`
 
 
 @dataclass(frozen=True)
@@ -419,6 +421,9 @@ def staged_dedup(
         raise ConfigError("stage group names must be unique")
     if COMBINED in names:
         raise ConfigError(f"stage group name {COMBINED!r} is reserved for the final pass")
+    for name in names:
+        if not re.search(NAME_PATTERN, name):
+            raise ConfigError(f"stage group name {name!r} does not match {NAME_PATTERN!r}")
     reports = []
     survivors: list[CorpusShard] = []
     for name, shards in stage_groups:

@@ -2,10 +2,10 @@
 
 A dataset lists its sources as (name, domain, shard paths) triples and
 optionally a token budget together with the single source to down-sample.
-Budget trimming removes whole documents of the trim source, drawn by a seeded
-SplitMix64 permutation, until the total token count is at or below budget;
-removing one document fewer would exceed it. All other sources pass through
-untouched.
+Budget trimming removes whole documents of the shard `assemble` names after the
+trim source (document `source` labels play no part), drawn by a seeded SplitMix64
+permutation, until the total token count is at or below budget; removing one
+document fewer would exceed it. All other sources pass through untouched.
 
 The pipeline runner takes these from a config's `datasets[]`; `korpus mix
 --spec` reads them from a JSON file of the shape
@@ -40,39 +40,31 @@ def trim_to_budget(
     budget_tokens: int,
     seed: int,
 ) -> list[CorpusShard]:
-    """Seeded removal of whole documents labeled `source` until within budget."""
+    """Seeded removal of whole documents from the shard whose manifest source is
+    `source` (not by document label) until within budget; other shards are returned as is."""
     total = sum(s.manifest.token_count for s in shards)
     if total <= budget_tokens:
         return list(shards)
-    candidates = []  # (shard_idx, doc_idx, token_count)
-    for si, shard in enumerate(shards):
-        for di, doc in enumerate(shard.documents):
-            if doc.source == source:
-                candidates.append((si, di, doc.token_count))
-    floor = total - sum(c[2] for c in candidates)
+    target = next((s for s in shards if s.manifest.source == source), None)
+    docs = target.documents if target is not None else ()
+    floor = total - sum(d.token_count for d in docs)
     if floor > budget_tokens:
         raise ConfigError(
             f"budget {budget_tokens} unreachable by trimming {source!r}; "
             f"achievable minimum is {floor} tokens"
         )
-    order = list(range(len(candidates)))
+    order = list(range(len(docs)))
     SplitMix64(seed).shuffle(order)
-    removed: set[tuple[int, int]] = set()
+    removed: set[int] = set()
     running = total
     for idx in order:
         if running <= budget_tokens:
             break
-        si, di, tc = candidates[idx]
-        removed.add((si, di))
-        running -= tc
-    out = []
-    for si, shard in enumerate(shards):
-        if not any(r[0] == si for r in removed):
-            out.append(shard)  # untouched shards pass through bit-identically
-            continue
-        kept = [d for di, d in enumerate(shard.documents) if (si, di) not in removed]
-        out.append(CorpusShard.from_documents(kept, source=shard.manifest.source))
-    return out
+        removed.add(idx)
+        running -= docs[idx].token_count
+    trimmed = CorpusShard.from_documents(
+        (d for i, d in enumerate(docs) if i not in removed), source=source)
+    return [trimmed if s is target else s for s in shards]
 
 
 def assemble(

@@ -14,6 +14,10 @@ of these reruns every stage. A cached stage re-checks every output checksum its 
 recorded; a missing or modified output raises IntegrityError (CLI exit 4).
 --force reruns every stage whatever the markers say. An interrupted run
 resumed later is indistinguishable from an uninterrupted one.
+
+After each stage, ran or cached, a source reads `<stage>/<name>.jsonl` if the
+stage's outputs hold that path. Names have no dot (`$defs/name` in the schema),
+so a side file such as `<name>.chunks.jsonl` is never another source's shard.
 """
 
 from __future__ import annotations
@@ -280,17 +284,6 @@ def _run_key(config: RunConfig, seed_override: int | None) -> str:
     return key.hexdigest()
 
 
-# The source flag that makes a stage write <ws>/<stage>/<source>.jsonl. After
-# the stage, ran or cached, that shard is what the source reads.
-_SHARD_FLAG = {
-    "preprocess": "preprocess",
-    "langid": "langid",
-    "dedup": "dedup_group",
-    "qualfilter": "quality_filter",
-    "chunk": "chunk_translate",
-}
-
-
 class PipelineRun:
     """Stage executor bound to one config and workspace."""
 
@@ -329,13 +322,15 @@ class PipelineRun:
                     f"or modified; re-run with --force"
                 )
 
-    def _finish_stage(self, stage: str, written: list[Path]) -> None:
+    def _finish_stage(self, stage: str, written: list[Path]) -> dict[str, str]:
+        """Write the stage's marker; returns the output checksums it records."""
         outputs = {
             str(p.relative_to(self.ws)): _checksum_file(p)
             for p in sorted(set(written))
         }
         write_json(self._marker_path(stage),
                    {"key": self.key, "outputs": outputs, "stage": stage})
+        return outputs
 
     # -- seeds ---------------------------------------------------------------
 
@@ -365,11 +360,11 @@ class PipelineRun:
                     raise
                 except Exception as exc:
                     raise StageError(f"stage {stage} failed: {exc}") from exc
-                self._finish_stage(stage, written)
-            flag = _SHARD_FLAG.get(stage)
+                outputs = self._finish_stage(stage, written)
             for src in self.cfg.sources:
-                if flag and getattr(src, flag):
-                    self.state[src.name] = [self.ws / stage / f"{src.name}.jsonl"]
+                rel = str(Path(stage, f"{src.name}.jsonl"))
+                if rel in outputs:
+                    self.state[src.name] = [self.ws / rel]
             if stage == stop_after:
                 self.log(f"[pipeline] stopped after {stage}")
                 return {}

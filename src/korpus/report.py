@@ -104,6 +104,8 @@ def render(report: CompositionReport | DedupReport, format: str = "json") -> str
 def parse_report(text: str) -> CompositionReport | DedupReport:
     """Inverse of render(..., 'json'); render(parse(x), 'json') is a fixed point."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("a report is a JSON object")
     kind = obj.get("type")
     if kind == "composition":
         rows = tuple(CompositionRow(**r) for r in obj["rows"])

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 import korpus
-from korpus import langid
+from korpus import dedup, langid
 from korpus.chunker import chunk_document, chunk_record
 from korpus.cli import main
 from korpus.core import read_shard, write_shard
-from korpus.pipeline import STAGES, run_pipeline, validate_config
+from korpus.pipeline import STAGES, load_schema, run_pipeline, validate_config
 
 from conftest import (
     build_pipeline_fixture, de_sentence, de_text, en_sentence, make_doc,
@@ -90,13 +90,14 @@ class TestDedupCommand:
         write_shard(gc4, tmp_path / "gc4.jsonl")
         write_shard(news, tmp_path / "news.jsonl")
         outdir = tmp_path / "out"
-        report = tmp_path / "dedup.json"
         rc = main(["dedup", "--group", f"gc4={tmp_path/'gc4.jsonl'}",
                    "--group", f"news={tmp_path/'news.jsonl'}",
                    "--min-match", "30", "--policy", "remove-all",
-                   "--out-dir", str(outdir), "--report", str(report)])
+                   "--out-dir", str(outdir)])
         assert rc == 0
-        reports = json.loads(report.read_text())
+        # One report per stage, under the names the pipeline runner uses.
+        reports = [json.loads((outdir / f"report-{stage}.json").read_text())
+                   for stage in ("gc4", "news", "combined")]
         assert [r["stage"] for r in reports] == ["gc4", "news", "combined"]
         assert reports[2]["removed_docs"] == 2
         survivors = [read_shard(p) for p in sorted(outdir.glob("*.jsonl"))]
@@ -355,6 +356,59 @@ class TestValidateCommand:
         assert "phantom" in capsys.readouterr().out
 
 
+class TestFileSafeNames:
+    """Source, group and dataset names become file names, so each matches
+    `$defs/name`: no path separator and no dot."""
+
+    @pytest.mark.parametrize("name", ["../x", "a/b", "x.chunks"])
+    @pytest.mark.parametrize("where,loc", [
+        ("name", "$.sources[1].name:"),
+        ("dedup_group", "$.sources[1].dedup_group:"),
+        ("dataset", "$.datasets[0].name:"),
+    ])
+    def test_config_name_rejected(self, tmp_path, capsys, where, loc, name):
+        config = build_pipeline_fixture(tmp_path)
+        obj = json.loads(config.read_text())
+        if where == "dataset":
+            obj["datasets"][0]["name"] = name
+        else:
+            obj["sources"][1][where] = name
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["validate", "--config", str(config)]) == 2
+        assert loc in capsys.readouterr().out
+        assert main(["pipeline", "--config", str(config),
+                     "--workspace", str(tmp_path / "ws")]) == 2
+        assert not (tmp_path / "ws").exists()
+
+    @pytest.mark.parametrize("name", ["../x", "a/b", "x.chunks"])
+    def test_mix_spec_source_rejected(self, tmp_path, rng, capsys, name):
+        write_shard(make_shard([de_text(rng, 2)], source="gc4", prefix="gc4"),
+                    tmp_path / "gc4.jsonl")
+        spec = {"name": "mini",
+                "sources": [{"source": name, "domain": "formal", "paths": ["gc4.jsonl"]}]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        outdir = tmp_path / "ds" / "out"
+        assert main(["mix", "--spec", str(spec_path), "--out-dir", str(outdir)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: $.sources[0].source:"), line
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("name", ["../x", "a/b", "x.chunks"])
+    def test_dedup_group_rejected(self, tmp_path, rng, capsys, name):
+        write_shard(make_shard([de_text(rng, 2)], source="gc4", prefix="gc4"),
+                    tmp_path / "gc4.jsonl")
+        outdir = tmp_path / "dd" / "out"
+        assert main(["dedup", "--group", f"{name}={tmp_path / 'gc4.jsonl'}",
+                     "--out-dir", str(outdir)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: stage group name {name!r}"), line
+        assert not (tmp_path / "dd").exists()
+
+    def test_dedup_checks_the_schema_pattern(self):
+        assert dedup.NAME_PATTERN == load_schema()["$defs"]["name"]["pattern"]
+
+
 @pytest.fixture
 def lm_inputs(tmp_path):
     """A shard of German prose and an ARPA model trained on it."""
@@ -395,10 +449,17 @@ class TestArgumentErrors:
         ["lm", "score", "--model", "{bad_arpa}", "--in", "{shard}", "--out", "{out}/s.json"],
         ["langid", "filter", "--model", "{bad_lid}", "--target", "de", "--in", "{shard}",
          "--out", "{out}/o.jsonl"],
+        ["report", "--in", "{out}/missing.json"],
+        ["report", "--in", "{latin1}"],
+        ["report", "--in", "{model}"],
+        ["report", "--in", "{report_list}"],
+        ["report", "--in", "{report_bogus}"],
     ], ids=["min-words", "budget", "min-match", "repeated-group", "group-combined", "top-k",
             "budget-empty-shard", "min-match-empty-shard", "epochs-negative", "epochs-zero",
             "learning-rate-negative", "seed-negative", "shard-not-utf8", "config-not-utf8",
-            "spec-not-utf8", "config-missing", "arpa-unparsable", "langid-model-truncated"])
+            "spec-not-utf8", "config-missing", "arpa-unparsable", "langid-model-truncated",
+            "report-missing", "report-not-utf8", "report-not-json", "report-json-list",
+            "report-unknown-type"])
     def test_exit_2_without_traceback(self, lm_inputs, tmp_path, argv):
         shard, model = lm_inputs
         empty = tmp_path / "empty.jsonl"
@@ -412,8 +473,13 @@ class TestArgumentErrors:
         langid.save_model(langid.LangIdModel(("de", "en"), 4, np.zeros((2, 4)), np.zeros(2)),
                           bad_lid)
         bad_lid.write_bytes(bad_lid.read_bytes()[:-8])
+        report_list = tmp_path / "list.json"  # a JSON list, not an object
+        report_list.write_text('[{"type": "dedup"}]', encoding="utf-8")
+        report_bogus = tmp_path / "bogus.json"
+        report_bogus.write_text('{"type": "bogus"}', encoding="utf-8")
         argv = [a.format(shard=shard, model=model, empty=empty, out=tmp_path / "out",
-                         latin1=latin1, bad_arpa=bad_arpa, bad_lid=bad_lid) for a in argv]
+                         latin1=latin1, bad_arpa=bad_arpa, bad_lid=bad_lid,
+                         report_list=report_list, report_bogus=report_bogus) for a in argv]
         env = {**os.environ, "PYTHONPATH": str(Path(korpus.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-m", "korpus.cli", *argv],
                               capture_output=True, text=True, env=env)
@@ -421,6 +487,8 @@ class TestArgumentErrors:
         assert proc.stderr.startswith("error: ")
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert "Traceback" not in proc.stderr
+        if argv[0] == "report":
+            assert argv[2] in proc.stderr
 
 
 class TestInputPaths:
@@ -507,6 +575,14 @@ class TestInputPaths:
         monkeypatch.setattr(glob, "glob", lambda *a, **kw: calls.append(a[0]) or real_glob(*a, **kw))
         run_pipeline(config, tmp_path / "ws")
         assert len(calls) == len(patterns)
+
+
+@pytest.fixture(scope="module")
+def fresh_digest(tmp_path_factory):
+    """Workspace digest of one uninterrupted run over the pipeline fixture."""
+    root = tmp_path_factory.mktemp("fresh")
+    run_pipeline(build_pipeline_fixture(root), root / "ws")
+    return workspace_digest(root / "ws")
 
 
 class TestPipelineCommand:
@@ -611,7 +687,7 @@ class TestPipelineCommand:
             obj["params"]["min_words"] = 25
             config.write_text(json.dumps(obj), encoding="utf-8")
         elif change == "seed_override":
-            args = ["--seed-override", "3", *args]
+            args = [*args, "--seed-override", "3"]
         else:
             legal = tmp_path / "inputs" / "legal.jsonl"
             docs = read_shard(legal).documents
@@ -620,9 +696,22 @@ class TestPipelineCommand:
         err = capsys.readouterr().err
         assert err.count(": running") == len(STAGES) and "cached" not in err
 
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_resume_after_stop_matches_fresh_run(self, tmp_path, capsys, fresh_digest, stage):
+        """Each source follows the shards of a cached stage as of a stage that ran."""
+        config = build_pipeline_fixture(tmp_path)
+        ws = tmp_path / "ws"
+        run_pipeline(config, ws, stop_after=stage)
+        capsys.readouterr()
+        run_pipeline(config, ws)
+        err = capsys.readouterr().err
+        done = STAGES.index(stage) + 1
+        assert err.count(": cached") == done and err.count(": running") == len(STAGES) - done
+        assert workspace_digest(ws) == fresh_digest
+
 
 # `--help` lists each subcommand on an indented line of its own; the bare word
-# "pipeline" also occurs in the description and in the help of --seed-override.
+# "pipeline" also occurs in the description, where --seed-override is named.
 PIPELINE_SUBCOMMAND = re.compile(r"^ +pipeline\b", re.MULTILINE)
 
 

@@ -135,6 +135,22 @@ class TestAssemble:
         assert report_a == report_b
         assert report_a.totals()[1] == 600
 
+    @pytest.mark.parametrize("news_label,recent_label", [
+        ("zeit", "recent"),  # the trim source's documents carry another label
+        ("news", "news"),  # another source's documents carry the trim source's label
+    ])
+    def test_trim_cuts_the_trim_sources_own_shard(self, tmp_path, news_label, recent_label):
+        """Trimming is decided by the configured source name; document labels play no part."""
+        sources = []
+        for name, label in (("news", news_label), ("recent", recent_label)):
+            path = tmp_path / f"{name}.jsonl"
+            write_shard(hundred_token_shard(source=label), path)
+            sources.append((name, "formal", [str(path)]))
+        shards, report = assemble(sources, budget_tokens=1500, trim_source="news", seed=4)
+        assert report.totals()[1] == 1500
+        assert [s.manifest.doc_count for s in shards] == [5, 10]
+        assert shards[1].documents == hundred_token_shard(source=recent_label).documents
+
 
 def _write_spec(tmp_path, payload):
     path = tmp_path / "spec.json"
