@@ -33,7 +33,9 @@ from .errors import CapacityError, ConfigError, IntegrityError
 
 _MAX_IDS = 2**31 - 1
 COMBINED = "combined"  # stage name of the final pass over every group's survivors
-NAME_PATTERN = "^[A-Za-z0-9][A-Za-z0-9_-]*$"  # group names are file names: `$defs/name`
+# Group names are file names: `$defs/name`. The end anchor is `(?![\s\S])`, not
+# `$`, because Python's `$` also matches before a final newline.
+NAME_PATTERN = "^[A-Za-z0-9][A-Za-z0-9_-]*(?![\\s\\S])"
 
 
 @dataclass(frozen=True)

@@ -21,59 +21,150 @@ which the scorer and the ARPA serialization share exactly:
 
 Perplexity of a document is exp(-logprob/events) where the events are the
 document's tokens plus the terminal "</s>".
+
+Layout, after KenLM's sorted n-gram arrays (Heafield, WMT 2011). Tokens are
+int ids: "<unk>"=0, "<s>"=1, "</s>"=2, then the other tokens in string order.
+Every n-gram of every order has a global index into three parallel arrays,
+`keys`, `prob` and `backoff`. Unigram i has index i; the n-grams of order k
+follow those of order k-1. An n-gram's key is V * (index of its (k-1)-prefix)
++ (its last id), and a unigram's key is id - V, so `keys` is sorted, each
+order is a contiguous run sorted by prefix, and every prefix of an n-gram is
+itself in the model; so is every suffix. `prob` is p(last | prefix) and
+`backoff` the n-gram's interpolation weight as a context; NaN marks "none" in
+both. A flat key of k packed ids would overflow int64 at order 5 with 2^13
+ids; this one stays below V * (number of n-grams).
+
+Training and ARPA I/O work on whole arrays. The scorer walks a document left
+to right, as KenLM does: its state is the longest n-gram that ends the text
+so far, and each token is a binary search among the children of the state (a
+run of `keys`), backing off along (k-1)-suffixes. A walk in Python costs less
+than the fixed cost of the dozens of numpy calls a vectorised document needs.
+
+Bit identity with the per-n-gram definition: discounts, probabilities and
+backoffs are elementwise numpy float64 ops in the scalar formulas' operand
+order (integer sums are exact), ARPA values go through `math.log10` and
+"%.17g" one at a time, and each scored event multiplies its backoffs from the
+longest context down, then the probability, and adds its `math.log` to the
+document's sum left to right. A context the model lacks has backoff 1.0, so
+skipping it changes no bit.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from bisect import bisect_left
+from collections import Counter
+from itertools import compress, repeat
+from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .core import CorpusShard, Document, atomic_write, tokenize
-from .errors import ConfigError, UnscorableError
+from .errors import CapacityError, ConfigError, UnscorableError
 
 UNK = "<unk>"
 BOS = "<s>"
 EOS = "</s>"
+_UNK_ID, _BOS_ID, _EOS_ID = 0, 1, 2
 
 _D_MIN = 1e-4
 _D_MAX = 1.0 - 1e-9
+_NONE = np.nan
 
 
-@dataclass
+@dataclass(eq=False)
 class NgramModel:
+    """The n-gram arrays of the module docstring's layout, and their scorer."""
+
     order: int
     vocab: dict[str, int]  # token -> id; <unk>=0, <s>=1, </s>=2
-    probs: dict[tuple[str, ...], float]  # ngram -> p(last | rest)
-    backoffs: dict[tuple[str, ...], float]  # context -> interpolation weight
+    keys: np.ndarray  # int64, sorted: V * prefix index + last id; unigram: id - V
+    prob: np.ndarray  # float64 p(last | prefix) per n-gram; NaN: none
+    backoff: np.ndarray  # float64 interpolation weight as a context; NaN: none
+    offsets: list[int] = field(init=False)  # order k holds indices offsets[k-1]:offsets[k]
+
+    def __post_init__(self) -> None:
+        v, n = len(self.vocab), self.keys.size
+        if (n + 1) * v >= 2 ** 63:
+            raise CapacityError(f"{n} n-grams over {v} ids overflow the int64 keys")
+        self.offsets = [0, v]
+        for _ in range(2, self.order + 1):  # order k+1 keys start at V * offsets[k]
+            self.offsets.append(int(self.keys.searchsorted(self.offsets[-1] * v)))
+        # The scorer's tables: where each n-gram's children start in `keys`, and
+        # each n-gram's (k-1)-suffix (-1: the empty context).
+        children = np.concatenate([[v], v + np.cumsum(np.bincount(self.keys[v:] // v,
+                                                                  minlength=n))])
+        suffix = np.full(n, -1, dtype=np.int64)
+        for k in range(2, self.order + 1):
+            lo, hi = self.offsets[k - 1], self.offsets[k]
+            prefix, last = np.divmod(self.keys[lo:hi], v)
+            if k == 2:
+                suffix[lo:hi] = last
+                continue
+            key = suffix[prefix] * v + last  # the suffix is an n-gram of order k-1
+            sort = key.argsort()  # sorted needles search several times faster
+            below = self.offsets[k - 2]
+            suffix[lo + sort] = below + self.keys[below:lo].searchsorted(key[sort])
+            if not np.array_equal(self.keys[suffix[lo:hi]], key):
+                raise ValueError(f"an n-gram of order {k} has no (k-1)-suffix in the model")
+        self._children = memoryview(children)
+        self._suffix = memoryview(suffix)
+        self._keys = memoryview(self.keys)
+        self._prob = memoryview(self.prob)
+        self._bo = memoryview(np.where(np.isnan(self.backoff), 1.0, self.backoff))
+        self._top = self.offsets[-2]
+        self._event_ids = {w: i for w, i in self.vocab.items() if w != BOS}
+        probs: list[float] = []
+        self._start = self._walk(-1, [_BOS_ID] * (self.order - 1), probs)
 
     def predictable_vocab(self) -> list[str]:
         return [w for w in self.vocab if w != BOS]
 
-    def _map_event(self, token: str) -> str:
-        if token == BOS or token not in self.vocab:
-            return UNK
-        return token
-
-    def _map_context(self, token: str) -> str:
-        return token if token in self.vocab else UNK
-
     def conditional(self, token: str, context: tuple[str, ...]) -> float:
         """p(token | context) with backoff; strictly positive for any input."""
-        w = self._map_event(token)
         keep = self.order - 1  # context tokens the model conditions on
-        ctx = tuple(self._map_context(t) for t in context)[-keep:] if keep else ()
-        coef = 1.0
-        while True:
-            p = self.probs.get(ctx + (w,))
-            if p is not None:
-                return coef * p
-            if not ctx:
-                raise KeyError(f"no unigram probability for {w!r}")
-            coef *= self.backoffs.get(ctx, 1.0)
-            ctx = ctx[1:]
+        ctx = tuple(context)[-keep:] if keep else ()
+        probs: list[float] = []
+        state = self._walk(-1, [self.vocab.get(t, _UNK_ID) for t in ctx], probs)
+        self._walk(state, [self._event_ids.get(token, _UNK_ID)], probs)
+        return probs[-1]
+
+    def _walk(self, state: int, ids: list[int], probs: list[float]) -> int:
+        """Append p(id | the ids before it) for each id; return the state after the last.
+
+        A state is the longest n-gram (at most order-1 ids) that ends the ids
+        seen so far, -1 for none. Each event backs off from the state along
+        (k-1)-suffixes, multiplying backoffs from the longest context down,
+        until an n-gram ending in the id has a probability. Contexts the model
+        lacks are skipped: their backoff is 1.0 and they have no children.
+        """
+        v, top = len(self.vocab), self._top
+        keys, children, suffix = self._keys, self._children, self._suffix
+        prob, bo = self._prob, self._bo
+        for w in ids:
+            ctx, coef, state = state, 1.0, -1
+            while ctx >= 0:
+                key = ctx * v + w
+                hi = children[ctx + 1]
+                j = bisect_left(keys, key, children[ctx], hi)
+                if j < hi and keys[j] == key:
+                    if state < 0:
+                        state = j  # the longest n-gram ending in w
+                    p = prob[j]
+                    if p == p:
+                        break
+                coef *= bo[ctx]
+                ctx = suffix[ctx]
+            else:
+                if state < 0:
+                    state = w
+                p = prob[w]
+            if state >= top:  # a context holds at most order-1 ids
+                state = suffix[state]
+            probs.append(coef * p)
+        return state
 
 
 @dataclass(frozen=True)
@@ -84,16 +175,9 @@ class PerplexityScore:
     perplexity: float
 
 
-def _discount_for(count: int, d: tuple[float, float, float]) -> float:
-    return d[min(count, 3) - 1] if count > 0 else 0.0
-
-
-def _estimate_discounts(table: dict[tuple[str, ...], int], order_k: int) -> tuple[float, float, float]:
-    cc = Counter()
-    for g, c in table.items():
-        if g[-1] != BOS and c <= 4:
-            cc[c] += 1
-    n1, n2, n3, n4 = cc[1], cc[2], cc[3], cc[4]
+def _estimate_discounts(counts: np.ndarray, order_k: int) -> np.ndarray:
+    """Discount per count bucket [0, D1, D2, D3+] from the counts of predictable n-grams."""
+    n1, n2, n3, n4 = np.bincount(counts[counts <= 4], minlength=5)[1:5].tolist()
     if n1 == 0 or n2 == 0:
         warnings.warn(
             f"count-of-counts too sparse at order {order_k} (n1={n1}, n2={n2}); "
@@ -101,42 +185,36 @@ def _estimate_discounts(table: dict[tuple[str, ...], int], order_k: int) -> tupl
             RuntimeWarning,
             stacklevel=3,
         )
-        return (0.75, 0.75, 0.75)
+        return np.array([0.0, 0.75, 0.75, 0.75])
     y = n1 / (n1 + 2.0 * n2)
     d1 = 1.0 - 2.0 * y * n2 / n1
     d2 = 2.0 - 3.0 * y * n3 / n2
     d3 = 3.0 - 4.0 * y * n4 / n3 if n3 > 0 else 3.0
     clamp = lambda v: min(max(v, _D_MIN), _D_MAX)
-    return (clamp(d1), clamp(d2), clamp(d3))
+    return np.array([0.0, clamp(d1), clamp(d2), clamp(d3)])
 
 
-def _raw_counts(docs_tokens: list[list[str]], order: int) -> list[dict[tuple[str, ...], int]]:
-    tables: list[dict[tuple[str, ...], int]] = [defaultdict(int) for _ in range(order)]
-    for toks in docs_tokens:
-        seq = [BOS] * (order - 1) + toks + [EOS]
-        for k in range(1, order + 1):
-            table = tables[k - 1]
-            for i in range(len(seq) - k + 1):
-                table[tuple(seq[i:i + k])] += 1
-    return [dict(t) for t in tables]
+def _count_ngrams(seq: np.ndarray, depth: np.ndarray, v: int, order: int) -> list[tuple]:
+    """Each order's distinct n-grams in the padded sequences, unigrams first.
 
-
-def _adjusted_counts(raw: list[dict[tuple[str, ...], int]]) -> list[dict[tuple[str, ...], int]]:
-    order = len(raw)
-    adj: list[dict[tuple[str, ...], int]] = [dict() for _ in range(order)]
-    adj[order - 1] = dict(raw[order - 1])
-    for k in range(order - 1, 0, -1):
-        table: dict[tuple[str, ...], int] = {}
-        for g, c in raw[k - 1].items():
-            if g[0] == BOS:
-                table[g] = c
-        for h in raw[k]:
-            g = h[1:]
-            if g[0] == BOS:
-                continue
-            table[g] = table.get(g, 0) + 1
-        adj[k - 1] = table
-    return adj
+    Per order: the sorted keys, the raw counts, each n-gram's (k-1)-suffix as
+    an index into the order below (None for unigrams), and whether it starts
+    with <s>. `depth` is each position's offset in its padded document.
+    """
+    ids = np.arange(v)
+    levels = [(ids - v, np.bincount(seq, minlength=v), None, ids == _BOS_ID)]
+    gidx = seq.copy()  # global index of the (k-1)-gram ending at each position
+    below, n = 0, v  # where order k-1 starts, and the n-grams counted so far
+    for k in range(2, order + 1):
+        ends = np.flatnonzero(depth >= k - 1)  # the k-grams that fit in their document
+        keys, inv, raw = np.unique(gidx[ends - 1] * v + seq[ends], return_inverse=True,
+                                   return_counts=True)
+        at = np.empty_like(keys)
+        at[inv] = ends  # one end position of each distinct k-gram
+        levels.append((keys, raw, gidx[at] - below, seq[at - k + 1] == _BOS_ID))
+        gidx[ends] = n + inv
+        below, n = n, n + keys.size
+    return levels
 
 
 def train_ngram(
@@ -159,56 +237,61 @@ def train_ngram(
                 freq.update(toks)
     if not all_docs:
         raise ConfigError("reference corpus is empty")
-    vocab: dict[str, int] = {UNK: 0, BOS: 1, EOS: 2}
+    vocab: dict[str, int] = {UNK: _UNK_ID, BOS: _BOS_ID, EOS: _EOS_ID}
     for tok in sorted(t for t, c in freq.items() if c >= min_count):
         if tok not in vocab:
             vocab[tok] = len(vocab)
-    mapped = [[t if t in vocab and t != BOS else UNK for t in toks] for toks in all_docs]
+    v = len(vocab)
+    # One padded sequence per document, concatenated: order-1 <s>, tokens, </s>.
+    event_id = {w: i for w, i in vocab.items() if w != BOS}.get
+    tokens = np.array([event_id(t, _UNK_ID) for toks in all_docs for t in toks], dtype=np.int64)
+    lengths = np.array([len(toks) for toks in all_docs])
+    before = np.arange(lengths.size) * order + order - 1  # padding before each document's tokens
+    seq = np.full(tokens.size + lengths.size * order, _BOS_ID, dtype=np.int64)
+    seq[np.arange(tokens.size) + np.repeat(before, lengths)] = tokens
+    seq[np.cumsum(lengths) + before] = _EOS_ID
+    lengths += order
+    depth = np.arange(seq.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    levels = _count_ngrams(seq, depth, v, order)
 
-    raw = _raw_counts(mapped, order)
-    adj = _adjusted_counts(raw)
-    discounts = [_estimate_discounts(adj[k], k + 1) for k in range(order)]
-
-    probs: dict[tuple[str, ...], float] = {}
-    backoffs: dict[tuple[str, ...], float] = {}
-    pred_vocab = [w for w in vocab if w != BOS]
-    v_pred = len(pred_vocab)
+    # Adjusted counts: raw at the top order and for n-grams starting with <s>,
+    # else the number of distinct left extensions, one per (k+1)-gram suffix.
+    adj = [raw for _, raw, _, _ in levels]
+    for (_, _, _, bos), (_, _, suffix, _), k in zip(levels, levels[1:], range(order - 1)):
+        adj[k] = np.where(bos, adj[k], np.bincount(suffix, minlength=bos.size))
 
     # Unigrams interpolate with the uniform distribution over predictable tokens.
-    d_uni = discounts[0]
-    uni = adj[0]
-    denom = sum(c for g, c in uni.items() if g[0] != BOS)
-    n_by_bucket = [0, 0, 0]
-    for g, c in uni.items():
-        if g[0] == BOS:
-            continue
-        n_by_bucket[min(c, 3) - 1] += 1
-    gamma_eps = (d_uni[0] * n_by_bucket[0] + d_uni[1] * n_by_bucket[1]
-                 + d_uni[2] * n_by_bucket[2]) / denom
-    for w in pred_vocab:
-        a = uni.get((w,), 0)
-        probs[(w,)] = max(a - _discount_for(a, d_uni), 0.0) / denom + gamma_eps / v_pred
-
+    a = adj[0]
+    pred = ~levels[0][3]
+    seen = pred & (a > 0)
+    d = _estimate_discounts(a[seen], 1)
+    denom = int(a[pred].sum())
+    n_b = np.bincount(np.minimum(a[seen], 3), minlength=4).tolist()
+    gamma_eps = (d[1] * n_b[1] + d[2] * n_b[2] + d[3] * n_b[3]) / denom
+    probs = [np.where(pred, np.maximum(a - d[np.minimum(a, 3)], 0.0) / denom
+                      + gamma_eps / int(pred.sum()), _NONE)]
+    backoffs = []
+    below = 0  # where order k-1 starts
     for k in range(2, order + 1):
-        d_k = discounts[k - 1]
-        children: dict[tuple[str, ...], list[tuple[str, int]]] = defaultdict(list)
-        for g, a in adj[k - 1].items():
-            children[g[:-1]].append((g[-1], a))
-        for ctx, kids in children.items():
-            pred_kids = [(w, a) for w, a in kids if w != BOS]
-            if not pred_kids:
-                continue
-            denom = sum(a for _, a in pred_kids)
-            buckets = [0, 0, 0]
-            for _, a in pred_kids:
-                buckets[min(a, 3) - 1] += 1
-            gamma = (d_k[0] * buckets[0] + d_k[1] * buckets[1] + d_k[2] * buckets[2]) / denom
-            backoffs[ctx] = gamma
-            for w, a in pred_kids:
-                lower = probs[ctx[1:] + (w,)]
-                probs[ctx + (w,)] = max(a - _discount_for(a, d_k), 0.0) / denom + gamma * lower
-
-    return NgramModel(order=order, vocab=vocab, probs=probs, backoffs=backoffs)
+        keys, _, suffix, _ = levels[k - 1]
+        a = adj[k - 1]
+        ctx = keys // v - below
+        pred = keys % v != _BOS_ID
+        d = _estimate_discounts(a[pred], k)
+        bucket = np.minimum(a, 3)
+        n_ctx = adj[k - 2].size
+        denom = np.bincount(ctx[pred], weights=a[pred], minlength=n_ctx)
+        n_b = [np.bincount(ctx[pred & (bucket == b)], minlength=n_ctx) for b in (1, 2, 3)]
+        with np.errstate(invalid="ignore"):  # 0/0: a context with no predictable child
+            gamma = (d[1] * n_b[0] + d[2] * n_b[1] + d[3] * n_b[2]) / denom
+        backoffs.append(gamma)
+        probs.append(np.where(pred, np.maximum(a - d[bucket], 0.0) / denom[ctx]
+                              + gamma[ctx] * probs[-1][suffix], _NONE))
+        below += n_ctx
+    backoffs.append(np.full(probs[-1].size, _NONE))
+    return NgramModel(order=order, vocab=vocab,
+                      keys=np.concatenate([keys for keys, _, _, _ in levels]),
+                      prob=np.concatenate(probs), backoff=np.concatenate(backoffs))
 
 
 def score_perplexity(model: NgramModel, doc: Document) -> PerplexityScore:
@@ -216,12 +299,14 @@ def score_perplexity(model: NgramModel, doc: Document) -> PerplexityScore:
     toks = tokenize(doc.text)
     if not toks:
         raise UnscorableError(f"document {doc.id!r} has no tokens; unscorable")
-    seq = [BOS] * (model.order - 1) + [model._map_event(t) for t in toks] + [EOS]
-    start = model.order - 1
+    event_id = model._event_ids.get
+    ids = [event_id(t, _UNK_ID) for t in toks]
+    ids.append(_EOS_ID)
+    probs: list[float] = []
+    model._walk(model._start, ids, probs)
     log_sum = 0.0
-    for i in range(start, len(seq)):
-        ctx = tuple(seq[max(0, i - model.order + 1):i])
-        log_sum += math.log(model.conditional(seq[i], ctx))
+    for p in probs:
+        log_sum += math.log(p)
     events = len(toks) + 1
     return PerplexityScore(
         doc_id=doc.id,
@@ -269,39 +354,69 @@ def filter_top_k(
 # ARPA serialization
 # ---------------------------------------------------------------------------
 
-def _arpa_entries(model: NgramModel, k: int) -> list[tuple[str, ...]]:
-    if k == 1:
-        return sorted((w,) for w in model.vocab)
-    grams = {g for g in model.probs if len(g) == k}
-    grams.update(g for g in model.backoffs if len(g) == k)
-    return sorted(grams)
-
-
 def write_arpa(model: NgramModel, path: str | Path) -> None:
-    """Standard ARPA text format, 17 significant digits (lossless round-trip)."""
-    per_order = [_arpa_entries(model, k) for k in range(1, model.order + 1)]
-    lines = ["\\data\\"]
-    for k, entries in enumerate(per_order, start=1):
-        lines.append(f"ngram {k}={len(entries)}")
-    for k, entries in enumerate(per_order, start=1):
-        lines += ["", f"\\{k}-grams:"]
-        for g in entries:
-            p = model.probs.get(g)
-            logp = "-99" if p is None else f"{math.log10(p):.17g}"
-            row = f"{logp}\t{' '.join(g)}"
-            if k < model.order and g in model.backoffs:
-                row += f"\t{math.log10(model.backoffs[g]):.17g}"
-            lines.append(row)
-    lines += ["", "\\end\\"]
+    """Standard ARPA text format, 17 significant digits (lossless round-trip).
+
+    A section lists all of the vocabulary (unigrams) or the order's n-grams
+    that have a probability or a backoff, sorted as tuples of strings.
+    """
+    log10 = math.log10
+    v = len(model.vocab)
+    words = [""] * v
+    for w, i in model.vocab.items():
+        words[i] = w
+    sort = np.array(sorted(range(v), key=words.__getitem__))  # the ids in string order
+    pos = np.empty(v, dtype=np.int64)  # per n-gram of the order: its place in the section
+    pos[sort] = np.arange(v)
+    word_pos = pos
+    names = [words[i] for i in sort.tolist()]  # the order's n-grams in section order
+    counts, sections = [], []
+    for k in range(1, model.order + 1):
+        lo, hi = model.offsets[k - 1], model.offsets[k]
+        if k > 1:
+            prefix, last = np.divmod(model.keys[lo:hi], v)
+            rank = pos[prefix - model.offsets[k - 2]] * v + word_pos[last]
+            sort = np.argsort(rank)
+            pos = np.empty_like(sort)
+            pos[sort] = np.arange(sort.size)
+            names = [names[p] + " " + words[w]
+                     for p, w in zip((rank[sort] // v).tolist(), last[sort].tolist())]
+        prob, bo = model.prob[lo:hi][sort], model.backoff[lo:hi][sort]
+        if k == model.order:  # the top order has no backoff column
+            bo = np.full_like(bo, _NONE)
+        kept = (k == 1) | ~(np.isnan(prob) & np.isnan(bo))
+        rows = [(f"-99\t{g}" if p != p else f"{log10(p):.17g}\t{g}")
+                + ("" if b != b else f"\t{log10(b):.17g}")
+                for p, g, b in zip(prob[kept].tolist(), compress(names, kept),
+                                   bo[kept].tolist())]
+        counts.append(f"ngram {k}={len(rows)}")
+        sections += ["", f"\\{k}-grams:"] + rows
+    lines = ["\\data\\"] + counts + sections + ["", "\\end\\"]
     with atomic_write(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows in lexicographic order, and the position of each row among them."""
+    sort = np.lexsort(rows.T[::-1])
+    rows = rows[sort]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    where = np.empty(len(rows), dtype=np.int64)
+    where[sort] = np.cumsum(new) - 1
+    return rows[new], where
+
+
 def read_arpa(path: str | Path) -> NgramModel:
-    """Parse an ARPA file. Tokens contain no whitespace, so plain splitting is safe."""
+    """Parse an ARPA file. Tokens contain no whitespace, so plain splitting is safe.
+
+    An n-gram with a word outside the vocabulary (the unigrams with a
+    probability) can never be looked up and is left out. A missing prefix or
+    suffix of an n-gram is added without probability or backoff, which the
+    scorer treats as absent.
+    """
     path = Path(path)
-    probs: dict[tuple[str, ...], float] = {}
-    backoffs: dict[tuple[str, ...], float] = {}
+    sections: dict[int, tuple[list, list, list]] = {}  # order -> words, p, backoff
     order = 0
     section = 0
     expected: dict[int, int] = {}
@@ -322,6 +437,7 @@ def read_arpa(path: str | Path) -> NgramModel:
                     section = int(line[1:-7])
                     order = max(order, section)
                     state = "grams"
+                    words, probs, backoffs = sections.setdefault(section, ([], [], []))
                     continue
                 if state == "data":
                     name, _, count = line.partition("=")
@@ -332,14 +448,13 @@ def read_arpa(path: str | Path) -> NgramModel:
                 parts = line.split()
                 if len(parts) < 1 + section:
                     raise ConfigError(f"{path}: short line in \\{section}-grams section: {line!r}")
-                gram = tuple(parts[1:1 + section])
-                rest = parts[1 + section:]
                 seen[section] += 1
                 logp = float(parts[0])
-                if logp > -98.0:  # -99 marks placeholder entries such as <s>
-                    probs[gram] = 10.0 ** logp
-                if rest:
-                    backoffs[gram] = 10.0 ** float(rest[0])
+                # -99 marks placeholder entries such as <s>
+                probs.append(10.0 ** logp if logp > -98.0 else _NONE)
+                backoffs.append(10.0 ** float(parts[1 + section]) if len(parts) > 1 + section
+                                else _NONE)
+                words += parts[1:1 + section]
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except (ValueError, IndexError, OverflowError):  # a number, count or header
@@ -349,8 +464,44 @@ def read_arpa(path: str | Path) -> NgramModel:
     for k, n in expected.items():
         if seen.get(k, 0) != n:
             raise ConfigError(f"{path}: header promises {n} {k}-grams, found {seen.get(k, 0)}")
-    vocab: dict[str, int] = {UNK: 0, BOS: 1, EOS: 2}
-    for g in sorted(g for g in probs if len(g) == 1):
-        if g[0] not in vocab:
-            vocab[g[0]] = len(vocab)
-    return NgramModel(order=order, vocab=vocab, probs=probs, backoffs=backoffs)
+
+    words, probs, _ = sections.get(1, ([], [], []))
+    vocab: dict[str, int] = {UNK: _UNK_ID, BOS: _BOS_ID, EOS: _EOS_ID}
+    for w in sorted(w for w, p in zip(words, probs) if p == p):
+        if w not in vocab:
+            vocab[w] = len(vocab)
+    v = len(vocab)
+    # Top down: each order's n-grams that can be looked up (all their words in
+    # the vocabulary), closed under the prefixes and suffixes of the order
+    # above and sorted by id tuple, which is the order of the keys.
+    levels = []  # from the top order down: sorted rows, (prob, backoff), prefix positions
+    above = np.empty((0, order + 1), dtype=np.int64)
+    for k in range(order, 0, -1):
+        words, probs, backoffs = sections.get(k, ([], [], []))
+        ids = np.fromiter(map(vocab.get, words, repeat(-1)), dtype=np.int64,
+                          count=len(words)).reshape(-1, k)
+        kept = (ids >= 0).all(axis=1)
+        real = ids[kept]
+        if k == 1:
+            rows, where = np.arange(v).reshape(-1, 1), np.concatenate([real[:, 0], above[:, 0]])
+        else:
+            rows, where = _unique_rows(np.concatenate([real, above[:, :-1], above[:, 1:]]))
+        at = where[:len(real)]
+        if np.unique(at).size < at.size:
+            raise ConfigError(f"{path}: duplicate n-gram in the \\{k}-grams section")
+        values = np.full((2, len(rows)), _NONE)
+        values[0, at] = np.array(probs)[kept]
+        if k < order:  # a top-order backoff is never used
+            values[1, at] = np.array(backoffs)[kept]
+        levels.append((rows, values, where[len(real):len(real) + len(above)]))
+        above = rows
+    if np.isnan(values[0, [_UNK_ID, _EOS_ID]]).any():
+        raise ConfigError(f"{path}: no unigram probability for {UNK!r} or {EOS!r}")
+    # An n-gram's key: V * the global index of its prefix + its last id.
+    keys, base = [np.arange(v) - v], 0
+    for (rows, _, _), (lower, _, prefix) in zip(levels[-2::-1], levels[::-1]):
+        keys.append((base + prefix) * v + rows[:, -1])
+        base += len(lower)
+    values = np.concatenate([values for _, values, _ in levels[::-1]], axis=1)
+    return NgramModel(order=order, vocab=vocab, keys=np.concatenate(keys),
+                      prob=values[0], backoff=values[1])

@@ -7,7 +7,7 @@ appear both raw and in billions with one decimal.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .dedup import DedupReport
 
@@ -101,16 +101,39 @@ def render(report: CompositionReport | DedupReport, format: str = "json") -> str
     raise TypeError(f"cannot render {type(report).__name__}")
 
 
+_JSON_TYPES = {"int": ((int,), "integer"), "str": ((str,), "string"),
+               "float": ((int, float), "number")}
+
+
+def _from_json(cls, obj, what: str):
+    """An instance of the dataclass `cls` from a JSON object with exactly its fields."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    types = {f.name: _JSON_TYPES[f.type] for f in fields(cls)}
+    if obj.keys() != types.keys():
+        raise ValueError(f"{what} needs exactly the fields {', '.join(sorted(types))}")
+    for name, (allowed, label) in types.items():
+        if isinstance(obj[name], bool) or not isinstance(obj[name], allowed):
+            raise ValueError(f"{what}: {name!r} is not a JSON {label}")
+    return cls(**obj)
+
+
 def parse_report(text: str) -> CompositionReport | DedupReport:
-    """Inverse of render(..., 'json'); render(parse(x), 'json') is a fixed point."""
+    """Inverse of render(..., 'json'); render(parse(x), 'json') is a fixed point.
+
+    Raises ValueError unless the fields are those `render` writes.
+    """
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("a report is a JSON object")
     kind = obj.get("type")
     if kind == "composition":
-        rows = tuple(CompositionRow(**r) for r in obj["rows"])
-        return CompositionReport(rows=rows)
+        if not isinstance(obj.get("rows"), list):
+            raise ValueError("a composition report needs a 'rows' list")
+        return CompositionReport(rows=tuple(
+            _from_json(CompositionRow, r, f"composition row {i}")
+            for i, r in enumerate(obj["rows"])))
     if kind == "dedup":
-        fields = {k: v for k, v in obj.items() if k != "type"}
-        return DedupReport(**fields)
+        body = {k: v for k, v in obj.items() if k != "type"}
+        return _from_json(DedupReport, body, "a dedup report")
     raise ValueError(f"unknown report type {kind!r}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -218,10 +219,9 @@ def build_pipeline_fixture(root: Path, seed: int = 11) -> Path:
 
 
 def workspace_digest(ws: Path) -> dict[str, str]:
-    """Relative path -> FNV checksum for every file under the workspace."""
-    from korpus.core import fnv1a_bytes
+    """Relative path -> sha256 for every file under the workspace."""
     out = {}
     for p in sorted(ws.rglob("*")):
         if p.is_file():
-            out[str(p.relative_to(ws))] = f"{fnv1a_bytes(p.read_bytes()):016x}"
+            out[str(p.relative_to(ws))] = hashlib.sha256(p.read_bytes()).hexdigest()
     return out

@@ -9,6 +9,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from korpus.core import CorpusShard, Document, write_shard
@@ -131,7 +132,8 @@ def test_criterion_05_kneser_ney_correctness():
     assert model.conditional("a", (BOS,)) == pytest.approx(0.3677777778166667, abs=1e-9)
 
     prob, pred = oracle_model(texts, order=2, min_count=1)
-    contexts = [()] + [ctx for ctx in model.backoffs]
+    # the contexts with a backoff weight: at order 2, a unigram's index is its id
+    contexts = [()] + [(w,) for w, i in model.vocab.items() if not np.isnan(model.backoff[i])]
     for ctx in contexts:
         total = 0.0
         for w in model.predictable_vocab():

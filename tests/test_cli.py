@@ -1,3 +1,4 @@
+import contextlib
 import glob
 import json
 import os
@@ -12,10 +13,11 @@ import numpy as np
 import pytest
 
 import korpus
-from korpus import dedup, langid
+from korpus import core, dedup, langid
 from korpus.chunker import chunk_document, chunk_record
 from korpus.cli import main
 from korpus.core import read_shard, write_shard
+from korpus.errors import ConfigError
 from korpus.pipeline import STAGES, load_schema, run_pipeline, validate_config
 
 from conftest import (
@@ -408,6 +410,20 @@ class TestFileSafeNames:
     def test_dedup_checks_the_schema_pattern(self):
         assert dedup.NAME_PATTERN == load_schema()["$defs"]["name"]["pattern"]
 
+    def test_trailing_newline_rejected_by_schema(self, tmp_path, capsys):
+        # Python's `$` matches before a final newline; the pattern's end anchor must not.
+        config = build_pipeline_fixture(tmp_path)
+        obj = json.loads(config.read_text())
+        obj["sources"][1]["name"] = "gc4\n"
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["validate", "--config", str(config)]) == 2
+        assert "$.sources[1].name:" in capsys.readouterr().out
+
+    def test_trailing_newline_rejected_by_staged_dedup(self, rng):
+        shard = make_shard([de_text(rng, 2)], source="gc4", prefix="gc4")
+        with pytest.raises(ConfigError, match="stage group name 'gc4\\\\n' does not match"):
+            dedup.staged_dedup([("gc4\n", [shard])], 50, "keep_first")
+
 
 @pytest.fixture
 def lm_inputs(tmp_path):
@@ -454,12 +470,14 @@ class TestArgumentErrors:
         ["report", "--in", "{model}"],
         ["report", "--in", "{report_list}"],
         ["report", "--in", "{report_bogus}"],
+        ["report", "--in", "{report_dedup}"],
+        ["report", "--in", "{report_composition}"],
     ], ids=["min-words", "budget", "min-match", "repeated-group", "group-combined", "top-k",
             "budget-empty-shard", "min-match-empty-shard", "epochs-negative", "epochs-zero",
             "learning-rate-negative", "seed-negative", "shard-not-utf8", "config-not-utf8",
             "spec-not-utf8", "config-missing", "arpa-unparsable", "langid-model-truncated",
             "report-missing", "report-not-utf8", "report-not-json", "report-json-list",
-            "report-unknown-type"])
+            "report-unknown-type", "report-dedup-no-fields", "report-composition-no-rows"])
     def test_exit_2_without_traceback(self, lm_inputs, tmp_path, argv):
         shard, model = lm_inputs
         empty = tmp_path / "empty.jsonl"
@@ -477,9 +495,15 @@ class TestArgumentErrors:
         report_list.write_text('[{"type": "dedup"}]', encoding="utf-8")
         report_bogus = tmp_path / "bogus.json"
         report_bogus.write_text('{"type": "bogus"}', encoding="utf-8")
+        report_dedup = tmp_path / "dedup.json"  # a known type without its fields
+        report_dedup.write_text('{"type": "dedup"}', encoding="utf-8")
+        report_composition = tmp_path / "composition.json"
+        report_composition.write_text('{"type": "composition"}', encoding="utf-8")
         argv = [a.format(shard=shard, model=model, empty=empty, out=tmp_path / "out",
                          latin1=latin1, bad_arpa=bad_arpa, bad_lid=bad_lid,
-                         report_list=report_list, report_bogus=report_bogus) for a in argv]
+                         report_list=report_list, report_bogus=report_bogus,
+                         report_dedup=report_dedup, report_composition=report_composition)
+                for a in argv]
         env = {**os.environ, "PYTHONPATH": str(Path(korpus.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-m", "korpus.cli", *argv],
                               capture_output=True, text=True, env=env)
@@ -575,6 +599,10 @@ class TestInputPaths:
         monkeypatch.setattr(glob, "glob", lambda *a, **kw: calls.append(a[0]) or real_glob(*a, **kw))
         run_pipeline(config, tmp_path / "ws")
         assert len(calls) == len(patterns)
+
+
+class Crash(BaseException):
+    """The process dies: no `except Exception` in the pipeline sees it."""
 
 
 @pytest.fixture(scope="module")
@@ -707,6 +735,41 @@ class TestPipelineCommand:
         err = capsys.readouterr().err
         done = STAGES.index(stage) + 1
         assert err.count(": cached") == done and err.count(": running") == len(STAGES) - done
+        assert workspace_digest(ws) == fresh_digest
+
+    @pytest.mark.parametrize("crash_at", [f"markers/{stage}.json" for stage in STAGES]
+                             + ["qualfilter/oscar-medical.jsonl"])
+    def test_resume_after_crash_matches_fresh_run(self, tmp_path, monkeypatch, fresh_digest,
+                                                  crash_at):
+        """A run killed while writing one file (a stage's marker, or the first
+        quality-filter shard after model.arpa) leaves a partial tmp file and the
+        old target; a plain resume then gives the fresh-run workspace."""
+        config = build_pipeline_fixture(tmp_path)
+        ws = tmp_path / "ws"
+        real = core.atomic_write
+
+        @contextlib.contextmanager
+        def dying_write(path):
+            path = Path(path)
+            if path == ws / crash_at:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.with_name(path.name + ".tmp").write_bytes(b'{"partial')
+                raise Crash(path)
+            with real(path) as fh:
+                yield fh
+
+        bound = [m for name, m in sys.modules.items()
+                 if name.startswith("korpus") and getattr(m, "atomic_write", None) is real]
+        assert len(bound) >= 4  # core, pipeline, langid, qualfilter
+        for module in bound:
+            monkeypatch.setattr(module, "atomic_write", dying_write)
+        with pytest.raises(Crash):
+            run_pipeline(config, ws)
+        assert (ws / (crash_at + ".tmp")).exists()
+        if crash_at.startswith("qualfilter/"):
+            assert (ws / "qualfilter" / "model.arpa").exists()
+        monkeypatch.undo()
+        run_pipeline(config, ws)
         assert workspace_digest(ws) == fresh_digest
 
 

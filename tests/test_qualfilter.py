@@ -2,7 +2,9 @@ import hashlib
 import math
 import random
 import re
+import warnings
 
+import numpy as np
 import pytest
 
 from korpus.core import CorpusShard, Document
@@ -81,6 +83,93 @@ class TestKneserNeyToyCorpus:
             assert abs(total - 1.0) <= 1e-9
 
 
+# Tokens around "<" in string order: digits and punctuation sort before the
+# special symbols, letters and umlauts after them.
+SPECIAL_TOKENS = ["<s>", "<unk>", "</s>", "0", "42", "!", "#", "'", ",", "(", "Z", "a", "ü", "~"]
+
+
+def random_corpus(rng, n_words, n_docs, max_len):
+    words = [f"w{i}" for i in range(n_words)] + SPECIAL_TOKENS
+    weights = [1.0 / (i + 1) for i in range(len(words))]
+    rng.shuffle(weights)
+    return [" ".join(rng.choices(words, weights, k=rng.randint(1, max_len)))
+            for _ in range(n_docs)]
+
+
+def arpa_sections(text):
+    """ARPA order -> the n-grams of its section as tuples of strings, in file order."""
+    sections, k = {}, 0
+    for line in text.splitlines():
+        if line.startswith("\\") and line.endswith("-grams:"):
+            k = int(line[1:-7])
+            sections[k] = []
+        elif line.startswith("\\") or not line:
+            k = 0
+        elif k:
+            sections[k].append(tuple(line.split("\t")[1].split(" ")))
+    return sections
+
+
+class TestKneserNeyProperties:
+    """Seeded random corpora against the plain-dictionary oracle."""
+
+    @staticmethod
+    def check(texts, order, min_count, rng, tmp_path, n_contexts=8, events=None):
+        model = train_ngram([make_shard(texts)], order=order, min_count=min_count)
+        prob, pred = oracle_model(texts, order=order, min_count=min_count)
+        assert sorted(model.predictable_vocab()) == pred
+        # Contexts from the padded documents, so that every order is reached,
+        # plus unseen tokens and literal specials.
+        windows = []
+        for t in texts:
+            seq = [BOS] * (order - 1) + t.split() + [EOS]
+            windows += [tuple(seq[i - order + 1:i]) if order > 1 else ()
+                        for i in range(order - 1, len(seq))]
+        contexts = rng.sample(windows, min(n_contexts, len(windows)))
+        contexts += [(), ("nie", "gesehen"), (BOS, UNK), (UNK, BOS, "0")]
+        words = pred + ["nie", BOS] if events is None else events
+        for ctx in contexts:
+            for w in words:
+                assert model.conditional(w, ctx) == pytest.approx(prob(w, ctx), rel=1e-12), (w, ctx)
+
+        path = tmp_path / f"o{order}m{min_count}.arpa"
+        write_arpa(model, path)
+        sections = arpa_sections(path.read_text(encoding="utf-8"))
+        assert sorted(sections) == list(range(1, order + 1))
+        for grams in sections.values():
+            assert grams == sorted(set(grams))
+        loaded = read_arpa(path)
+        for i, text in enumerate(texts[:40] + [random_corpus(rng, 30, 1, 12)[0], "nie gesehen"]):
+            doc = make_doc(f"d{i}", text)
+            want = score_perplexity(model, doc).perplexity
+            assert score_perplexity(loaded, doc).perplexity == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("min_count", [1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_random_corpus_matches_oracle(self, tmp_path, order, min_count):
+        rng = random.Random(1000 * order + min_count)
+        texts = random_corpus(rng, n_words=25, n_docs=40, max_len=12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # sparse count-of-counts
+            self.check(texts, order, min_count, rng, tmp_path)
+
+    def test_order5_with_more_than_8192_ids(self, tmp_path):
+        # 5 ids of 14 bits need 70 bits: a flat packed key would overflow int64
+        rng = random.Random(8193)
+        tokens = [f"w{i}" for i in range(9000)] + SPECIAL_TOKENS
+        tokens += rng.choices(tokens[:200], k=6000)  # repeats, so long n-grams recur
+        rng.shuffle(tokens)
+        texts = []
+        while tokens:
+            n = rng.randint(1, 40)
+            texts.append(" ".join(tokens[:n]))
+            tokens = tokens[n:]
+        model = train_ngram([make_shard(texts)], order=5, min_count=1)
+        assert len(model.vocab) > 8192
+        events = rng.sample(model.predictable_vocab(), 4) + [EOS, UNK]
+        self.check(texts, 5, 1, rng, tmp_path, n_contexts=6, events=events)
+
+
 class TestTraining:
     def test_unigram_normalization_with_eos(self):
         # "a a b": a=2, b=1, plus the sentence-final </s> event and <unk> mass
@@ -111,7 +200,9 @@ class TestTraining:
         b = make_shard(texts[15:], prefix="b")
         m1 = train_ngram([a, b], order=2, min_count=1)
         m2 = train_ngram([b, a], order=2, min_count=1)
-        assert m1.probs == m2.probs and m1.backoffs == m2.backoffs
+        assert np.array_equal(m1.keys, m2.keys)
+        assert np.array_equal(m1.prob, m2.prob, equal_nan=True)
+        assert np.array_equal(m1.backoff, m2.backoff, equal_nan=True)
 
     def test_empty_reference_rejected(self):
         with pytest.raises(ConfigError):
@@ -128,8 +219,10 @@ class TestPerplexity:
         vocab = {UNK: 0, BOS: 1, EOS: 2, "a": 3, "b": 4, "c": 5}
         pred = [w for w in vocab if w != BOS]
         v = len(pred)
-        model = NgramModel(order=1, vocab=vocab,
-                           probs={(w,): 1.0 / v for w in pred}, backoffs={})
+        ids = np.arange(len(vocab))
+        model = NgramModel(order=1, vocab=vocab, keys=ids - len(vocab),
+                           prob=np.where(ids == vocab[BOS], np.nan, 1.0 / v),
+                           backoff=np.full(len(vocab), np.nan))
         for text in ("a b c", "a", "c c c c c c c"):
             score = score_perplexity(model, make_doc("x", text))
             assert score.perplexity == pytest.approx(v, abs=1e-6)
@@ -316,6 +409,61 @@ class TestArpa:
         lineno = text[:text.index(new)].count("\n") + 1 + new.startswith("\n")
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:{lineno}: cannot parse"):
+            read_arpa(path)
+
+    HAND_ARPA = """\\data\\
+ngram 1=7
+ngram 2=2
+ngram 3=2
+
+\\1-grams:
+-1\t</s>
+-99\t<s>\t-0.3
+-1\t<unk>
+-0.5\ta\t-0.1
+-0.5\tb\t-0.2
+-0.6\tc
+-99\tzz\t-0.4
+
+\\2-grams:
+-0.2\tb c
+-0.3\ta zz
+
+\\3-grams:
+-0.1\ta b c
+-0.7\tb c a
+
+\\end\\
+"""
+
+    def test_foreign_arpa_keeps_dictionary_semantics(self, tmp_path):
+        # (a b), the prefix of (a b c), and (c a), the suffix of (b c a), are
+        # missing; zz has no probability, so it is no vocabulary word and
+        # (a zz) can never be looked up. Expected values follow the backoff rule.
+        path = tmp_path / "hand.arpa"
+        path.write_text(self.HAND_ARPA, encoding="utf-8")
+        model = read_arpa(path)
+        assert "zz" not in model.vocab
+        e = lambda x: 10.0 ** x
+        assert model.conditional("c", ("a", "b")) == e(-0.1)
+        assert model.conditional("c", ("x", "b")) == e(-0.2)
+        assert model.conditional("a", ("a", "b")) == e(-0.2) * e(-0.5)
+        assert model.conditional("a", ("b", "c")) == e(-0.7)
+        assert model.conditional("b", ("c", "a")) == e(-0.1) * e(-0.5)
+        assert model.conditional("zz", ("a",)) == e(-0.1) * e(-1)
+        doc = make_doc("d", "b c a b")
+        want = [e(-0.3) * e(-0.5), e(-0.2), e(-0.7), e(-0.1) * e(-0.5), e(-0.2) * e(-1)]
+        assert score_perplexity(model, doc).log_prob_sum == pytest.approx(
+            sum(math.log(p) for p in want), rel=1e-12)
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("-0.3\ta zz", "-0.3\tb c", "duplicate n-gram"),
+        ("-1\t<unk>", "-99\t<unk>", "no unigram probability"),
+    ], ids=["duplicate", "no-unk"])
+    def test_unusable_arpa_rejected(self, tmp_path, old, new, message):
+        path = tmp_path / "hand.arpa"
+        path.write_text(self.HAND_ARPA.replace(old, new), encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
             read_arpa(path)
 
     def test_not_utf8_names_file(self, tmp_path):

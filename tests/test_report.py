@@ -86,3 +86,19 @@ class TestRender:
     def test_parse_unknown_type(self):
         with pytest.raises(ValueError):
             parse_report('{"type": "mystery"}')
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"type": "dedup"}', "needs exactly the fields"),
+        ('{"type": "dedup", "input_tokens": 100, "duplicate_tokens": 40, "removed_docs": 1, '
+         '"removed_tokens": 10, "spans": 2, "stage": "gc4", "extra": 1}', "needs exactly"),
+        ('{"type": "dedup", "input_tokens": "100", "duplicate_tokens": 40, "removed_docs": 1, '
+         '"removed_tokens": 10, "spans": 2, "stage": "gc4"}', "'input_tokens' is not a JSON integer"),
+        ('{"type": "composition"}', "needs a 'rows' list"),
+        ('{"type": "composition", "rows": [{"domain": "formal", "source": "gc4", '
+         '"doc_count": 10, "share": 1.0}]}', "composition row 0 needs exactly the fields"),
+        ('{"type": "composition", "rows": [7]}', "composition row 0 is not a JSON object"),
+    ], ids=["dedup-empty", "dedup-extra-field", "dedup-string-count", "composition-no-rows",
+            "composition-row-missing-key", "composition-row-not-object"])
+    def test_parse_checks_fields(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_report(text)
