@@ -149,7 +149,8 @@ def identity_translator() -> Translator:
 
 
 class SubprocessTranslator(Translator):
-    """Line protocol: one chunk text per stdin line, one translation per stdout line."""
+    """Line protocol: one chunk text per stdin line, one translation per stdout line,
+    both in UTF-8 whatever the locale."""
 
     def __init__(self, command: str | list[str]):
         self.command = command
@@ -158,13 +159,16 @@ class SubprocessTranslator(Translator):
         if not texts:
             return []
         payload = "\n".join(t.replace("\n", " ") for t in texts) + "\n"
-        proc = subprocess.run(
-            self.command,
-            input=payload,
-            capture_output=True,
-            text=True,
-            shell=isinstance(self.command, str),
-        )
+        try:
+            proc = subprocess.run(
+                self.command,
+                input=payload,
+                capture_output=True,
+                encoding="utf-8",
+                shell=isinstance(self.command, str),
+            )
+        except UnicodeError as exc:  # its output, or a lone surrogate in the input
+            return [RuntimeError(f"translator text is not UTF-8: {exc}")] * len(texts)
         if proc.returncode != 0:
             err = RuntimeError(f"translator exited {proc.returncode}: {proc.stderr.strip()}")
             return [err] * len(texts)

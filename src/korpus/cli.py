@@ -33,7 +33,7 @@ def cmd_preprocess(args) -> int:
     cleaned, stats = clean_shard(shard, args.min_words)
     write_shard(cleaned, args.out)
     if args.stats:
-        write_json(args.stats, asdict(stats))
+        write_json(asdict(stats), args.stats)
     _log(f"[preprocess] kept {stats.output_docs}/{stats.input_docs} docs, "
          f"removed {stats.urls_removed} urls")
     return 0
@@ -77,7 +77,7 @@ def cmd_dedup(args) -> int:
     for i, shard in enumerate(final):
         write_shard(shard, outdir / f"shard-{i:04d}.jsonl")
     for rep in reports:
-        write_text(outdir / f"report-{rep.stage}.json", report_mod.render(rep, "json"))
+        write_text(report_mod.render(rep, "json"), outdir / f"report-{rep.stage}.json")
         _log(f"[dedup] stage {rep.stage}: {rep.duplicate_tokens}/{rep.input_tokens} "
              f"duplicate tokens, removed {rep.removed_docs} docs")
     return 0
@@ -95,7 +95,7 @@ def cmd_lm_score(args) -> int:
     model = qualfilter.read_arpa(args.model)
     shard = merge_shards([read_shard(p) for p in resolve_paths(args.inputs, Path())])
     scores = [asdict(s) for s in qualfilter.score_shard(model, shard)]
-    write_json(args.out, scores)
+    write_json(scores, args.out)
     _log(f"[lm] scored {len(scores)} documents")
     return 0
 
@@ -106,7 +106,7 @@ def cmd_quality_filter(args) -> int:
     kept, scores = qualfilter.filter_top_k(shard, model, args.top_k)
     write_shard(kept, args.out)
     if args.scores:
-        write_json(args.scores, [asdict(s) for s in scores])
+        write_json([asdict(s) for s in scores], args.scores)
     _log(f"[quality-filter] kept {kept.manifest.doc_count}/{shard.manifest.doc_count} docs")
     return 0
 
@@ -124,7 +124,7 @@ def cmd_chunk(args) -> int:
             if r.error is not None:
                 record["error"] = r.error
         lines.append(json.dumps(record, ensure_ascii=False) + "\n")
-    write_text(args.out, "".join(lines))
+    write_text("".join(lines), args.out)
     _log(f"[chunk] wrote {len(lines)} chunks at budget {args.budget}")
     return 0
 
@@ -139,7 +139,7 @@ def cmd_mix(args) -> int:
     for src, shard in zip(spec["sources"], shards):
         write_shard(shard, outdir / f"{src['source']}.jsonl")
     if args.report:
-        write_text(args.report, report_mod.render(composition, "json"))
+        write_text(report_mod.render(composition, "json"), args.report)
     docs, tokens = composition.totals()
     _log(f"[mix] dataset {spec['name']}: {docs} docs, {tokens} tokens")
     return 0

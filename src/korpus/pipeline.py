@@ -15,6 +15,12 @@ recorded; a missing or modified output raises IntegrityError (CLI exit 4).
 --force reruns every stage whatever the markers say. An interrupted run
 resumed later is indistinguishable from an uninterrupted one.
 
+Each stage body is a generator of its outputs: it yields
+`(path relative to the workspace, writer, value)` and writes nothing itself.
+The runner calls `writer(value, path)` for each, in order, and records
+exactly those paths in the stage's marker, so a marker lists every file its
+stage wrote. Every writer takes `(value, path)`.
+
 After each stage, ran or cached, a source reads `<stage>/<name>.jsonl` if the
 stage's outputs hold that path. Names have no dot (`$defs/name` in the schema),
 so a side file such as `<name>.chunks.jsonl` is never another source's shard.
@@ -28,6 +34,7 @@ import sys
 from dataclasses import dataclass, asdict
 from importlib import resources
 from pathlib import Path
+from typing import Any, Callable, Iterator
 
 import jsonschema
 
@@ -44,6 +51,9 @@ from .errors import ConfigError, IntegrityError, KorpusError, StageError
 from .preprocess import clean_shard
 
 STAGES = ("preprocess", "langid", "dedup", "qualfilter", "chunk", "mix", "report")
+
+# What a stage body yields: (path relative to the workspace, writer, value).
+Outputs = Iterator[tuple[str, Callable[[Any, Path], None], Any]]
 
 
 @dataclass
@@ -119,6 +129,7 @@ def resolve_paths(patterns: list[str], base: Path) -> list[Path]:
     directory for a CLI flag); each pattern's matches are sorted, and a pattern
     that matches no file raises ConfigError naming it."""
     out: list[Path] = []
+    base = Path(globmod.escape(str(base)))  # a directory such as run[1]/ is no pattern
     for pat in patterns:
         matches = sorted(m for m in globmod.glob(str(base / pat)) if Path(m).is_file())
         if not matches:
@@ -197,6 +208,8 @@ def parse_config(path: str | Path) -> tuple[RunConfig | None, list[str]]:
         diags.append("$.sources: source names must be unique")
 
     datasets = [DatasetConfig(**d) for d in obj["datasets"]]
+    if len({ds.name for ds in datasets}) != len(datasets):
+        diags.append("$.datasets: dataset names must be unique")
     for i, ds in enumerate(datasets):
         for srcname in ds.sources:
             if srcname not in names:
@@ -246,14 +259,14 @@ def validate_config(path: str | Path) -> list[str]:
     return diags
 
 
-def write_text(path: str | Path, text: str) -> None:
+def write_text(text: str, path: str | Path) -> None:
     """Write UTF-8 text atomically (see `core.atomic_write`)."""
     with atomic_write(path) as fh:
         fh.write(text.encode("utf-8"))
 
 
-def write_json(path: str | Path, payload) -> None:
-    write_text(path, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+def write_json(payload, path: str | Path) -> None:
+    write_text(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n", path)
 
 
 def _given(settings: dict, *keys: str) -> dict:
@@ -304,14 +317,19 @@ class PipelineRun:
         return self.ws / "markers" / f"{stage}.json"
 
     def _cached_outputs(self, stage: str) -> dict[str, str] | None:
-        """Output checksums of the stage if its marker carries this run's key."""
+        """Output checksums of the stage if its marker carries this run's key; a
+        marker that is not `{"key": str, "outputs": {str: str}}` counts as absent."""
         if self.force:
             return None
-        try:
+        try:  # ValueError: not JSON, or not UTF-8
             marker = json.loads(self._marker_path(stage).read_text(encoding="utf-8"))
-        except (FileNotFoundError, json.JSONDecodeError):
+        except (FileNotFoundError, ValueError):
             return None
-        return marker["outputs"] if marker.get("key") == self.key else None
+        if not (isinstance(marker, dict) and marker.get("key") == self.key
+                and isinstance(outputs := marker.get("outputs"), dict)
+                and all(isinstance(v, str) for v in outputs.values())):
+            return None
+        return outputs
 
     def _verify(self, stage: str, outputs: dict[str, str]) -> None:
         for rel, checksum in outputs.items():
@@ -328,8 +346,8 @@ class PipelineRun:
             str(p.relative_to(self.ws)): _checksum_file(p)
             for p in sorted(set(written))
         }
-        write_json(self._marker_path(stage),
-                   {"key": self.key, "outputs": outputs, "stage": stage})
+        write_json({"key": self.key, "outputs": outputs, "stage": stage},
+                   self._marker_path(stage))
         return outputs
 
     # -- seeds ---------------------------------------------------------------
@@ -355,7 +373,7 @@ class PipelineRun:
             else:
                 self.log(f"[pipeline] {stage}: running")
                 try:
-                    written = getattr(self, f"_stage_{stage}")()
+                    written = self._write_outputs(getattr(self, f"_stage_{stage}")())
                 except KorpusError:
                     raise
                 except Exception as exc:
@@ -370,30 +388,31 @@ class PipelineRun:
                 return {}
         return json.loads((self.ws / "report" / "summary.json").read_text(encoding="utf-8"))
 
+    def _write_outputs(self, outputs: Outputs) -> list[Path]:
+        """Write each output a stage body yields, in order; returns their paths.
+        The last value written is freed on return, before the next stage runs."""
+        written: list[Path] = []
+        for rel, writer, value in outputs:
+            path = self.ws / rel
+            writer(value, path)
+            written.append(path)
+        return written
+
     def _read_source(self, name: str) -> CorpusShard:
         return merge_shards([read_shard(p) for p in self.state[name]], source=name)
 
-    def _stage_preprocess(self) -> list[Path]:
-        outdir = self.ws / "preprocess"
-        written: list[Path] = []
+    def _stage_preprocess(self) -> Outputs:
         for src in self.cfg.sources:
-            if not src.preprocess:
-                continue
-            out = outdir / f"{src.name}.jsonl"
-            stats_path = outdir / f"{src.name}.stats.json"
-            cleaned, stats = clean_shard(self._read_source(src.name), self.cfg.params.min_words)
-            write_shard(cleaned, out)
-            write_json(stats_path, asdict(stats))
-            written += [out, stats_path]
-        return written
+            if src.preprocess:
+                cleaned, stats = clean_shard(self._read_source(src.name), self.cfg.params.min_words)
+                yield f"preprocess/{src.name}.jsonl", write_shard, cleaned
+                yield f"preprocess/{src.name}.stats.json", write_json, asdict(stats)
 
-    def _stage_langid(self) -> list[Path]:
+    def _stage_langid(self) -> Outputs:
         cfg = self.cfg.langid_cfg
         flagged = [s for s in self.cfg.sources if s.langid]
         if not flagged:
-            return []
-        outdir = self.ws / "langid"
-        model_path = outdir / "model.bin"
+            return
         corpora = {
             lang: merge_shards([read_shard(p) for p in paths], source=lang)
             for lang, paths in self.cfg.langid_files.items()
@@ -402,17 +421,12 @@ class PipelineRun:
         if self.seed_override is not None:
             options["seed"] = self.seed_override
         model = langid.train_langid(corpora, **options)
-        langid.save_model(model, model_path)
-        written = [model_path]
+        yield "langid/model.bin", langid.save_model, model
         for src in flagged:
-            out = outdir / f"{src.name}.jsonl"
-            filtered = langid.filter_language(
+            yield f"langid/{src.name}.jsonl", write_shard, langid.filter_language(
                 model, self._read_source(src.name), cfg["target"],
                 self.cfg.params.langid_threshold,
             )
-            write_shard(filtered, out)
-            written.append(out)
-        return written
 
     def _dedup_groups(self) -> dict[str, list[str]]:
         """Dedup group -> its member sources, both in config order."""
@@ -422,97 +436,70 @@ class PipelineRun:
                 groups.setdefault(src.dedup_group, []).append(src.name)
         return groups
 
-    def _stage_dedup(self) -> list[Path]:
+    def _stage_dedup(self) -> Outputs:
         groups = self._dedup_groups()
         if not groups:
-            return []
-        outdir = self.ws / "dedup"
+            return
         final, reports = dedup.staged_dedup(
             [(g, [self._read_source(name) for name in members]) for g, members in groups.items()],
             self.cfg.params.min_match_tokens,
             self.cfg.params.dedup_policy,
         )
         members = [name for names in groups.values() for name in names]
-        written: list[Path] = []
         for name, shard in zip(members, final):  # one shard per source, in stream order
-            out = outdir / f"{name}.jsonl"
-            write_shard(shard, out)
-            written.append(out)
+            yield f"dedup/{name}.jsonl", write_shard, shard
         for rep in reports:
-            path = outdir / f"report-{rep.stage}.json"
-            write_text(path, report_mod.render(rep, "json"))
-            written.append(path)
-        return written
+            yield f"dedup/report-{rep.stage}.json", write_text, report_mod.render(rep, "json")
 
-    def _stage_qualfilter(self) -> list[Path]:
+    def _stage_qualfilter(self) -> Outputs:
         flagged = [s for s in self.cfg.sources if s.quality_filter]
         if not flagged:
-            return []
-        outdir = self.ws / "qualfilter"
-        model_path = outdir / "model.arpa"
+            return
         model = qualfilter.train_ngram(
             [read_shard(p) for p in self.cfg.reference_files],
             order=self.cfg.params.ngram_order,
             **_given(self.cfg.quality_lm, "min_count"),
         )
-        qualfilter.write_arpa(model, model_path)
-        written = [model_path]
+        yield "qualfilter/model.arpa", qualfilter.write_arpa, model
         for src in flagged:
-            out = outdir / f"{src.name}.jsonl"
-            scores_path = outdir / f"{src.name}.scores.json"
             kept, scores = qualfilter.filter_top_k(
                 self._read_source(src.name), model, self.cfg.params.quality_top_k,
             )
-            write_shard(kept, out)
-            write_json(scores_path, [asdict(s) for s in scores])
-            written += [out, scores_path]
-        return written
+            yield f"qualfilter/{src.name}.jsonl", write_shard, kept
+            yield f"qualfilter/{src.name}.scores.json", write_json, [asdict(s) for s in scores]
 
-    def _stage_chunk(self) -> list[Path]:
+    def _stage_chunk(self) -> Outputs:
         flagged = [s for s in self.cfg.sources if s.chunk_translate]
         if not flagged:
-            return []
-        outdir = self.ws / "chunk"
+            return
         command = (self.cfg.translator or {}).get("command")
         translator = (chunker.SubprocessTranslator(command) if command
                       else chunker.identity_translator())
         budget = self.cfg.params.chunk_budget_tokens
-        written: list[Path] = []
         for src in flagged:
-            chunks_path = outdir / f"{src.name}.chunks.jsonl"
-            out = outdir / f"{src.name}.jsonl"
-            failures_path = outdir / f"{src.name}.failures.json"
             results, translated, failures = chunker.translate_shard(
                 self._read_source(src.name), budget, translator)
-            write_text(chunks_path, "".join(
+            yield f"chunk/{src.name}.chunks.jsonl", write_text, "".join(
                 json.dumps(chunker.chunk_record(r.chunk), ensure_ascii=False) + "\n"
-                for r in results))
-            write_shard(translated, out)
-            write_json(failures_path, failures)
-            written += [chunks_path, out, failures_path]
-        return written
+                for r in results)
+            yield f"chunk/{src.name}.jsonl", write_shard, translated
+            yield f"chunk/{src.name}.failures.json", write_json, failures
 
-    def _stage_mix(self) -> list[Path]:
-        written: list[Path] = []
+    def _stage_mix(self) -> Outputs:
         domain = {s.name: s.domain for s in self.cfg.sources}
         for ds in self.cfg.datasets:
-            dsdir = self.ws / "datasets" / ds.name
-            comp_path = dsdir / "composition.json"
-            outs = [dsdir / f"{name}.jsonl" for name in ds.sources]
             shards, composition = mixer.assemble(
                 [(name, domain[name], self.state[name]) for name in ds.sources],
                 ds.budget_tokens, ds.trim_source, self._mix_seed(ds),
             )
-            for shard, out in zip(shards, outs):
-                write_shard(shard, out)
-            write_text(comp_path, report_mod.render(composition, "json"))
-            written += outs + [comp_path]
-        return written
+            for name, shard in zip(ds.sources, shards):
+                yield f"datasets/{ds.name}/{name}.jsonl", write_shard, shard
+            yield (f"datasets/{ds.name}/composition.json", write_text,
+                   report_mod.render(composition, "json"))
 
-    def _stage_report(self) -> list[Path]:
+    def _stage_report(self) -> Outputs:
         """Summarise what this config's stages wrote; other files in the
         workspace, left by an earlier config, are not read."""
-        outdir = self.ws / "report"
         payload: dict = {"datasets": {}, "dedup": [], "preprocess": {}}
         md: list[str] = ["# Pipeline summary", ""]
         for src in self.cfg.sources:
@@ -533,11 +520,8 @@ class PipelineRun:
             payload["datasets"][ds.name] = json.loads(text)
             md += [f"## Dataset: {ds.name}", ""]
             md.append(report_mod.render(report_mod.parse_report(text), "markdown"))
-        summary_json = outdir / "summary.json"
-        summary_md = outdir / "summary.md"
-        write_json(summary_json, payload)
-        write_text(summary_md, "\n".join(md) + "\n")
-        return [summary_json, summary_md]
+        yield "report/summary.json", write_json, payload
+        yield "report/summary.md", write_text, "\n".join(md) + "\n"
 
 
 def run_pipeline(

@@ -157,6 +157,23 @@ class TestChunkCommand:
         records = [json.loads(l) for l in out.read_text().splitlines()]
         assert all(r["translation"] == r["text"] for r in records)
 
+    @pytest.mark.skipif(shutil.which("cat") is None, reason="no cat")
+    def test_translator_text_is_utf8_under_an_ascii_locale(self, tmp_path, rng):
+        """Umlauts reach the translator and come back whatever the locale's encoding."""
+        write_shard(make_shard([de_text(rng, 2) + " Grüße aus Köln."], source="s", prefix="s"),
+                    tmp_path / "in.jsonl")
+        out = tmp_path / "chunks.jsonl"
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(korpus.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "korpus.cli", "chunk", "--in", str(tmp_path / "in.jsonl"),
+             "--budget", "32", "--out", str(out), "--translator-cmd", "cat"],
+            capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        records = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
+        assert any("ö" in r["text"] for r in records)
+        assert all(r["translation"] == r["text"] and "error" not in r for r in records)
+
 
 # Echoes its input unless a document carries the marker, then exits nonzero.
 _FAIL_ON_MARKER = " ".join(shlex.quote(a) for a in [sys.executable, "-c", (
@@ -215,6 +232,17 @@ class TestChunkTranslationFailures:
                 assert r["translation"] is None and "exited 5" in r["error"]
             else:
                 assert r["translation"] == r["text"] and "error" not in r
+
+    def test_non_utf8_translator_output_is_a_recorded_failure(self, tmp_path):
+        garbage = " ".join(shlex.quote(a) for a in [sys.executable, "-c", (
+            "import sys; sys.stdin.buffer.read(); sys.stdout.buffer.write(b'\\xff\\xfe\\n')")])
+        cfg, shard = _notes_workspace(tmp_path, garbage)
+        ws = tmp_path / "ws"
+        assert main(["pipeline", "--config", str(cfg), "--workspace", str(ws)]) == 0
+        failures = json.loads((ws / "chunk" / "notes.failures.json").read_text())
+        assert [f["doc_id"] for f in failures] == [d.id for d in shard.documents]
+        assert all("not UTF-8" in e["error"] for f in failures for e in f["errors"])
+        assert not read_shard(ws / "chunk" / "notes.jsonl").documents
 
     def test_cli_chunk_writes_the_runner_listing(self, tmp_path):
         cfg, _ = _notes_workspace(tmp_path, None)
@@ -348,6 +376,14 @@ class TestValidateCommand:
         config.write_text(json.dumps(obj), encoding="utf-8")
         assert main(["validate", "--config", str(config)]) == 2
         assert "$.datasets[0].sources:" in capsys.readouterr().out
+
+    def test_duplicate_dataset_name(self, tmp_path, capsys):
+        config = build_pipeline_fixture(tmp_path)
+        obj = json.loads(config.read_text())
+        obj["datasets"][1]["name"] = obj["datasets"][0]["name"]
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["validate", "--config", str(config)]) == 2
+        assert capsys.readouterr().out == "$.datasets: dataset names must be unique\n"
 
     def test_unknown_dataset_source(self, tmp_path, capsys):
         config = build_pipeline_fixture(tmp_path)
@@ -588,6 +624,20 @@ class TestInputPaths:
         assert 0 < composition["totals"]["token_count"] <= 700  # trimmed across both gc4 shards
         assert read_shard(tmp_path / "rel" / "gc4.jsonl").documents[0].id == "gc4-a-0"
 
+    def test_glob_characters_in_the_base_directory(self, tmp_path, monkeypatch):
+        """The directory of a config or spec is a literal path, not a pattern."""
+        root = tmp_path / "run[1]"
+        config = build_pipeline_fixture(root)
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", "--config", str(config)]) == 0
+        spec = root / "spec.json"
+        spec.write_text(json.dumps({"name": "d", "sources": [
+            {"source": "gc4", "domain": "formal", "paths": ["inputs/gc4*.jsonl"]}]}),
+            encoding="utf-8")
+        assert main(["mix", "--spec", str(spec), "--out-dir", str(tmp_path / "ds")]) == 0
+        assert (read_shard(tmp_path / "ds" / "gc4.jsonl").documents
+                == read_shard(root / "inputs" / "gc4.jsonl").documents)
+
     def test_each_pattern_globbed_once_per_run(self, tmp_path, monkeypatch):
         config = build_pipeline_fixture(tmp_path)
         obj = json.loads(config.read_text(encoding="utf-8"))
@@ -736,6 +786,52 @@ class TestPipelineCommand:
         done = STAGES.index(stage) + 1
         assert err.count(": cached") == done and err.count(": running") == len(STAGES) - done
         assert workspace_digest(ws) == fresh_digest
+
+    def test_malformed_marker_counts_as_absent(self, tmp_path, capsys, fresh_digest):
+        """A marker that is JSON but not {"key": str, "outputs": {str: str}} reruns its stage."""
+        config = build_pipeline_fixture(tmp_path)
+        ws = tmp_path / "ws"
+        run_pipeline(config, ws)
+        marker = ws / "markers" / "preprocess.json"
+        key = json.loads(marker.read_text(encoding="utf-8"))["key"]
+        for bad in ([], None, {"key": key, "stage": "preprocess"},
+                    {"key": key, "outputs": [], "stage": "preprocess"}):
+            marker.write_text(json.dumps(bad), encoding="utf-8")
+            capsys.readouterr()
+            run_pipeline(config, ws)
+            err = capsys.readouterr().err
+            assert "preprocess: running" in err and err.count(": cached") == len(STAGES) - 1, bad
+            assert workspace_digest(ws) == fresh_digest, bad
+
+    def test_markers_record_every_write(self, tmp_path, monkeypatch):
+        """Each marker lists exactly the files written since the previous marker."""
+        config = build_pipeline_fixture(tmp_path)
+        ws = tmp_path / "ws"
+        real = core.atomic_write
+        written: list[str] = []
+
+        @contextlib.contextmanager
+        def recording_write(path):
+            written.append(str(Path(path).relative_to(ws)))
+            with real(path) as fh:
+                yield fh
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("korpus") and getattr(module, "atomic_write", None) is real:
+                monkeypatch.setattr(module, "atomic_write", recording_write)
+        run_pipeline(config, ws)
+        monkeypatch.undo()
+        stage_writes: list[set[str]] = [set()]
+        for rel in written:
+            if rel.startswith("markers/"):
+                assert rel == f"markers/{STAGES[len(stage_writes) - 1]}.json"
+                stage_writes.append(set())
+            else:
+                stage_writes[-1].add(rel)
+        assert stage_writes.pop() == set() and len(stage_writes) == len(STAGES)
+        for stage, files in zip(STAGES, stage_writes):
+            marker = json.loads((ws / "markers" / f"{stage}.json").read_text(encoding="utf-8"))
+            assert files and set(marker["outputs"]) == files, stage
 
     @pytest.mark.parametrize("crash_at", [f"markers/{stage}.json" for stage in STAGES]
                              + ["qualfilter/oscar-medical.jsonl"])
