@@ -17,6 +17,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
+import numpy as np
+
 from .errors import IntegrityError, ShardFormatError
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -37,19 +39,96 @@ def tokenize(text: str) -> list[str]:
     return text.split()
 
 
+# FNV-1a is the byte loop h = ((h ^ b) * P) mod 2^64. It is computed here exactly
+# with numpy, one block of bytes at a time:
+# - The low byte s of h evolves alone: s' = ((s ^ b) * 0xB3) mod 256, as 0xB3 is
+#   the low byte of P.
+# - Each bit plane of s is a prefix XOR. With t = s ^ b, bit k of t * 0xB3 is
+#   bit k of t XOR bit k of (t mod 2^k) * 0xB3: 0xB3 is odd, and the high part
+#   of t adds nothing below bit k. So bit k of s' is bit k of s XOR bit k of
+#   (r ^ b) * 0xB3, where r is s with bits k and up cleared. Once planes 0..k-1
+#   are known at every byte, plane k is a prefix XOR: 8 passes per block.
+# - The full state is a power sum. h ^ b == h + d with d = (s ^ b) - s, so after
+#   bytes b_0..b_{L-1}, h_L = h_0 * P^L + sum_i d_i * P^(L-i) mod 2^64: one
+#   wrapping uint64 dot product against a table of powers of P.
+# The prefix XOR runs on bits packed into uint64 words in a lane order: a block
+# of 64 * W bytes is 64 lanes of W consecutive bytes, and bit m of word j
+# belongs to byte j of lane m. An XOR accumulate over the words then scans all
+# lanes at once, and each lane is corrected by the XOR of the lanes before it.
+_FNV_BLOCK = 1 << 14  # bytes; a block's temporaries take about 20 times that
+_FNV_BATCH = 1 << 16  # fnv1a_hex hashes at least this many bytes per call
+_LANES = 64
+_FNV_PRIME_LOW = np.uint8(_FNV_PRIME & 0xFF)
+
+
+def _fnv_powers() -> np.ndarray:
+    """P^BLOCK, ..., P^1 mod 2^64, then one lane of zeros: `[BLOCK - L:]` weighs
+    the bytes of an L-byte block, and the zeros its padding."""
+    powers = np.multiply.accumulate(np.full(_FNV_BLOCK, _FNV_PRIME, dtype=np.uint64))
+    table = np.concatenate([powers[::-1], np.zeros(_LANES, dtype=np.uint64)])
+    table.flags.writeable = False
+    return table
+
+
+_FNV_POWERS = _fnv_powers()
+
+
+def _fnv1a_block(block: np.ndarray, h: int) -> int:
+    """The FNV-1a state after the bytes of `block` (at most a block), from `h`."""
+    n = block.size
+    width = -(-n // _LANES)
+    natural = np.zeros(width * _LANES, dtype=np.uint8)  # zero padding leaves d = 0
+    natural[:n] = block
+    data = natural.reshape(_LANES, width).T.ravel()  # lane order
+    # low[q] is the low byte before data[q] and low[q + LANES] the one after it;
+    # lane m starts where lane m - 1 ends (low[1:LANES]). low[0] keeps all planes
+    # of the start state, so each plane's scan starts from the right bit.
+    low = np.zeros(data.size + _LANES, dtype=np.uint8)
+    low[0] = h & 0xFF
+    before, after = low[:-_LANES], low[_LANES:]
+    bits = np.empty_like(data)
+    for k in range(8):
+        plane = np.uint8(1 << k)
+        np.bitwise_xor(before, data, out=bits)
+        np.multiply(bits, _FNV_PRIME_LOW, out=bits)
+        np.bitwise_and(bits, plane, out=bits)
+        words = np.packbits(bits, bitorder="little").view("<u8")
+        np.bitwise_xor.accumulate(words, out=words)
+        lanes = int(words[-1])  # bit m: the XOR over all of lane m
+        for shift in (1, 2, 4, 8, 16, 32):
+            lanes ^= lanes << shift
+        words ^= np.uint64((lanes << 1) & _MASK64)  # the XOR over lanes 0..m-1
+        np.bitwise_or(after, np.unpackbits(words.view(np.uint8), bitorder="little") * plane,
+                      out=after)
+        low[1:_LANES] = low[-_LANES:-1]
+    s = before.reshape(width, _LANES).T.ravel()  # natural order
+    d = np.subtract(s ^ natural, s, dtype=np.int16).astype(np.int64).view(np.uint64)
+    powers = _FNV_POWERS[_FNV_BLOCK - n:_FNV_BLOCK - n + d.size]
+    return (h * int(powers[0]) + int(np.einsum("i,i", d, powers))) & _MASK64
+
+
 def fnv1a_bytes(data: bytes, state: int = _FNV_OFFSET) -> int:
+    """64-bit FNV-1a over `data`, continuing from `state`. A call has a fixed cost
+    of a few numpy passes, so callers hash large buffers, not small pieces."""
+    buf = np.frombuffer(data, dtype=np.uint8)
     h = state
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+    for at in range(0, buf.size, _FNV_BLOCK):
+        h = _fnv1a_block(buf[at:at + _FNV_BLOCK], h)
     return h
 
 
 def fnv1a_hex(chunks: Iterable[str]) -> str:
-    """64-bit FNV-1a over the UTF-8 bytes of the concatenated chunks."""
+    """64-bit FNV-1a over the UTF-8 bytes of the concatenated chunks, hashed in
+    batches of whole blocks."""
     h = _FNV_OFFSET
+    pending = bytearray()
     for chunk in chunks:
-        h = fnv1a_bytes(chunk.encode("utf-8"), h)
-    return f"{h:016x}"
+        pending += chunk.encode("utf-8")
+        if len(pending) >= _FNV_BATCH:
+            whole = len(pending) - len(pending) % _FNV_BLOCK
+            h = fnv1a_bytes(pending[:whole], h)
+            del pending[:whole]
+    return f"{fnv1a_bytes(pending, h):016x}"
 
 
 @dataclass(frozen=True, slots=True)

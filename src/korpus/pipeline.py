@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import glob as globmod
 import json
+import os
 import sys
 from dataclasses import dataclass, asdict
 from importlib import resources
@@ -127,10 +128,17 @@ def resolve_paths(patterns: list[str], base: Path) -> list[Path]:
     """The one rule for every input path: a relative glob pattern resolves against
     `base`, the directory of the config or mix spec that names it (the working
     directory for a CLI flag); each pattern's matches are sorted, and a pattern
-    that matches no file raises ConfigError naming it."""
+    that matches no file, or that the file-system encoding cannot hold, raises
+    ConfigError naming it."""
     out: list[Path] = []
     base = Path(globmod.escape(str(base)))  # a directory such as run[1]/ is no pattern
     for pat in patterns:
+        try:
+            os.fsencode(pat)
+        except UnicodeEncodeError:  # e.g. an umlaut under an ASCII locale
+            # !a: a console in that encoding cannot print the pattern as it is
+            raise ConfigError(f"{pat!a} cannot be encoded in the file-system encoding "
+                              f"({sys.getfilesystemencoding()})") from None
         matches = sorted(m for m in globmod.glob(str(base / pat)) if Path(m).is_file())
         if not matches:
             raise ConfigError(f"no files match {pat!r}")

@@ -4,6 +4,8 @@ The repeat-length oracle compares the stream against itself at every shift
 (O(n^2) total work) instead of sorting suffixes; span derivation and document
 flagging are re-implemented with plain loops, and a span's earliest other
 occurrence is found by comparing it with every window of the stream.
+`oracle_fnv1a` is the FNV-1a byte loop that `korpus.core.fnv1a_bytes` computes
+block by block.
 """
 
 from __future__ import annotations
@@ -102,6 +104,14 @@ def oracle_match_docs(doc_token_lists: list[list[int]], doc_spans) -> list[int]:
     return out
 
 
+def oracle_fnv1a(data: bytes, state: int = 0xCBF29CE484222325) -> int:
+    """64-bit FNV-1a, one byte at a time."""
+    h = state
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
 def oracle_extract_features(text: str, buckets: int, ngram_min: int = 3, ngram_max: int = 5):
     """Language-ID features by hashing one n-gram at a time with the scalar FNV-1a.
 
@@ -110,13 +120,11 @@ def oracle_extract_features(text: str, buckets: int, ngram_min: int = 3, ngram_m
     """
     from collections import Counter
 
-    from korpus.core import fnv1a_bytes
-
     norm = " ".join(text.split()).lower()
     counts: Counter[int] = Counter()
     for n in range(ngram_min, ngram_max + 1):
         for i in range(len(norm) - n + 1):
-            counts[fnv1a_bytes(norm[i:i + n].encode("utf-8")) % buckets] += 1
+            counts[oracle_fnv1a(norm[i:i + n].encode("utf-8")) % buckets] += 1
     idx = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
     vals = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
     if vals.size:

@@ -638,6 +638,25 @@ class TestInputPaths:
         assert (read_shard(tmp_path / "ds" / "gc4.jsonl").documents
                 == read_shard(root / "inputs" / "gc4.jsonl").documents)
 
+    @pytest.mark.parametrize("pattern", ["grüße/*.jsonl", "grüße.jsonl"])
+    def test_unencodable_pattern_under_an_ascii_locale(self, tmp_path, pattern):
+        """A pattern that the file-system encoding cannot hold is a diagnostic at
+        its JSON path (exit 2), not a traceback."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "sources": [{"name": "s", "domain": "formal", "paths": [pattern]}],
+            "datasets": [{"name": "d", "sources": ["s"]}],
+        }), encoding="utf-8")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(korpus.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "korpus.cli", "validate", "--config", str(config)],
+            capture_output=True, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout.decode("ascii").splitlines() == [
+            f"$.sources[0].paths[0]: {pattern!a} cannot be encoded in the file-system"
+            " encoding (ascii)"]
+
     def test_each_pattern_globbed_once_per_run(self, tmp_path, monkeypatch):
         config = build_pipeline_fixture(tmp_path)
         obj = json.loads(config.read_text(encoding="utf-8"))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 import re
 
 import pytest
@@ -8,6 +9,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry
 from referencing.jsonschema import DRAFT202012
 
+from korpus import core
 from korpus.core import (
     CorpusShard, Document, Domain, PipelineConfig, fnv1a_hex, merge_shards,
     read_shard, tokenize, write_shard,
@@ -16,6 +18,7 @@ from korpus.errors import IntegrityError, ShardFormatError
 from korpus.pipeline import _MIX_SPEC_VALIDATOR, _schema_diagnostics, load_schema
 
 from conftest import make_doc, make_shard
+from oracles import oracle_fnv1a
 
 
 class TestTokenize:
@@ -117,6 +120,14 @@ class TestShardIO:
         with pytest.raises(IntegrityError):
             read_shard(path)
 
+    def test_edited_text_is_integrity_error(self, tmp_path):
+        """The counts still match: only the checksum sees the edit."""
+        path = tmp_path / "s.jsonl"
+        write_shard(make_shard(["eins zwei", "drei"]), path)
+        path.write_text(path.read_text(encoding="utf-8").replace("eins", "eiNs"), encoding="utf-8")
+        with pytest.raises(IntegrityError, match="manifest mismatch"):
+            read_shard(path)
+
     def test_duplicate_ids_rejected(self):
         docs = [make_doc("same", "a"), make_doc("same", "b")]
         shard = CorpusShard.from_documents(docs)
@@ -155,6 +166,44 @@ class TestChecksum:
         # fixed reference value keeps the on-disk format stable across releases
         assert fnv1a_hex(["hallo ", "welt"]) == fnv1a_hex(["hallo welt"])
         assert fnv1a_hex(["hallo welt"]) == "de6d68a882d59a51"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=1000), st.integers(0, 2**64 - 1))
+    def test_fnv1a_bytes_is_the_byte_loop(self, data, state):
+        assert core.fnv1a_bytes(data, state) == oracle_fnv1a(data, state)
+
+    @pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 16383, 16384, 16385,
+                                        65535, 65536, 65537, 3 * 65536 + 1])
+    def test_fnv1a_bytes_at_lane_and_block_edges(self, length):
+        rng = random.Random(length)
+        data = rng.randbytes(length)
+        for state in (0xCBF29CE484222325, 0, 2**64 - 1, rng.getrandbits(64)):
+            assert core.fnv1a_bytes(data, state) == oracle_fnv1a(data, state)
+
+    def test_fnv1a_hex_hashes_whole_blocks(self, monkeypatch):
+        """Manifests hash 64 KiB or more per call, not one call per document: each
+        call has a fixed cost."""
+        texts = [f"{i:05d} " + "x" * 94 for i in range(10_000)]
+        total = sum(len(t.encode("utf-8")) for t in texts)
+        assert total == 1_000_000
+        calls = []
+        real = core.fnv1a_bytes
+        monkeypatch.setattr(core, "fnv1a_bytes",
+                            lambda data, state: calls.append(len(data)) or real(data, state))
+        digest = fnv1a_hex(texts)
+        assert len(calls) <= -(-total // 65536) + 1
+        assert digest == f"{oracle_fnv1a(''.join(texts).encode('utf-8')):016x}"
+
+    @pytest.mark.parametrize("cut", [1, 16385, 65535 - 99, 65535, 65536, 65537, 2 * 65536 + 3])
+    def test_fnv1a_hex_split_at_a_block_edge(self, cut):
+        rng = random.Random(cut)
+        text = "".join(rng.choice("ab c") for _ in range(3 * 65536))  # one byte per character
+        whole = fnv1a_hex([text])
+        assert whole == f"{oracle_fnv1a(text.encode('utf-8')):016x}"
+        assert fnv1a_hex([text[:cut], text[cut:]]) == whole
+        assert fnv1a_hex([text[:cut - 1], "", text[cut - 1:cut + 1], text[cut + 1:]]) == whole
+        pieces = [text[i:i + 100] for i in range(0, len(text), 100)]
+        assert fnv1a_hex(pieces[:cut // 100] + [""] + pieces[cut // 100:]) == whole
 
     def test_manifest_counts_match_recomputation(self):
         shard = make_shard(["ein zwei drei", "vier"])
