@@ -15,6 +15,8 @@ with the index and error of each failed chunk; its chunks are still listed.
 
 from __future__ import annotations
 
+import re
+import shutil
 import subprocess
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -30,6 +32,9 @@ GERMAN_ABBREVIATIONS = frozenset({
 })
 
 _TERMINALS = ".!?…"
+
+# Characters that mean nothing to sh but themselves; blanks only separate words.
+_PLAIN_COMMAND = re.compile(r"[A-Za-z0-9_./,:+@ \t-]*")
 
 
 @dataclass(frozen=True)
@@ -150,10 +155,25 @@ def identity_translator() -> Translator:
 
 class SubprocessTranslator(Translator):
     """Line protocol: one chunk text per stdin line, one translation per stdout line,
-    both in UTF-8 whatever the locale."""
+    both in UTF-8 whatever the locale.
+
+    A list command is exec'd as given. A string command is exec'd as
+    `command.split()`, without a shell, when it holds only the characters
+    `A-Za-z0-9_./,:+@-`, spaces and tabs, and its first word is an executable
+    on PATH: for such a string `sh -c` would run the same argv. Any other string
+    (quotes, `$`, globs, `=`, `~`, pipes, redirections, or a first word not on
+    PATH, such as `exit 3`) runs through `sh -c`, so an unknown name is still
+    sh's `exited 127`. One difference shows: a translator killed by signal N is
+    reported as `exited -N` when exec'd directly and as `exited 128+N` through
+    sh. A translator that cannot start fails every chunk, as a nonzero exit does.
+    """
 
     def __init__(self, command: str | list[str]):
-        self.command = command
+        self._args = command
+        if isinstance(command, str) and _PLAIN_COMMAND.fullmatch(command):
+            words = command.split()
+            if words and shutil.which(words[0]):
+                self._args = words
 
     def translate_many(self, texts: Sequence[str]) -> list[str | Exception]:
         if not texts:
@@ -161,14 +181,16 @@ class SubprocessTranslator(Translator):
         payload = "\n".join(t.replace("\n", " ") for t in texts) + "\n"
         try:
             proc = subprocess.run(
-                self.command,
+                self._args,
                 input=payload,
                 capture_output=True,
                 encoding="utf-8",
-                shell=isinstance(self.command, str),
+                shell=isinstance(self._args, str),
             )
         except UnicodeError as exc:  # its output, or a lone surrogate in the input
             return [RuntimeError(f"translator text is not UTF-8: {exc}")] * len(texts)
+        except OSError as exc:  # not found, not executable, or gone since __init__
+            return [RuntimeError(f"translator did not start: {exc}")] * len(texts)
         if proc.returncode != 0:
             err = RuntimeError(f"translator exited {proc.returncode}: {proc.stderr.strip()}")
             return [err] * len(texts)

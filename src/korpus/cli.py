@@ -171,8 +171,9 @@ def cmd_pipeline(args) -> int:
 
 def cmd_validate(args) -> int:
     diags = validate_config(args.config)
-    for d in diags:
-        print(d)
+    encoding = sys.stdout.encoding or "utf-8"
+    for d in diags:  # in any console encoding: a name may hold any character
+        print(d.encode(encoding, "backslashreplace").decode(encoding))
     if diags:
         raise ConfigError(f"{len(diags)} problem(s) found")
     _log("[validate] config is runnable")
@@ -244,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=defaults.chunk_budget_tokens)
     p.add_argument("--out", required=True)
     p.add_argument("--translator-cmd", default=None,
-                   help="shell command speaking the line protocol (adds a translation field)")
+                   help="command speaking the line protocol (adds a translation field); "
+                        "exec'd without a shell when it holds only A-Za-z0-9_./,:+@- and "
+                        "blanks and its first word is on PATH, else run by sh -c")
     p.set_defaults(fn=cmd_chunk)
 
     p = sub.add_parser(

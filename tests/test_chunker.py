@@ -1,10 +1,14 @@
+import os
 import random
+import shutil
+import subprocess
 import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from korpus import chunker
 from korpus.chunker import (
     Chunk, SubprocessTranslator, Translator, chunk_document,
     chunk_sentences, identity_translator, split_sentences, translate_chunks,
@@ -219,3 +223,48 @@ class TestSubprocessTranslator:
         results = translate_chunks(chunks, one_line)
         assert results[0].text == "nur eine"
         assert results[1].error is not None
+
+    def test_translator_that_cannot_start_is_recorded(self, tmp_path):
+        chunks = [Chunk("d", 0, ("x",), 1), Chunk("d", 1, ("y",), 1)]
+        missing = SubprocessTranslator([str(tmp_path / "no-such-translator")])
+        results = translate_chunks(chunks, missing)
+        assert all(r.text is None and "did not start" in r.error for r in results)
+
+        # Exec'd directly: a program that is gone by the time it runs is recorded too.
+        script = tmp_path / "translator"
+        script.write_text("#!/bin/sh\nexec cat\n", encoding="utf-8")
+        script.chmod(0o755)
+        vanishing = SubprocessTranslator(str(script))
+        script.unlink()
+        results = translate_chunks(chunks, vanishing)
+        assert all(r.text is None and "did not start" in r.error for r in results)
+
+    @pytest.mark.skipif(shutil.which("cat") is None or not os.path.exists("/bin/sh"),
+                        reason="no cat or /bin/sh")
+    @pytest.mark.parametrize("command,direct", [
+        ("cat", True),
+        ("cat | cat", False),
+        ("LANG=C cat", False),
+        ("'cat'", False),
+        ("korpus-no-such-translator", False),
+    ], ids=["plain", "pipe", "assignment", "quoted", "unknown-name"])
+    def test_start_path_and_results(self, monkeypatch, command, direct):
+        """A plain command on PATH is exec'd without a shell; either way the
+        results are those of `sh -c`."""
+        texts = ["Grüße aus Köln.", "Die Straße ist naß und übel.", "Ämter öffnen"]
+        calls = []
+        real_run = subprocess.run
+
+        def recording_run(args, **kwargs):
+            calls.append((args, kwargs.get("shell")))
+            return real_run(args, **kwargs)
+
+        monkeypatch.setattr(chunker.subprocess, "run", recording_run)
+        got = SubprocessTranslator(command).translate_many(texts)
+        assert calls == [(command.split(), False) if direct else (command, True)]
+        via_sh = SubprocessTranslator(["/bin/sh", "-c", command]).translate_many(texts)
+        assert [repr(r) for r in got] == [repr(r) for r in via_sh]
+        if command == "korpus-no-such-translator":
+            assert all("exited 127" in str(r) for r in got)
+        else:
+            assert got == texts

@@ -244,6 +244,27 @@ class TestChunkTranslationFailures:
         assert all("not UTF-8" in e["error"] for f in failures for e in f["errors"])
         assert not read_shard(ws / "chunk" / "notes.jsonl").documents
 
+    @pytest.mark.skipif(shutil.which("cat") is None, reason="no cat")
+    def test_direct_and_shell_start_leave_the_same_workspace(self, tmp_path):
+        """`cat` is exec'd directly and `cat | cat` runs through sh; the
+        workspaces agree byte for byte except for the run key in the markers,
+        which hashes the configured command."""
+        def run(name, command):
+            (tmp_path / name).mkdir()
+            cfg, _ = _notes_workspace(tmp_path / name, command)
+            ws = tmp_path / name / "ws"
+            assert main(["pipeline", "--config", str(cfg), "--workspace", str(ws)]) == 0
+            markers = {}
+            for p in sorted((ws / "markers").glob("*.json")):
+                markers[p.name] = json.loads(p.read_text(encoding="utf-8"))
+                del markers[p.name]["key"]
+            digest = {k: v for k, v in workspace_digest(ws).items() if not k.startswith("markers")}
+            return digest, markers
+
+        direct, shell = run("direct", "cat"), run("shell", "cat | cat")
+        assert direct == shell
+        assert "chunk/notes.jsonl" in direct[0]
+
     def test_cli_chunk_writes_the_runner_listing(self, tmp_path):
         cfg, _ = _notes_workspace(tmp_path, None)
         ws = tmp_path / "ws"
@@ -656,6 +677,24 @@ class TestInputPaths:
         assert proc.stdout.decode("ascii").splitlines() == [
             f"$.sources[0].paths[0]: {pattern!a} cannot be encoded in the file-system"
             " encoding (ascii)"]
+
+    def test_validate_prints_non_ascii_diagnostics_under_an_ascii_locale(self, tmp_path):
+        """A diagnostic that quotes a non-ASCII name is printed with backslash
+        escapes under an ASCII console encoding, and validate exits 2."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "sources": [{"name": "grüße", "domain": "formal", "paths": ["*.jsonl"]}],
+            "datasets": [{"name": "d", "sources": ["grüße"]}],
+        }), encoding="utf-8")
+        write_shard(make_shard(["ein kurzer text"], source="s", prefix="s"), tmp_path / "s.jsonl")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(korpus.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "korpus.cli", "validate", "--config", str(config)],
+            capture_output=True, env=env)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stdout.decode("ascii").splitlines()
+        assert any(l.startswith("$.sources[0].name: 'gr\\xfc\\xdfe'") for l in lines), lines
 
     def test_each_pattern_globbed_once_per_run(self, tmp_path, monkeypatch):
         config = build_pipeline_fixture(tmp_path)
