@@ -16,7 +16,6 @@ with the index and error of each failed chunk; its chunks are still listed.
 from __future__ import annotations
 
 import re
-import shutil
 import subprocess
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -35,6 +34,12 @@ _TERMINALS = ".!?…"
 
 # Characters that mean nothing to sh but themselves; blanks only separate words.
 _PLAIN_COMMAND = re.compile(r"[A-Za-z0-9_./,:+@ \t-]*")
+# Builtins of POSIX sh and dash: sh runs these itself, even where PATH holds a
+# program of the name (`echo`, `test`, `kill`).
+_SH_BUILTINS = frozenset(
+    ". : alias bg break cd chdir command continue echo eval exec exit export false fc fg"
+    " getopts hash jobs kill local printf pwd read readonly return set shift test times"
+    " trap true type ulimit umask unalias unset wait".split())
 
 
 @dataclass(frozen=True)
@@ -157,39 +162,50 @@ class SubprocessTranslator(Translator):
     """Line protocol: one chunk text per stdin line, one translation per stdout line,
     both in UTF-8 whatever the locale.
 
-    A list command is exec'd as given. A string command is exec'd as
-    `command.split()`, without a shell, when it holds only the characters
-    `A-Za-z0-9_./,:+@-`, spaces and tabs, and its first word is an executable
-    on PATH: for such a string `sh -c` would run the same argv. Any other string
-    (quotes, `$`, globs, `=`, `~`, pipes, redirections, or a first word not on
-    PATH, such as `exit 3`) runs through `sh -c`, so an unknown name is still
-    sh's `exited 127`. One difference shows: a translator killed by signal N is
-    reported as `exited -N` when exec'd directly and as `exited 128+N` through
-    sh. A translator that cannot start fails every chunk, as a nonzero exit does.
+    A list command is exec'd as given. A string command with no shell syntax
+    (see `_PLAIN_COMMAND`) whose first word is not a builtin of sh is exec'd as
+    `command.split()`, which is the argv `sh -c` would run for it, without the
+    shell's own fork and exec. Any other string runs through `sh -c`. If exec
+    fails (a script with no `#!` line, a name that is not or no longer on PATH),
+    the string runs through `sh -c` from then on, so the results are sh's,
+    `exited 127` for an unknown name included. One difference shows: a
+    translator killed by signal N is reported as `exited -N` when exec'd
+    directly and as `exited 128+N` through sh. A translator that cannot start
+    fails every chunk, as a nonzero exit does.
     """
 
     def __init__(self, command: str | list[str]):
+        self._command = command
         self._args = command
         if isinstance(command, str) and _PLAIN_COMMAND.fullmatch(command):
             words = command.split()
-            if words and shutil.which(words[0]):
+            if words and words[0] not in _SH_BUILTINS:
                 self._args = words
 
-    def translate_many(self, texts: Sequence[str]) -> list[str | Exception]:
-        if not texts:
-            return []
-        payload = "\n".join(t.replace("\n", " ") for t in texts) + "\n"
+    def _run(self, payload: str) -> subprocess.CompletedProcess:
         try:
-            proc = subprocess.run(
+            return subprocess.run(
                 self._args,
                 input=payload,
                 capture_output=True,
                 encoding="utf-8",
                 shell=isinstance(self._args, str),
             )
+        except OSError:
+            if self._args is self._command:
+                raise
+            self._args = self._command  # sh starts what exec could not
+            return self._run(payload)
+
+    def translate_many(self, texts: Sequence[str]) -> list[str | Exception]:
+        if not texts:
+            return []
+        payload = "\n".join(t.replace("\n", " ") for t in texts) + "\n"
+        try:
+            proc = self._run(payload)
         except UnicodeError as exc:  # its output, or a lone surrogate in the input
             return [RuntimeError(f"translator text is not UTF-8: {exc}")] * len(texts)
-        except OSError as exc:  # not found, not executable, or gone since __init__
+        except OSError as exc:  # not found or not executable, even by sh
             return [RuntimeError(f"translator did not start: {exc}")] * len(texts)
         if proc.returncode != 0:
             err = RuntimeError(f"translator exited {proc.returncode}: {proc.stderr.strip()}")

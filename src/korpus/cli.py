@@ -246,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--translator-cmd", default=None,
                    help="command speaking the line protocol (adds a translation field); "
-                        "exec'd without a shell when it holds only A-Za-z0-9_./,:+@- and "
-                        "blanks and its first word is on PATH, else run by sh -c")
+                        "exec'd without a shell when it uses no shell syntax, else run by "
+                        "sh -c (see SubprocessTranslator)")
     p.set_defaults(fn=cmd_chunk)
 
     p = sub.add_parser(

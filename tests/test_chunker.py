@@ -230,27 +230,21 @@ class TestSubprocessTranslator:
         results = translate_chunks(chunks, missing)
         assert all(r.text is None and "did not start" in r.error for r in results)
 
-        # Exec'd directly: a program that is gone by the time it runs is recorded too.
-        script = tmp_path / "translator"
-        script.write_text("#!/bin/sh\nexec cat\n", encoding="utf-8")
-        script.chmod(0o755)
-        vanishing = SubprocessTranslator(str(script))
-        script.unlink()
-        results = translate_chunks(chunks, vanishing)
-        assert all(r.text is None and "did not start" in r.error for r in results)
-
     @pytest.mark.skipif(shutil.which("cat") is None or not os.path.exists("/bin/sh"),
                         reason="no cat or /bin/sh")
-    @pytest.mark.parametrize("command,direct", [
-        ("cat", True),
-        ("cat | cat", False),
-        ("LANG=C cat", False),
-        ("'cat'", False),
-        ("korpus-no-such-translator", False),
-    ], ids=["plain", "pipe", "assignment", "quoted", "unknown-name"])
-    def test_start_path_and_results(self, monkeypatch, command, direct):
-        """A plain command on PATH is exec'd without a shell; either way the
-        results are those of `sh -c`."""
+    @pytest.mark.parametrize("command,start", [
+        ("cat", "direct"),
+        ("cat | cat", "shell"),
+        ("LANG=C cat", "shell"),
+        ("'cat'", "shell"),
+        ("echo Gruss", "shell"),
+        ("exit 3", "shell"),
+        ("korpus-no-such-translator", "fallback"),
+    ], ids=["plain", "pipe", "assignment", "quoted", "builtin", "exit", "unknown-name"])
+    def test_start_path_and_results(self, monkeypatch, command, start):
+        """A plain command that is not a builtin of sh is exec'd without a
+        shell; one that exec cannot start runs through sh from then on; either
+        way the results are those of `sh -c`."""
         texts = ["Grüße aus Köln.", "Die Straße ist naß und übel.", "Ämter öffnen"]
         calls = []
         real_run = subprocess.run
@@ -260,11 +254,51 @@ class TestSubprocessTranslator:
             return real_run(args, **kwargs)
 
         monkeypatch.setattr(chunker.subprocess, "run", recording_run)
-        got = SubprocessTranslator(command).translate_many(texts)
-        assert calls == [(command.split(), False) if direct else (command, True)]
+        translator = SubprocessTranslator(command)
+        got = translator.translate_many(texts)
+        assert calls == {"direct": [(command.split(), False)],
+                         "shell": [(command, True)],
+                         "fallback": [(command.split(), False), (command, True)]}[start]
+        calls.clear()
+        again = translator.translate_many(texts)
+        assert calls == [(command.split(), False) if start == "direct" else (command, True)]
+        assert [repr(r) for r in again] == [repr(r) for r in got]
         via_sh = SubprocessTranslator(["/bin/sh", "-c", command]).translate_many(texts)
         assert [repr(r) for r in got] == [repr(r) for r in via_sh]
         if command == "korpus-no-such-translator":
             assert all("exited 127" in str(r) for r in got)
-        else:
+        elif "cat" in command:
             assert got == texts
+
+    @pytest.mark.skipif(shutil.which("cat") is None or not os.path.exists("/bin/sh"),
+                        reason="no cat or /bin/sh")
+    def test_script_without_interpreter_line_runs_as_through_sh(self, tmp_path, monkeypatch):
+        """exec cannot start an executable script with no `#!` line (ENOEXEC),
+        and sh runs it as a script; so does the translator, from its first call
+        on. If the program is gone by a later call, sh reports `exited 127`."""
+        texts = ["Grüße aus Köln.", "Ämter öffnen"]
+        script = tmp_path / "translate"
+        script.write_text("cat\n", encoding="utf-8")
+        script.chmod(0o755)
+        command = f"{script} --quiet"
+        calls = []
+        real_run = subprocess.run
+
+        def recording_run(args, **kwargs):
+            calls.append((args, kwargs.get("shell")))
+            return real_run(args, **kwargs)
+
+        monkeypatch.setattr(chunker.subprocess, "run", recording_run)
+        translator = SubprocessTranslator(command)
+        assert translator.translate_many(texts) == texts
+        assert calls == [(command.split(), False), (command, True)]
+        assert translator.translate_many(texts) == texts
+        assert calls[2:] == [(command, True)]
+        via_sh = SubprocessTranslator(["/bin/sh", "-c", command]).translate_many(texts)
+        assert via_sh == texts
+
+        vanishing = SubprocessTranslator(command)
+        script.unlink()
+        results = vanishing.translate_many(texts)
+        assert all("exited 127" in str(r) for r in results)
+        assert calls[4:] == [(command.split(), False), (command, True)]

@@ -246,9 +246,10 @@ class TestChunkTranslationFailures:
 
     @pytest.mark.skipif(shutil.which("cat") is None, reason="no cat")
     def test_direct_and_shell_start_leave_the_same_workspace(self, tmp_path):
-        """`cat` is exec'd directly and `cat | cat` runs through sh; the
-        workspaces agree byte for byte except for the run key in the markers,
-        which hashes the configured command."""
+        """`cat` is exec'd directly, `cat | cat` runs through sh, and a script
+        with no `#!` line runs through sh once exec fails; the workspaces agree
+        byte for byte except for the run key in the markers, which hashes the
+        configured command."""
         def run(name, command):
             (tmp_path / name).mkdir()
             cfg, _ = _notes_workspace(tmp_path / name, command)
@@ -261,8 +262,11 @@ class TestChunkTranslationFailures:
             digest = {k: v for k, v in workspace_digest(ws).items() if not k.startswith("markers")}
             return digest, markers
 
+        script = tmp_path / "translate"
+        script.write_text("cat\n", encoding="utf-8")
+        script.chmod(0o755)
         direct, shell = run("direct", "cat"), run("shell", "cat | cat")
-        assert direct == shell
+        assert direct == shell == run("script", str(script))
         assert "chunk/notes.jsonl" in direct[0]
 
     def test_cli_chunk_writes_the_runner_listing(self, tmp_path):
