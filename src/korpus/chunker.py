@@ -30,8 +30,6 @@ GERMAN_ABBREVIATIONS = frozenset({
     "abs.", "art.", "hr.", "fr.", "st.", "s.", "o.ä.", "u.ä.", "z.t.",
 })
 
-_TERMINALS = ".!?…"
-
 # Characters that mean nothing to sh but themselves; blanks only separate words.
 _PLAIN_COMMAND = re.compile(r"[A-Za-z0-9_./,:+@ \t-]*")
 # Builtins of POSIX sh and dash: sh runs these itself, even where PATH holds a
@@ -68,25 +66,17 @@ def split_sentences(text: str) -> list[str]:
     norm = " ".join(text.split())
     if not norm:
         return []
-    boundaries = []
-    for i, ch in enumerate(norm):
-        if ch != " " or i + 1 >= len(norm):
-            continue
-        prev = norm[i - 1]
-        nxt = norm[i + 1]
-        if prev not in _TERMINALS:
-            continue
-        if not (nxt.isupper() or nxt.isdigit()):
-            continue
-        word = norm[norm.rfind(" ", 0, i) + 1:i]
-        if word.lower() in GERMAN_ABBREVIATIONS:
-            continue
-        boundaries.append(i)
     sentences = []
     start = 0
-    for b in boundaries:
-        sentences.append(norm[start:b])
-        start = b + 1
+    for m in re.finditer(r"(?<=[.!?…]) ", norm):
+        i = m.start()
+        nxt = norm[i + 1]
+        if not (nxt.isupper() or nxt.isdigit()):
+            continue
+        if norm[norm.rfind(" ", 0, i) + 1:i].lower() in GERMAN_ABBREVIATIONS:
+            continue
+        sentences.append(norm[start:i])
+        start = i + 1
     sentences.append(norm[start:])
     return sentences
 
@@ -101,37 +91,17 @@ def chunk_sentences(
     if budget < 1:
         raise ConfigError("budget must be >= 1")
     counter = token_counter or (lambda s: len(tokenize(s)))
-    chunks: list[Chunk] = []
-    current: list[str] = []
-    current_tokens = 0
-
-    def flush(oversized: bool = False):
-        nonlocal current, current_tokens
-        if current:
-            chunks.append(Chunk(
-                doc_id=doc_id,
-                index=len(chunks),
-                sentences=tuple(current),
-                token_count=current_tokens,
-                oversized=oversized,
-            ))
-            current = []
-            current_tokens = 0
-
+    groups: list[list] = []  # [sentences, tokens]; one group becomes one chunk
     for sentence in sentences:
         n = counter(sentence)
-        if n > budget:
-            flush()
-            current = [sentence]
-            current_tokens = n
-            flush(oversized=True)
-            continue
-        if current_tokens + n > budget:
-            flush()
-        current.append(sentence)
-        current_tokens += n
-    flush()
-    return chunks
+        # An oversized group already exceeds the budget, so it takes no more sentences.
+        if groups and groups[-1][1] + n <= budget:
+            groups[-1][0].append(sentence)
+            groups[-1][1] += n
+        else:
+            groups.append([[sentence], n])
+    return [Chunk(doc_id=doc_id, index=i, sentences=tuple(group), token_count=tokens,
+                  oversized=tokens > budget) for i, (group, tokens) in enumerate(groups)]
 
 
 def chunk_document(doc: Document, budget: int) -> list[Chunk]:
@@ -176,26 +146,19 @@ class SubprocessTranslator(Translator):
 
     def __init__(self, command: str | list[str]):
         self._command = command
-        self._args = command
+        self._direct = None  # the argv to exec, until exec fails to start it
         if isinstance(command, str) and _PLAIN_COMMAND.fullmatch(command):
             words = command.split()
             if words and words[0] not in _SH_BUILTINS:
-                self._args = words
+                self._direct = words
 
     def _run(self, payload: str) -> subprocess.CompletedProcess:
-        try:
-            return subprocess.run(
-                self._args,
-                input=payload,
-                capture_output=True,
-                encoding="utf-8",
-                shell=isinstance(self._args, str),
-            )
-        except OSError:
-            if self._args is self._command:
-                raise
-            self._args = self._command  # sh starts what exec could not
-            return self._run(payload)
+        if self._direct is not None:
+            try:
+                return _start(self._direct, payload)
+            except OSError:
+                self._direct = None  # sh starts what exec could not
+        return _start(self._command, payload)
 
     def translate_many(self, texts: Sequence[str]) -> list[str | Exception]:
         if not texts:
@@ -211,13 +174,16 @@ class SubprocessTranslator(Translator):
             err = RuntimeError(f"translator exited {proc.returncode}: {proc.stderr.strip()}")
             return [err] * len(texts)
         lines = proc.stdout.split("\n")
-        out: list[str | Exception] = []
-        for i in range(len(texts)):
-            if i < len(lines) and (lines[i] or i < len(lines) - 1):
-                out.append(lines[i])
-            else:
-                out.append(RuntimeError(f"translator produced no output for chunk {i}"))
-        return out
+        if not lines[-1]:  # the newline that ends the last line
+            lines.pop()
+        return [lines[i] if i < len(lines)
+                else RuntimeError(f"translator produced no output for chunk {i}")
+                for i in range(len(texts))]
+
+
+def _start(args: str | list[str], payload: str) -> subprocess.CompletedProcess:
+    return subprocess.run(args, input=payload, capture_output=True, encoding="utf-8",
+                          shell=isinstance(args, str))
 
 
 def translate_chunks(chunks: Sequence[Chunk], translator: Translator) -> list[TranslationResult]:

@@ -49,8 +49,7 @@ def cmd_langid_train(args) -> int:
                                      source=lang)
     model = langid.train_langid(corpora, **_given(vars(args), "epochs", "learning_rate", "seed"))
     langid.save_model(model, args.model)
-    _log(f"[langid] trained on {sorted(corpora)}; "
-         f"final loss {model.loss_history[-1]:.4f}" if model.loss_history else "[langid] trained")
+    _log(f"[langid] trained on {sorted(corpora)}; final loss {model.loss_history[-1]:.4f}")
     return 0
 
 
@@ -154,7 +153,8 @@ def cmd_report(args) -> int:
             raise ConfigError(f"{p}: not a readable report: {exc}") from exc
         rendered.append(report_mod.render(rep, args.format))
     sep = "\n" if args.format == "markdown" else ""
-    sys.stdout.write(sep.join(rendered))
+    sys.stdout.buffer.write(sep.join(rendered).encode("utf-8"))  # data, whatever the locale
+    sys.stdout.buffer.flush()
     return 0
 
 

@@ -367,20 +367,11 @@ def apply_policy(
     if policy == "remove_all":
         removed = set(spans_by_doc)
     else:
-        retained: set[str] = set()
-        for doc_id in sorted(order, key=order.get):
-            doc_spans = spans_by_doc.get(doc_id)
-            if not doc_spans:
-                retained.add(doc_id)
-                continue
-            resolved = all(
-                order[s.match_doc_id] < order[doc_id] and s.match_doc_id in retained
-                for s in doc_spans
-            )
-            if resolved:
+        # Every earlier document is decided by now: retained iff not removed.
+        for doc_id in sorted(spans_by_doc, key=order.__getitem__):
+            if all(order[s.match_doc_id] < order[doc_id] and s.match_doc_id not in removed
+                   for s in spans_by_doc[doc_id]):
                 removed.add(doc_id)
-            else:
-                retained.add(doc_id)
 
     out_shards = []
     for shard in shards:

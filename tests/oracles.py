@@ -5,7 +5,8 @@ The repeat-length oracle compares the stream against itself at every shift
 flagging are re-implemented with plain loops, and a span's earliest other
 occurrence is found by comparing it with every window of the stream.
 `oracle_fnv1a` is the FNV-1a byte loop that `korpus.core.fnv1a_bytes` computes
-block by block.
+block by block. `oracle_chunk_sentences` packs chunks with an explicit buffer
+that a flush empties, where `korpus.chunker.chunk_sentences` appends to groups.
 """
 
 from __future__ import annotations
@@ -159,3 +160,36 @@ def oracle_split_sentences(text: str) -> list[str]:
         start = b + 1
     sentences.append(norm[start:])
     return sentences
+
+
+def oracle_chunk_sentences(sentences, budget: int, token_counter, doc_id: str = ""):
+    """Greedy packing with an explicit buffer that a flush empties: a sentence
+    over the budget is flushed alone, flagged oversized."""
+    from korpus.chunker import Chunk
+
+    chunks = []
+    current: list[str] = []
+    current_tokens = 0
+
+    def flush(oversized: bool = False):
+        nonlocal current, current_tokens
+        if current:
+            chunks.append(Chunk(doc_id=doc_id, index=len(chunks), sentences=tuple(current),
+                                token_count=current_tokens, oversized=oversized))
+            current = []
+            current_tokens = 0
+
+    for sentence in sentences:
+        n = token_counter(sentence)
+        if n > budget:
+            flush()
+            current = [sentence]
+            current_tokens = n
+            flush(oversized=True)
+            continue
+        if current_tokens + n > budget:
+            flush()
+        current.append(sentence)
+        current_tokens += n
+    flush()
+    return chunks

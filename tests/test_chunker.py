@@ -17,7 +17,7 @@ from korpus.core import tokenize
 from korpus.errors import ConfigError
 
 from conftest import de_text, make_doc
-from oracles import oracle_split_sentences
+from oracles import oracle_chunk_sentences, oracle_split_sentences
 
 # Abbreviations in several cases, terminals, ellipses, digits and words that
 # start a sentence or continue one, joined by runs of mixed whitespace.
@@ -25,9 +25,12 @@ _PIECES = st.sampled_from([
     "Dr.", "dr.", "z.B.", "Z.B.", "bzw.", "usw.", "S.", "d.h.", "Nr.", "etc.",
     "Haus.", "Haus", "haus.", "Ende!", "Wie?", "so…", "…", "...", "1990.", "25", "7.",
     "Müller", "über", "Übel", "ok", ".", "!", "?", "A", "x.", "Ä.",
+    # str.isdigit/isupper, not [0-9A-Z]: Arabic-Indic and superscript digits,
+    # a non-ASCII capital, a titlecase letter (neither upper nor a digit).
+    "٣", "²", "Öl", "ǅ",
 ])
 _SPLIT_TEXTS = st.lists(
-    st.tuples(_PIECES, st.sampled_from([" ", "  ", "\n", "\t ", ""])), max_size=40,
+    st.tuples(_PIECES, st.sampled_from([" ", "  ", "\n", "\t ", "", "\u3000"])), max_size=40,
 ).map(lambda parts: "".join(p + sep for p, sep in parts))
 
 
@@ -138,6 +141,27 @@ class TestChunkSentences:
         # indices sequential
         assert [c.index for c in chunks] == list(range(len(chunks)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda budget: st.tuples(
+        st.just(budget),
+        st.lists(st.sampled_from([0, 1, budget - 1, budget, budget + 1, budget + 3])
+                 | st.integers(0, budget + 3), max_size=30),
+    )))
+    def test_matches_flushing_oracle(self, budget_and_lengths):
+        """Whole chunks equal the buffer-and-flush packing: sentences that fill
+        the budget exactly, zero-token sentences after an oversized one."""
+        budget, lengths = budget_and_lengths
+        sentences = [f"s{i}" for i in range(len(lengths))]
+        table = dict(zip(sentences, lengths))
+        got = chunk_sentences(sentences, budget, token_counter=table.get, doc_id="d")
+        assert got == oracle_chunk_sentences(sentences, budget, table.get, doc_id="d")
+
+    def test_zero_token_sentences_around_an_oversized_one(self):
+        counts = {"a": 0, "b": 5, "c": 0, "d": 3, "e": 0}
+        chunks = chunk_sentences(list(counts), 3, token_counter=counts.get)
+        assert [(c.sentences, c.token_count, c.oversized) for c in chunks] == [
+            (("a",), 0, False), (("b",), 5, True), (("c", "d", "e"), 3, False)]
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(1, 30), min_size=1, max_size=25))
     def test_chunk_count_monotone_in_budget(self, lengths):
@@ -223,6 +247,26 @@ class TestSubprocessTranslator:
         results = translate_chunks(chunks, one_line)
         assert results[0].text == "nur eine"
         assert results[1].error is not None
+
+    @pytest.mark.parametrize("stdout,expected", [
+        ("a\nb\n", ["a", "b"]),
+        ("a\nb", ["a", "b"]),
+        ("a\n\n", ["a", ""]),
+        ("a\n", ["a", None]),
+        ("", [None, None]),
+        ("\n", ["", None]),
+    ], ids=["two-lines", "no-final-newline", "empty-second-line", "one-line", "nothing",
+            "one-empty-line"])
+    def test_stdout_lines_to_texts(self, stdout, expected):
+        """Text i gets stdout line i; one final newline ends the last line and
+        is not an empty line of its own."""
+        echo = SubprocessTranslator([sys.executable, "-c",
+                                     f"import sys; sys.stdin.read(); sys.stdout.write({stdout!r})"])
+        got = echo.translate_many(["x", "y"])
+        assert [None if isinstance(r, Exception) else r for r in got] == expected
+        for i, r in enumerate(got):
+            if expected[i] is None:
+                assert str(r) == f"translator produced no output for chunk {i}"
 
     def test_translator_that_cannot_start_is_recorded(self, tmp_path):
         chunks = [Chunk("d", 0, ("x",), 1), Chunk("d", 1, ("y",), 1)]

@@ -338,6 +338,29 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert "| duplicate ratio | 0.4000 |" in out
 
+    @pytest.mark.parametrize("fmt,expected", [
+        ("markdown", "| stage | grüße |\n|---|---:|\n| input tokens | 100 |\n"
+                     "| input tokens (B) | 0.0 |\n| duplicate tokens | 40 |\n"
+                     "| duplicate tokens (B) | 0.0 |\n| duplicate ratio | 0.4000 |\n"
+                     "| merged spans | 2 |\n| removed documents | 1 |\n| removed tokens | 50 |\n"),
+        ("json", '{\n  "duplicate_tokens": 40,\n  "input_tokens": 100,\n  "removed_docs": 1,\n'
+                 '  "removed_tokens": 50,\n  "spans": 2,\n  "stage": "grüße",\n'
+                 '  "type": "dedup"\n}\n'),
+    ], ids=["markdown", "json"])
+    def test_non_ascii_report_under_an_ascii_locale(self, tmp_path, fmt, expected):
+        """A report is data: it is written as UTF-8 whatever the console's encoding."""
+        report = {"type": "dedup", "input_tokens": 100, "duplicate_tokens": 40,
+                  "removed_docs": 1, "removed_tokens": 50, "spans": 2, "stage": "grüße"}
+        p = tmp_path / "r.json"
+        p.write_text(json.dumps(report), encoding="utf-8")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(korpus.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "korpus.cli", "report", "--in", str(p), "--format", fmt],
+            capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected.encode("utf-8")
+
 
 class TestValidateCommand:
     def test_valid_fixture(self, tmp_path, capsys):
