@@ -40,16 +40,18 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_langid_train(args) -> int:
-    corpora = {}
+    patterns: dict[str, list[str]] = {}  # a repeated LANG adds files, as in a config's train.<lang>
     for spec in args.lang:
         lang, _, pattern = spec.partition("=")
-        if not pattern:
+        if not lang or not pattern:
             raise ConfigError(f"--lang expects LANG=GLOB, got {spec!r}")
-        corpora[lang] = merge_shards([read_shard(p) for p in resolve_paths([pattern], Path())],
-                                     source=lang)
-    model = langid.train_langid(corpora, **_given(vars(args), "epochs", "learning_rate", "seed"))
+        patterns.setdefault(lang, []).append(pattern)
+    corpora = {lang: merge_shards([read_shard(p) for p in resolve_paths(pats, Path())], source=lang)
+               for lang, pats in patterns.items()}
+    model = langid.train_langid(corpora, **_given(vars(args), "epochs", "seed"))
     langid.save_model(model, args.model)
-    _log(f"[langid] trained on {sorted(corpora)}; final loss {model.loss_history[-1]:.4f}")
+    documents = sum(shard.manifest.doc_count for shard in corpora.values())
+    _log(f"[langid] trained on {sorted(corpora)} from {documents} documents")
     return 0
 
 
@@ -199,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--lang", action="append", required=True, metavar="LANG=GLOB")
     # Left out unless given, so the defaults of `train_langid` / `train_ngram` apply.
     t.add_argument("--epochs", type=int, default=argparse.SUPPRESS)
-    t.add_argument("--learning-rate", type=float, default=argparse.SUPPRESS)
     t.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     t.set_defaults(fn=cmd_langid_train)
     f = lid.add_parser("filter")

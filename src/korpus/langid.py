@@ -1,10 +1,15 @@
 """Character-n-gram language identification with threshold filtering.
 
 A linear softmax classifier over hashed character 3-5-grams (FNV-1a modulo a
-fixed bucket count), trained by per-example SGD. Text is lowercased and
+fixed bucket count), trained by per-example SGD whose step decays linearly
+from 1 towards 0 over all updates (`train_langid`). Text is lowercased and
 whitespace-normalized before n-gram extraction. Training sorts the examples
 canonically before applying its own seeded shuffle, so the resulting model is
 independent of input document order.
+
+`save_model` writes `model.bin`: the magic bytes, one line of JSON with the
+keys `labels`, `feature_buckets`, `ngram_min` and `ngram_max`, then the
+weights and the bias as little-endian float64.
 
 `extract_features` hashes many texts at once. It normalizes them, encodes
 their concatenation to UTF-8 once and runs 64-bit FNV-1a over every n-gram
@@ -51,7 +56,6 @@ class LangIdModel:
     feature_buckets: int
     weights: np.ndarray  # [labels, buckets]
     bias: np.ndarray  # [labels]
-    loss_history: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -156,17 +160,20 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 def train_langid(
     corpora: dict[str, CorpusShard],
     epochs: int = 10,
-    learning_rate: float = 1.0,
     seed: int = 0,
     feature_buckets: int = DEFAULT_BUCKETS,
 ) -> LangIdModel:
-    """Train a softmax classifier; deterministic for a given seed."""
+    """Train a softmax classifier by per-example SGD; deterministic for a given seed.
+
+    Each epoch visits the examples in a seeded shuffle of their canonical order.
+    Update number `done` (counted from 0 over all epochs) takes the step
+    `1.0 - done / total_updates`, a linear decay from 1 towards 0, where
+    `total_updates` is `epochs` times the number of non-empty documents.
+    """
     if len(corpora) < 2:
         raise ConfigError("language identification needs at least 2 languages")
     if epochs < 1:
         raise ConfigError("epochs must be >= 1")
-    if not learning_rate > 0:
-        raise ConfigError("learning_rate must be > 0")
     if feature_buckets < 1:
         raise ConfigError("feature_buckets must be >= 1")
     if not 0 <= seed < 2**64:
@@ -191,47 +198,18 @@ def train_langid(
     rng = SplitMix64(seed)
     weights = np.zeros((len(labels), feature_buckets), dtype=np.float64)
     bias = np.zeros(len(labels), dtype=np.float64)
-
-    def mean_loss() -> float:
-        total = 0.0
-        for _, _, li, idx, vals in examples:
-            probs = _softmax(weights[:, idx] @ vals + bias)
-            total -= float(np.log(max(probs[li], 1e-300)))
-        return total / len(examples)
-
-    losses = []
-    best = mean_loss()
     total_updates = epochs * len(examples)
     done = 0
     for _ in range(epochs):
         rng.shuffle(examples)
-        prev_w = weights.copy()
-        prev_b = bias.copy()
         for _, _, li, idx, vals in examples:
-            lr = learning_rate * (1.0 - done / total_updates)  # linear decay
+            lr = 1.0 - done / total_updates
             done += 1
-            logits = weights[:, idx] @ vals + bias
-            probs = _softmax(logits)
-            grad = probs.copy()
+            grad = _softmax(weights[:, idx] @ vals + bias)
             grad[li] -= 1.0
             weights[:, idx] -= lr * np.outer(grad, vals)
             bias -= lr * grad
-        loss = mean_loss()
-        if loss > best:
-            # Backtrack: an epoch that worsened the evaluated loss is dropped,
-            # keeping the recorded epoch losses non-increasing.
-            weights = prev_w
-            bias = prev_b
-            loss = best
-        best = loss
-        losses.append(loss)
-    return LangIdModel(
-        labels=labels,
-        feature_buckets=feature_buckets,
-        weights=weights,
-        bias=bias,
-        loss_history=tuple(losses),
-    )
+    return LangIdModel(labels=labels, feature_buckets=feature_buckets, weights=weights, bias=bias)
 
 
 def _probs(model: LangIdModel, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -287,7 +265,6 @@ def save_model(model: LangIdModel, path: str | Path) -> None:
         "feature_buckets": model.feature_buckets,
         "ngram_min": NGRAM_MIN,
         "ngram_max": NGRAM_MAX,
-        "loss_history": list(model.loss_history),
     }, ensure_ascii=False, sort_keys=True)
     with atomic_write(path) as fh:
         fh.write(_MAGIC)
@@ -298,7 +275,10 @@ def save_model(model: LangIdModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LangIdModel:
-    """Read a `save_model` file; raises ConfigError naming the file if it is not one."""
+    """Read a `save_model` file; raises ConfigError naming the file if it is not one.
+
+    Only the header keys that `save_model` writes are read; any other key, such
+    as one that an older version wrote, is ignored."""
     with open(path, "rb") as fh:
         magic, header, body = fh.read(len(_MAGIC)), fh.readline(), fh.read()
     if magic != _MAGIC:
@@ -313,7 +293,6 @@ def load_model(path: str | Path) -> LangIdModel:
         values = np.frombuffer(body, dtype="<f8").astype(np.float64)
         # The reshape fails unless the body holds exactly the weights and the bias.
         weights = values[:-len(labels)].reshape(len(labels), buckets)
-        loss_history = tuple(header.get("loss_history", ()))
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: corrupt language-id model ({exc})") from None
     if grams != (NGRAM_MIN, NGRAM_MAX):
@@ -324,5 +303,4 @@ def load_model(path: str | Path) -> LangIdModel:
         feature_buckets=buckets,
         weights=weights,
         bias=values[-len(labels):],
-        loss_history=loss_history,
     )

@@ -425,7 +425,7 @@ class PipelineRun:
             lang: merge_shards([read_shard(p) for p in paths], source=lang)
             for lang, paths in self.cfg.langid_files.items()
         }
-        options = _given(cfg, "epochs", "learning_rate", "seed", "feature_buckets")
+        options = _given(cfg, "epochs", "seed", "feature_buckets")
         if self.seed_override is not None:
             options["seed"] = self.seed_override
         model = langid.train_langid(corpora, **options)

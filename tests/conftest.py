@@ -188,7 +188,6 @@ def build_pipeline_fixture(root: Path, seed: int = 11) -> Path:
             "target": "de",
             "train": {"de": [lid_de], "en": [lid_en]},
             "epochs": 10,
-            "learning_rate": 1.0,
             "seed": 7,
         },
         "quality_lm": {"reference": [reference], "min_count": 1},

@@ -185,7 +185,7 @@ def test_criterion_07_langid_accuracy_and_monotonicity():
     model = train_langid(
         {"de": make_shard(de[:800], source="de", prefix="de"),
          "en": make_shard(en[:800], source="en", prefix="en")},
-        epochs=10, learning_rate=1.0, seed=7,
+        epochs=10, seed=7,
     )
     correct = sum(score(model, t).label == "de" for t in de[800:])
     correct += sum(score(model, t).label == "en" for t in en[800:])

@@ -82,6 +82,42 @@ class TestLangidCommands:
         assert main(["langid", "train", "--model", str(tmp_path / "m.bin"),
                      "--lang", "nur-ein-name"]) == 2
 
+    def test_repeated_lang_adds_its_files(self, tmp_path):
+        """Like a config's train.<lang> list: every file given for a LANG trains it."""
+        rng = random.Random(12)
+        shards = {
+            "de-a": make_shard([de_sentence(rng) for _ in range(20)], source="x", prefix="da"),
+            "en": make_shard([en_sentence(rng) for _ in range(20)], source="x", prefix="en"),
+            "de-c": make_shard([de_sentence(rng) for _ in range(20)], source="x", prefix="dc"),
+        }
+        for name, shard in shards.items():
+            write_shard(shard, tmp_path / f"{name}.jsonl")
+        model = tmp_path / "lid.bin"
+        assert main(["langid", "train", "--model", str(model),
+                     "--lang", f"de={tmp_path / 'de-a.jsonl'}",
+                     "--lang", f"en={tmp_path / 'en.jsonl'}",
+                     "--lang", f"de={tmp_path / 'de-c.jsonl'}",
+                     "--epochs", "2", "--seed", "4"]) == 0
+        want = langid.train_langid(
+            {"de": core.merge_shards([shards["de-a"], shards["de-c"]], source="de"),
+             "en": shards["en"]},
+            epochs=2, seed=4,
+        )
+        got = langid.load_model(model)
+        assert got.labels == ("de", "en")
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+
+    @pytest.mark.parametrize("spec", ["={shard}", "de="], ids=["empty-lang", "empty-pattern"])
+    def test_empty_lang_or_pattern_rejected_before_reading(self, tmp_path, monkeypatch, spec):
+        shard = tmp_path / "s.jsonl"
+        write_shard(make_shard(["hallo welt"], source="s"), shard)
+        monkeypatch.setattr("korpus.cli.read_shard", lambda path: pytest.fail(f"read {path}"))
+        assert main(["langid", "train", "--model", str(tmp_path / "m.bin"),
+                     "--lang", f"de={shard}", "--lang", f"en={shard}",
+                     "--lang", spec.format(shard=shard)]) == 2
+        assert not (tmp_path / "m.bin").exists()
+
 
 class TestDedupCommand:
     def test_groups_and_report(self, tmp_path, rng):
@@ -384,6 +420,16 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(config)]) == 2
         assert "$.params.langid_threshold:" in capsys.readouterr().out
 
+    def test_langid_learning_rate_rejected(self, tmp_path, capsys):
+        """Version 0.1.0 took a langid learning rate; such a config now fails loudly."""
+        config = build_pipeline_fixture(tmp_path)
+        obj = json.loads(config.read_text())
+        obj["langid"]["learning_rate"] = 1.0
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["validate", "--config", str(config)]) == 2
+        assert ("$.langid: Additional properties are not allowed ('learning_rate' was unexpected)"
+                in capsys.readouterr().out)
+
     @pytest.mark.parametrize("field,value", [
         ("min_words", -1),
         ("ngram_order", 0),
@@ -540,7 +586,6 @@ class TestArgumentErrors:
         ["dedup", "--group", "a={empty}", "--out-dir", "{out}", "--min-match", "1"],
         [*LANGID_TRAIN, "--epochs", "-3"],
         [*LANGID_TRAIN, "--epochs", "0"],
-        [*LANGID_TRAIN, "--learning-rate", "-1"],
         [*LANGID_TRAIN, "--seed", "-1"],
         ["preprocess", "--in", "{latin1}", "--out", "{out}/o.jsonl"],
         ["validate", "--config", "{latin1}"],
@@ -558,7 +603,7 @@ class TestArgumentErrors:
         ["report", "--in", "{report_composition}"],
     ], ids=["min-words", "budget", "min-match", "repeated-group", "group-combined", "top-k",
             "budget-empty-shard", "min-match-empty-shard", "epochs-negative", "epochs-zero",
-            "learning-rate-negative", "seed-negative", "shard-not-utf8", "config-not-utf8",
+            "seed-negative", "shard-not-utf8", "config-not-utf8",
             "spec-not-utf8", "config-missing", "arpa-unparsable", "langid-model-truncated",
             "report-missing", "report-not-utf8", "report-not-json", "report-json-list",
             "report-unknown-type", "report-dedup-no-fields", "report-composition-no-rows"])
