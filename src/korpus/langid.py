@@ -259,7 +259,11 @@ def filter_language(
 
 
 def save_model(model: LangIdModel, path: str | Path) -> None:
-    """Byte-deterministic binary serialization (little-endian float64), written atomically."""
+    """Byte-deterministic binary serialization (little-endian float64), written atomically.
+
+    The arrays are written from their own memory, without a bytes copy: on a
+    little-endian host `np.ascontiguousarray` of a C-ordered float64 array is
+    the array itself."""
     header = json.dumps({
         "labels": list(model.labels),
         "feature_buckets": model.feature_buckets,
@@ -270,8 +274,8 @@ def save_model(model: LangIdModel, path: str | Path) -> None:
         fh.write(_MAGIC)
         fh.write(header.encode("utf-8"))
         fh.write(b"\n")
-        fh.write(model.weights.astype("<f8").tobytes())
-        fh.write(model.bias.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(model.weights, dtype="<f8"))
+        fh.write(np.ascontiguousarray(model.bias, dtype="<f8"))
 
 
 def load_model(path: str | Path) -> LangIdModel:

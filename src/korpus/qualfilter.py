@@ -42,22 +42,25 @@ than the fixed cost of the dozens of numpy calls a vectorised document needs.
 
 Bit identity with the per-n-gram definition: discounts, probabilities and
 backoffs are elementwise numpy float64 ops in the scalar formulas' operand
-order (integer sums are exact), ARPA values go through `math.log10` and
-"%.17g" one at a time, and each scored event multiplies its backoffs from the
-longest context down, then the probability, and adds its `math.log` to the
-document's sum left to right. A context the model lacks has backoff 1.0, so
-skipping it changes no bit.
+order (integer sums are exact), each distinct ARPA value of a section goes
+through `math.log10` and "%.17g" once and every row with that float shares its
+string, and each scored event multiplies its backoffs from the longest context
+down, then the probability, and adds its `math.log` to the document's sum left
+to right. A context the model lacks has backoff 1.0, so skipping it changes no
+bit.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from bisect import bisect_left
 from collections import Counter
-from itertools import compress, repeat
+from itertools import repeat
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -72,6 +75,7 @@ _UNK_ID, _BOS_ID, _EOS_ID = 0, 1, 2
 _D_MIN = 1e-4
 _D_MAX = 1.0 - 1e-9
 _NONE = np.nan
+_ARPA_BATCH = 1 << 12  # rows whose n-gram texts `write_arpa` builds together
 
 
 @dataclass(eq=False)
@@ -358,42 +362,77 @@ def write_arpa(model: NgramModel, path: str | Path) -> None:
     """Standard ARPA text format, 17 significant digits (lossless round-trip).
 
     A section lists all of the vocabulary (unigrams) or the order's n-grams
-    that have a probability or a backoff, sorted as tuples of strings.
+    that have a probability or a backoff, sorted as tuples of strings. The
+    header counts come from the NaN masks, and the sections are streamed: in
+    memory are a few integers per n-gram and one batch of rows, never the file.
+    An n-gram's text is built with its batch by following prefix places down
+    to the unigrams. Each distinct value of a section is formatted once
+    (`_log10_texts`).
     """
-    log10 = math.log10
     v = len(model.vocab)
     words = [""] * v
     for w, i in model.vocab.items():
         words[i] = w
+    listed = [np.ones(v, dtype=bool)]  # per order, in key order: the n-grams its section lists
+    for k in range(2, model.order + 1):
+        lo, hi = model.offsets[k - 1], model.offsets[k]
+        has = ~np.isnan(model.prob[lo:hi])
+        if k < model.order:  # the top order has no backoff column
+            has |= ~np.isnan(model.backoff[lo:hi])
+        listed.append(has)
     sort = np.array(sorted(range(v), key=words.__getitem__))  # the ids in string order
     pos = np.empty(v, dtype=np.int64)  # per n-gram of the order: its place in the section
     pos[sort] = np.arange(v)
     word_pos = pos
-    names = [words[i] for i in sort.tolist()]  # the order's n-grams in section order
-    counts, sections = [], []
-    for k in range(1, model.order + 1):
-        lo, hi = model.offsets[k - 1], model.offsets[k]
-        if k > 1:
-            prefix, last = np.divmod(model.keys[lo:hi], v)
-            rank = pos[prefix - model.offsets[k - 2]] * v + word_pos[last]
-            sort = np.argsort(rank)
-            pos = np.empty_like(sort)
-            pos[sort] = np.arange(sort.size)
-            names = [names[p] + " " + words[w]
-                     for p, w in zip((rank[sort] // v).tolist(), last[sort].tolist())]
-        prob, bo = model.prob[lo:hi][sort], model.backoff[lo:hi][sort]
-        if k == model.order:  # the top order has no backoff column
-            bo = np.full_like(bo, _NONE)
-        kept = (k == 1) | ~(np.isnan(prob) & np.isnan(bo))
-        rows = [(f"-99\t{g}" if p != p else f"{log10(p):.17g}\t{g}")
-                + ("" if b != b else f"\t{log10(b):.17g}")
-                for p, g, b in zip(prob[kept].tolist(), compress(names, kept),
-                                   bo[kept].tolist())]
-        counts.append(f"ngram {k}={len(rows)}")
-        sections += ["", f"\\{k}-grams:"] + rows
-    lines = ["\\data\\"] + counts + sections + ["", "\\end\\"]
-    with atomic_write(path) as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+    # Per order, in section order: the place of each n-gram's prefix in the
+    # section below (none for unigrams), and its last id.
+    parents, lasts = [None], [sort]
+    first = np.array(words, dtype=object)
+    later = np.array([" " + w for w in words], dtype=object)
+
+    def names(k: int, places: np.ndarray) -> Iterator[str]:
+        """The texts of the order-k n-grams at `places` of their section."""
+        for at in range(0, places.size, _ARPA_BATCH):
+            place = places[at:at + _ARPA_BATCH]
+            text = (later if k > 1 else first)[lasts[k - 1][place]]
+            for j in range(k - 1, 0, -1):  # the prefix of order j
+                place = parents[j][place]
+                text = (later if j > 1 else first)[lasts[j - 1][place]] + text
+            yield from text
+
+    with atomic_write(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="\n") as fh:
+        fh.write("\\data\\\n")
+        fh.writelines(f"ngram {k}={np.count_nonzero(has)}\n" for k, has in enumerate(listed, 1))
+        for k in range(1, model.order + 1):
+            lo, hi = model.offsets[k - 1], model.offsets[k]
+            if k > 1:
+                keys = model.keys[lo:hi]
+                parent = pos[keys // v - model.offsets[k - 2]]
+                sort = np.argsort(parent * v + word_pos[keys % v])
+                pos = np.empty_like(sort)
+                pos[sort] = np.arange(sort.size)
+                parents.append(parent[sort])
+                lasts.append(keys[sort] % v)
+            places = np.flatnonzero(listed[k - 1][sort])
+            rows = sort[places]
+            fh.write(f"\n\\{k}-grams:\n")
+            fh.writelines(f"{p}\t{g}{b}\n" for p, g, b in zip(
+                _log10_texts(model.prob[lo:hi][rows], "-99", ""), names(k, places),
+                _log10_texts(model.backoff[lo:hi][rows], "", "\t") if k < model.order
+                else repeat("")))
+        fh.write("\n\\end\\\n")
+
+
+def _log10_texts(values: np.ndarray, none: str, lead: str) -> np.ndarray:
+    """Per value: `lead` and its log10 in "%.17g" form, or `none` for NaN. Each
+    distinct value is formatted once; equal floats give equal strings."""
+    real = ~np.isnan(values)
+    distinct, where = np.unique(values[real], return_inverse=True)
+    texts = np.array([lead + f"{math.log10(x):.17g}" for x in distinct.tolist()] + [none],
+                     dtype=object)
+    codes = np.full(values.size, distinct.size)
+    codes[real] = where
+    return texts[codes]
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,8 @@ occurrence is found by comparing it with every window of the stream.
 `oracle_fnv1a` is the FNV-1a byte loop that `korpus.core.fnv1a_bytes` computes
 block by block. `oracle_chunk_sentences` packs chunks with an explicit buffer
 that a flush empties, where `korpus.chunker.chunk_sentences` appends to groups.
+`oracle_write_arpa` builds the whole ARPA text as one list of lines, formatting
+each value on its own, where `korpus.qualfilter.write_arpa` streams the rows.
 """
 
 from __future__ import annotations
@@ -193,3 +195,52 @@ def oracle_chunk_sentences(sentences, budget: int, token_counter, doc_id: str = 
         current_tokens += n
     flush()
     return chunks
+
+
+def oracle_write_arpa(model, path) -> None:
+    """`korpus.qualfilter.write_arpa` as it was before it streamed: every row is
+    formatted one value at a time into a list of lines, joined and encoded whole.
+
+    A section lists all of the vocabulary (unigrams) or the order's n-grams
+    that have a probability or a backoff, sorted as tuples of strings.
+    """
+    import math
+    from itertools import compress
+
+    from korpus.core import atomic_write
+    from korpus.qualfilter import _NONE
+
+    log10 = math.log10
+    v = len(model.vocab)
+    words = [""] * v
+    for w, i in model.vocab.items():
+        words[i] = w
+    sort = np.array(sorted(range(v), key=words.__getitem__))  # the ids in string order
+    pos = np.empty(v, dtype=np.int64)  # per n-gram of the order: its place in the section
+    pos[sort] = np.arange(v)
+    word_pos = pos
+    names = [words[i] for i in sort.tolist()]  # the order's n-grams in section order
+    counts, sections = [], []
+    for k in range(1, model.order + 1):
+        lo, hi = model.offsets[k - 1], model.offsets[k]
+        if k > 1:
+            prefix, last = np.divmod(model.keys[lo:hi], v)
+            rank = pos[prefix - model.offsets[k - 2]] * v + word_pos[last]
+            sort = np.argsort(rank)
+            pos = np.empty_like(sort)
+            pos[sort] = np.arange(sort.size)
+            names = [names[p] + " " + words[w]
+                     for p, w in zip((rank[sort] // v).tolist(), last[sort].tolist())]
+        prob, bo = model.prob[lo:hi][sort], model.backoff[lo:hi][sort]
+        if k == model.order:  # the top order has no backoff column
+            bo = np.full_like(bo, _NONE)
+        kept = (k == 1) | ~(np.isnan(prob) & np.isnan(bo))
+        rows = [(f"-99\t{g}" if p != p else f"{log10(p):.17g}\t{g}")
+                + ("" if b != b else f"\t{log10(b):.17g}")
+                for p, g, b in zip(prob[kept].tolist(), compress(names, kept),
+                                   bo[kept].tolist())]
+        counts.append(f"ngram {k}={len(rows)}")
+        sections += ["", f"\\{k}-grams:"] + rows
+    lines = ["\\data\\"] + counts + sections + ["", "\\end\\"]
+    with atomic_write(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))

@@ -7,13 +7,14 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import korpus
-from korpus import core, dedup, langid
+from korpus import core, dedup, langid, pipeline
 from korpus.chunker import chunk_document, chunk_record
 from korpus.cli import main
 from korpus.core import read_shard, write_shard
@@ -430,6 +431,14 @@ class TestValidateCommand:
         assert ("$.langid: Additional properties are not allowed ('learning_rate' was unexpected)"
                 in capsys.readouterr().out)
 
+    def test_empty_langid_label_rejected(self, tmp_path):
+        config = build_pipeline_fixture(tmp_path)
+        obj = json.loads(config.read_text())
+        obj["langid"]["train"][""] = obj["langid"]["train"].pop("en")
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        diags = validate_config(config)
+        assert len(diags) == 1 and diags[0].startswith("$.langid.train:"), diags
+
     @pytest.mark.parametrize("field,value", [
         ("min_words", -1),
         ("ngram_order", 0),
@@ -791,6 +800,29 @@ def fresh_digest(tmp_path_factory):
     root = tmp_path_factory.mktemp("fresh")
     run_pipeline(build_pipeline_fixture(root), root / "ws")
     return workspace_digest(root / "ws")
+
+
+class TestChecksumFile:
+    """Marker checksums hash a file in blocks; the result is FNV-1a of the whole file."""
+
+    def test_equals_one_shot_hash(self, tmp_path):
+        block = pipeline._READ_BLOCK
+        for n in (0, 1, block - 1, block, block + 1):
+            data = np.random.default_rng(n).bytes(n)
+            path = tmp_path / f"f{n}"
+            path.write_bytes(data)
+            assert pipeline._checksum_file(path) == f"{core.fnv1a_bytes(data):016x}"
+
+    def test_peak_below_the_file_size(self, tmp_path):
+        path = tmp_path / "big"
+        path.write_bytes(np.random.default_rng(5).bytes(6 << 20))
+        tracemalloc.start()
+        try:
+            pipeline._checksum_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size, peak
 
 
 class TestPipelineCommand:

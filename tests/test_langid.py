@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +19,8 @@ from korpus import langid
 from korpus.core import CorpusShard
 from korpus.errors import ConfigError, UnscorableError
 from korpus.langid import (
-    extract_features, filter_language, load_model, save_model, score, score_probs, train_langid,
+    LangIdModel, extract_features, filter_language, load_model, save_model, score, score_probs,
+    train_langid,
 )
 
 from conftest import de_sentence, en_sentence, make_doc, make_shard
@@ -290,6 +292,20 @@ class TestSerialization:
         assert np.array_equal(back.weights, de_en_model.weights)
         assert np.array_equal(back.bias, de_en_model.bias)
 
+    def test_save_writes_without_copying_the_weights(self, tmp_path):
+        weights = np.random.default_rng(0).standard_normal((2, 1 << 18))
+        model = LangIdModel(labels=("de", "en"), feature_buckets=1 << 18, weights=weights,
+                            bias=np.array([0.5, -0.5]))
+        path = tmp_path / "model.bin"
+        tracemalloc.start()
+        try:
+            save_model(model, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < weights.nbytes / 2, (peak, weights.nbytes)
+        assert np.array_equal(load_model(path).weights, weights)
+
     def test_header_with_loss_history_loads(self, de_en_model, tmp_path):
         """Version 0.1.0 also wrote its epoch losses into the header; such a
         file loads and scores as the model it holds."""
@@ -315,7 +331,7 @@ class TestSerialization:
 
     def test_failed_save_keeps_earlier_file(self, de_en_model, tmp_path):
         class Unwritable:  # fails after the header and the weights are written
-            def astype(self, dtype):
+            def __array__(self, dtype=None, copy=None):
                 raise OSError("disk full")
 
         path = tmp_path / "model.bin"

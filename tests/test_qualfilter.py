@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from korpus.qualfilter import (
 
 from conftest import de_sentence, make_doc, make_shard, med_sentence
 from kn_oracle import oracle_model, oracle_perplexity
+from oracles import oracle_write_arpa
 
 TOY_TEXTS = ["a b a c", "b a a"]
 
@@ -481,3 +483,72 @@ ngram 3=2
         for ctx in [(), ("a",), ("b",), (BOS,)]:
             total = sum(loaded.conditional(w, ctx) for w in pred)
             assert abs(total - 1.0) <= 1e-9
+
+
+class TestArpaWriterOracle:
+    """The streaming `write_arpa` against the whole-file writer it replaced, byte for byte."""
+
+    @staticmethod
+    def same_bytes(model, tmp_path) -> str:
+        new, old = tmp_path / "new.arpa", tmp_path / "old.arpa"
+        write_arpa(model, new)
+        oracle_write_arpa(model, old)
+        assert new.read_bytes() == old.read_bytes()
+        return new.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("min_count", [1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_random_corpus(self, tmp_path, order, min_count):
+        rng = random.Random(7000 + 10 * order + min_count)
+        texts = random_corpus(rng, n_words=rng.randint(5, 60), n_docs=rng.randint(1, 60),
+                              max_len=rng.randint(1, 15))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # sparse count-of-counts
+            model = train_ngram([make_shard(texts)], order=order, min_count=min_count)
+        text = self.same_bytes(model, tmp_path)
+        assert f"\n-99\t{BOS}" in text
+
+    def test_edited_values(self, tmp_path):
+        """Values training does not produce: -99 rows with a backoff, rows with
+        neither value, repeated values, exponents and a top-order backoff."""
+        rng = random.Random(17)
+        model = train_ngram([make_shard(random_corpus(rng, 25, 40, 12))], order=3, min_count=1)
+        prob, backoff = model.prob.copy(), model.backoff.copy()
+        bigrams, top = slice(model.offsets[1], model.offsets[2]), slice(model.offsets[2], None)
+        prob[bigrams][::5] = np.nan  # a -99 row that keeps its backoff
+        backoff[bigrams][::10] = np.nan  # and one with neither, which is not listed
+        prob[bigrams][1::7] = 1 - 1e-6  # log10 is about -4.3e-07
+        backoff[bigrams][2::9] = 1.0  # log10 is 0
+        backoff[top] = 0.5  # never written: the top order has no backoff column
+        edited = NgramModel(order=3, vocab=model.vocab, keys=model.keys, prob=prob,
+                            backoff=backoff)
+        text = self.same_bytes(edited, tmp_path)
+        sections = text.split("\n\n")
+        bigram_rows = sections[2].splitlines()[1:]
+        either = ~(np.isnan(prob[bigrams]) & np.isnan(backoff[bigrams]))
+        assert len(bigram_rows) == np.count_nonzero(either) < either.size
+        assert any(r.startswith("-99\t") and r.count("\t") == 2 for r in bigram_rows)
+        assert sum(r.startswith("-4.3429") and "e-07" in r for r in bigram_rows) > 1
+        assert any(r.endswith("\t0") for r in bigram_rows)
+        assert all(r.count("\t") == 1 for r in sections[3].splitlines()[1:])
+
+    def test_peak_below_twice_the_file(self, tmp_path):
+        # An order-5 model over a Zipf vocabulary of word-like tokens, the
+        # shape of the pipeline's reference model.
+        rng = random.Random(18)
+        syllables = ["an", "be", "dor", "ek", "fu", "gal", "hin", "ist", "ker", "lu", "men",
+                     "or", "pa", "sch", "ten", "ung"]
+        words = ["".join(rng.choices(syllables, k=rng.randint(2, 4))) for _ in range(3000)]
+        weights = [1 / (i + 1) for i in range(len(words))]
+        texts = [" ".join(rng.choices(words, weights, k=rng.randint(5, 40))) for _ in range(500)]
+        model = train_ngram([make_shard(texts)], order=5, min_count=1)
+        path = tmp_path / "m.arpa"
+        tracemalloc.start()
+        try:
+            write_arpa(model, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size >= 1 << 20
+        assert peak < 2 * size, (peak, size)
