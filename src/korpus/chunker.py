@@ -130,7 +130,9 @@ def identity_translator() -> Translator:
 
 class SubprocessTranslator(Translator):
     """Line protocol: one chunk text per stdin line, one translation per stdout line,
-    both in UTF-8 whatever the locale.
+    both in UTF-8 whatever the locale. A "\r" ends a stdout line as "\n" does.
+    A call whose stdout has more lines than texts fails every text, since no
+    line can be matched to its text; one with fewer fails the texts after them.
 
     A list command is exec'd as given. A string command with no shell syntax
     (see `_PLAIN_COMMAND`) whose first word is not a builtin of sh is exec'd as
@@ -176,6 +178,9 @@ class SubprocessTranslator(Translator):
         lines = proc.stdout.split("\n")
         if not lines[-1]:  # the newline that ends the last line
             lines.pop()
+        if len(lines) > len(texts):  # which line belongs to which text is lost
+            return [RuntimeError(f"translator wrote {len(lines)} lines for {len(texts)} texts")
+                    ] * len(texts)
         return [lines[i] if i < len(lines)
                 else RuntimeError(f"translator produced no output for chunk {i}")
                 for i in range(len(texts))]

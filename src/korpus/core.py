@@ -13,7 +13,7 @@ import io
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -139,13 +139,12 @@ class Document:
     source: str
     domain: Domain
     text: str
-    token_count: int = -1
+    token_count: int = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.domain, Domain):
             object.__setattr__(self, "domain", Domain(self.domain))
-        if self.token_count < 0:
-            object.__setattr__(self, "token_count", len(tokenize(self.text)))
+        object.__setattr__(self, "token_count", len(tokenize(self.text)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,11 +213,11 @@ _REQUIRED_FIELDS = ("id", "source", "domain", "text")
 
 
 def _parse_record(obj: dict, path: Path, lineno: int) -> Document:
-    for field in _REQUIRED_FIELDS:
-        if field not in obj:
-            raise ShardFormatError(f"{path}:{lineno}: missing field {field!r}")
-        if not isinstance(obj[field], str):
-            raise ShardFormatError(f"{path}:{lineno}: field {field!r} must be a string")
+    for name in _REQUIRED_FIELDS:
+        if name not in obj:
+            raise ShardFormatError(f"{path}:{lineno}: missing field {name!r}")
+        if not isinstance(obj[name], str):
+            raise ShardFormatError(f"{path}:{lineno}: field {name!r} must be a string")
     try:
         domain = Domain(obj["domain"])
     except ValueError:

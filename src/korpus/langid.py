@@ -28,6 +28,7 @@ probabilities in the last bits.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -282,11 +283,17 @@ def load_model(path: str | Path) -> LangIdModel:
     """Read a `save_model` file; raises ConfigError naming the file if it is not one.
 
     Only the header keys that `save_model` writes are read; any other key, such
-    as one that an older version wrote, is ignored."""
+    as one that an older version wrote, is ignored. The body is read straight
+    into one array, as long as the file's length says; only bytes past that
+    length (a pipe's whole body) are read as bytes and appended."""
     with open(path, "rb") as fh:
-        magic, header, body = fh.read(len(_MAGIC)), fh.readline(), fh.read()
-    if magic != _MAGIC:
-        raise ConfigError(f"{path}: not a language-id model file")
+        magic, header = fh.read(len(_MAGIC)), fh.readline()
+        if magic != _MAGIC:
+            raise ConfigError(f"{path}: not a language-id model file")
+        body = os.fstat(fh.fileno()).st_size - len(magic) - len(header)  # < 0 for a pipe
+        values = np.empty(max(body, 0) // 8, dtype="<f8")
+        values = values[:fh.readinto(values) // 8]  # fewer if the file shrank meanwhile
+        rest = fh.read()
     try:
         header = json.loads(header)
         grams = (header["ngram_min"], header["ngram_max"])
@@ -294,7 +301,9 @@ def load_model(path: str | Path) -> LangIdModel:
         buckets = int(header["feature_buckets"])
         if buckets < 1 or len(labels) < 2:
             raise ValueError(f"{len(labels)} labels and {buckets} feature buckets")
-        values = np.frombuffer(body, dtype="<f8").astype(np.float64)
+        if rest:
+            values = np.concatenate([values, np.frombuffer(rest, dtype="<f8")])
+        values = values.astype(np.float64, copy=False)  # a copy only on a big-endian host
         # The reshape fails unless the body holds exactly the weights and the bias.
         weights = values[:-len(labels)].reshape(len(labels), buckets)
     except (ValueError, KeyError, TypeError) as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .core import CorpusShard, Document, tokenize
+from .core import CorpusShard, Document
 from .errors import ConfigError
 
 _NAMED_ENTITIES = {
@@ -83,12 +83,12 @@ class CleanStats:
 
 
 def clean_document(doc: Document) -> tuple[Document, bool, int]:
-    """Unescape entities, then strip URLs; token_count is recomputed."""
+    """Unescape entities, then strip URLs; a changed text recounts its tokens."""
     unescaped = unescape_html(doc.text)
     changed = unescaped != doc.text
     cleaned, n_urls = strip_urls(unescaped)
     if cleaned != doc.text:
-        doc = replace(doc, text=cleaned, token_count=len(tokenize(cleaned)))
+        doc = replace(doc, text=cleaned)
     return doc, changed, n_urls
 
 

@@ -23,13 +23,14 @@ Perplexity of a document is exp(-logprob/events) where the events are the
 document's tokens plus the terminal "</s>".
 
 Layout, after KenLM's sorted n-gram arrays (Heafield, WMT 2011). Tokens are
-int ids: "<unk>"=0, "<s>"=1, "</s>"=2, then the other tokens in string order.
-Every n-gram of every order has a global index into three parallel arrays,
-`keys`, `prob` and `backoff`. Unigram i has index i; the n-grams of order k
-follow those of order k-1. An n-gram's key is V * (index of its (k-1)-prefix)
-+ (its last id), and a unigram's key is id - V, so `keys` is sorted, each
-order is a contiguous run sorted by prefix, and every prefix of an n-gram is
-itself in the model; so is every suffix. `prob` is p(last | prefix) and
+int ids 0..V-1 in string order, with "<unk>", "<s>" and "</s>" sorted among
+the others, so id tuples sort as the tuples of strings they stand for. Every
+n-gram of every order has a global index into three parallel arrays, `keys`,
+`prob` and `backoff`. Unigram i has index i; the n-grams of order k follow
+those of order k-1. An n-gram's key is V * (index of its (k-1)-prefix) + (its
+last id), and a unigram's key is id - V, so `keys` is sorted, each order is a
+contiguous run in the order of its ARPA section, and every prefix of an n-gram
+is itself in the model; so is every suffix. `prob` is p(last | prefix) and
 `backoff` the n-gram's interpolation weight as a context; NaN marks "none" in
 both. A flat key of k packed ids would overflow int64 at order 5 with 2^13
 ids; this one stays below V * (number of n-grams).
@@ -70,7 +71,6 @@ from .errors import CapacityError, ConfigError, UnscorableError
 UNK = "<unk>"
 BOS = "<s>"
 EOS = "</s>"
-_UNK_ID, _BOS_ID, _EOS_ID = 0, 1, 2
 
 _D_MIN = 1e-4
 _D_MAX = 1.0 - 1e-9
@@ -83,7 +83,7 @@ class NgramModel:
     """The n-gram arrays of the module docstring's layout, and their scorer."""
 
     order: int
-    vocab: dict[str, int]  # token -> id; <unk>=0, <s>=1, </s>=2
+    vocab: dict[str, int]  # token -> id, numbered 0..V-1 in string order
     keys: np.ndarray  # int64, sorted: V * prefix index + last id; unigram: id - V
     prob: np.ndarray  # float64 p(last | prefix) per n-gram; NaN: none
     backoff: np.ndarray  # float64 interpolation weight as a context; NaN: none
@@ -91,6 +91,11 @@ class NgramModel:
 
     def __post_init__(self) -> None:
         v, n = len(self.vocab), self.keys.size
+        words = sorted(self.vocab)
+        if self.vocab != dict(zip(words, range(v))) or not {UNK, BOS, EOS} <= self.vocab.keys():
+            raise ValueError(f"the vocabulary must number its tokens, {UNK}, {BOS} and {EOS} "
+                             "among them, 0..V-1 in string order")
+        self._unk, self._bos, self._eos = self.vocab[UNK], self.vocab[BOS], self.vocab[EOS]
         if (n + 1) * v >= 2 ** 63:
             raise CapacityError(f"{n} n-grams over {v} ids overflow the int64 keys")
         self.offsets = [0, v]
@@ -121,7 +126,7 @@ class NgramModel:
         self._top = self.offsets[-2]
         self._event_ids = {w: i for w, i in self.vocab.items() if w != BOS}
         probs: list[float] = []
-        self._start = self._walk(-1, [_BOS_ID] * (self.order - 1), probs)
+        self._start = self._walk(-1, [self._bos] * (self.order - 1), probs)
 
     def predictable_vocab(self) -> list[str]:
         return [w for w in self.vocab if w != BOS]
@@ -131,8 +136,8 @@ class NgramModel:
         keep = self.order - 1  # context tokens the model conditions on
         ctx = tuple(context)[-keep:] if keep else ()
         probs: list[float] = []
-        state = self._walk(-1, [self.vocab.get(t, _UNK_ID) for t in ctx], probs)
-        self._walk(state, [self._event_ids.get(token, _UNK_ID)], probs)
+        state = self._walk(-1, [self.vocab.get(t, self._unk) for t in ctx], probs)
+        self._walk(state, [self._event_ids.get(token, self._unk)], probs)
         return probs[-1]
 
     def _walk(self, state: int, ids: list[int], probs: list[float]) -> int:
@@ -198,15 +203,17 @@ def _estimate_discounts(counts: np.ndarray, order_k: int) -> np.ndarray:
     return np.array([0.0, clamp(d1), clamp(d2), clamp(d3)])
 
 
-def _count_ngrams(seq: np.ndarray, depth: np.ndarray, v: int, order: int) -> list[tuple]:
+def _count_ngrams(seq: np.ndarray, depth: np.ndarray, v: int, order: int,
+                  bos: int) -> list[tuple]:
     """Each order's distinct n-grams in the padded sequences, unigrams first.
 
     Per order: the sorted keys, the raw counts, each n-gram's (k-1)-suffix as
     an index into the order below (None for unigrams), and whether it starts
-    with <s>. `depth` is each position's offset in its padded document.
+    with <s>, whose id is `bos`. `depth` is each position's offset in its
+    padded document.
     """
     ids = np.arange(v)
-    levels = [(ids - v, np.bincount(seq, minlength=v), None, ids == _BOS_ID)]
+    levels = [(ids - v, np.bincount(seq, minlength=v), None, ids == bos)]
     gidx = seq.copy()  # global index of the (k-1)-gram ending at each position
     below, n = 0, v  # where order k-1 starts, and the n-grams counted so far
     for k in range(2, order + 1):
@@ -215,7 +222,7 @@ def _count_ngrams(seq: np.ndarray, depth: np.ndarray, v: int, order: int) -> lis
                                    return_counts=True)
         at = np.empty_like(keys)
         at[inv] = ends  # one end position of each distinct k-gram
-        levels.append((keys, raw, gidx[at] - below, seq[at - k + 1] == _BOS_ID))
+        levels.append((keys, raw, gidx[at] - below, seq[at - k + 1] == bos))
         gidx[ends] = n + inv
         below, n = n, n + keys.size
     return levels
@@ -241,28 +248,26 @@ def train_ngram(
                 freq.update(toks)
     if not all_docs:
         raise ConfigError("reference corpus is empty")
-    vocab: dict[str, int] = {UNK: _UNK_ID, BOS: _BOS_ID, EOS: _EOS_ID}
-    for tok in sorted(t for t, c in freq.items() if c >= min_count):
-        if tok not in vocab:
-            vocab[tok] = len(vocab)
-    v = len(vocab)
+    kept = {t for t, c in freq.items() if c >= min_count}
+    vocab = {w: i for i, w in enumerate(sorted(kept | {UNK, BOS, EOS}))}
+    v, unk, bos = len(vocab), vocab[UNK], vocab[BOS]
     # One padded sequence per document, concatenated: order-1 <s>, tokens, </s>.
     event_id = {w: i for w, i in vocab.items() if w != BOS}.get
-    tokens = np.array([event_id(t, _UNK_ID) for toks in all_docs for t in toks], dtype=np.int64)
+    tokens = np.array([event_id(t, unk) for toks in all_docs for t in toks], dtype=np.int64)
     lengths = np.array([len(toks) for toks in all_docs])
     before = np.arange(lengths.size) * order + order - 1  # padding before each document's tokens
-    seq = np.full(tokens.size + lengths.size * order, _BOS_ID, dtype=np.int64)
+    seq = np.full(tokens.size + lengths.size * order, bos, dtype=np.int64)
     seq[np.arange(tokens.size) + np.repeat(before, lengths)] = tokens
-    seq[np.cumsum(lengths) + before] = _EOS_ID
+    seq[np.cumsum(lengths) + before] = vocab[EOS]
     lengths += order
     depth = np.arange(seq.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    levels = _count_ngrams(seq, depth, v, order)
+    levels = _count_ngrams(seq, depth, v, order, bos)
 
     # Adjusted counts: raw at the top order and for n-grams starting with <s>,
     # else the number of distinct left extensions, one per (k+1)-gram suffix.
     adj = [raw for _, raw, _, _ in levels]
-    for (_, _, _, bos), (_, _, suffix, _), k in zip(levels, levels[1:], range(order - 1)):
-        adj[k] = np.where(bos, adj[k], np.bincount(suffix, minlength=bos.size))
+    for (_, _, _, starts), (_, _, suffix, _), k in zip(levels, levels[1:], range(order - 1)):
+        adj[k] = np.where(starts, adj[k], np.bincount(suffix, minlength=starts.size))
 
     # Unigrams interpolate with the uniform distribution over predictable tokens.
     a = adj[0]
@@ -280,7 +285,7 @@ def train_ngram(
         keys, _, suffix, _ = levels[k - 1]
         a = adj[k - 1]
         ctx = keys // v - below
-        pred = keys % v != _BOS_ID
+        pred = keys % v != bos
         d = _estimate_discounts(a[pred], k)
         bucket = np.minimum(a, 3)
         n_ctx = adj[k - 2].size
@@ -303,9 +308,9 @@ def score_perplexity(model: NgramModel, doc: Document) -> PerplexityScore:
     toks = tokenize(doc.text)
     if not toks:
         raise UnscorableError(f"document {doc.id!r} has no tokens; unscorable")
-    event_id = model._event_ids.get
-    ids = [event_id(t, _UNK_ID) for t in toks]
-    ids.append(_EOS_ID)
+    event_id, unk = model._event_ids.get, model._unk
+    ids = [event_id(t, unk) for t in toks]
+    ids.append(model._eos)
     probs: list[float] = []
     model._walk(model._start, ids, probs)
     log_sum = 0.0
@@ -362,17 +367,17 @@ def write_arpa(model: NgramModel, path: str | Path) -> None:
     """Standard ARPA text format, 17 significant digits (lossless round-trip).
 
     A section lists all of the vocabulary (unigrams) or the order's n-grams
-    that have a probability or a backoff, sorted as tuples of strings. The
+    that have a probability or a backoff, in key order, which is their order
+    as tuples of strings because the ids are numbered in string order. The
     header counts come from the NaN masks, and the sections are streamed: in
-    memory are a few integers per n-gram and one batch of rows, never the file.
-    An n-gram's text is built with its batch by following prefix places down
-    to the unigrams. Each distinct value of a section is formatted once
-    (`_log10_texts`).
+    memory are a few numbers per n-gram and one batch of rows, never the file.
+    An n-gram's text is built with its batch by following `keys // V`, the
+    global index of its prefix, down to its unigram. Each distinct value of a
+    section is formatted once (`_log10_texts`).
     """
-    v = len(model.vocab)
-    words = [""] * v
-    for w, i in model.vocab.items():
-        words[i] = w
+    v, keys = len(model.vocab), model.keys
+    first = np.array(sorted(model.vocab), dtype=object)  # each id's word
+    later = " " + first
     listed = [np.ones(v, dtype=bool)]  # per order, in key order: the n-grams its section lists
     for k in range(2, model.order + 1):
         lo, hi = model.offsets[k - 1], model.offsets[k]
@@ -380,45 +385,26 @@ def write_arpa(model: NgramModel, path: str | Path) -> None:
         if k < model.order:  # the top order has no backoff column
             has |= ~np.isnan(model.backoff[lo:hi])
         listed.append(has)
-    sort = np.array(sorted(range(v), key=words.__getitem__))  # the ids in string order
-    pos = np.empty(v, dtype=np.int64)  # per n-gram of the order: its place in the section
-    pos[sort] = np.arange(v)
-    word_pos = pos
-    # Per order, in section order: the place of each n-gram's prefix in the
-    # section below (none for unigrams), and its last id.
-    parents, lasts = [None], [sort]
-    first = np.array(words, dtype=object)
-    later = np.array([" " + w for w in words], dtype=object)
 
-    def names(k: int, places: np.ndarray) -> Iterator[str]:
-        """The texts of the order-k n-grams at `places` of their section."""
-        for at in range(0, places.size, _ARPA_BATCH):
-            place = places[at:at + _ARPA_BATCH]
-            text = (later if k > 1 else first)[lasts[k - 1][place]]
+    def names(k: int, rows: np.ndarray) -> Iterator[str]:
+        """The texts of the order-k n-grams at the global indices `rows`."""
+        for at in range(0, rows.size, _ARPA_BATCH):
+            place = rows[at:at + _ARPA_BATCH]
+            text = (later if k > 1 else first)[keys[place] % v]
             for j in range(k - 1, 0, -1):  # the prefix of order j
-                place = parents[j][place]
-                text = (later if j > 1 else first)[lasts[j - 1][place]] + text
+                place = keys[place] // v
+                text = (later if j > 1 else first)[keys[place] % v] + text
             yield from text
 
     with atomic_write(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="\n") as fh:
         fh.write("\\data\\\n")
         fh.writelines(f"ngram {k}={np.count_nonzero(has)}\n" for k, has in enumerate(listed, 1))
-        for k in range(1, model.order + 1):
-            lo, hi = model.offsets[k - 1], model.offsets[k]
-            if k > 1:
-                keys = model.keys[lo:hi]
-                parent = pos[keys // v - model.offsets[k - 2]]
-                sort = np.argsort(parent * v + word_pos[keys % v])
-                pos = np.empty_like(sort)
-                pos[sort] = np.arange(sort.size)
-                parents.append(parent[sort])
-                lasts.append(keys[sort] % v)
-            places = np.flatnonzero(listed[k - 1][sort])
-            rows = sort[places]
+        for k, has in enumerate(listed, 1):
+            rows = model.offsets[k - 1] + np.flatnonzero(has)
             fh.write(f"\n\\{k}-grams:\n")
             fh.writelines(f"{p}\t{g}{b}\n" for p, g, b in zip(
-                _log10_texts(model.prob[lo:hi][rows], "-99", ""), names(k, places),
-                _log10_texts(model.backoff[lo:hi][rows], "", "\t") if k < model.order
+                _log10_texts(model.prob[rows], "-99", ""), names(k, rows),
+                _log10_texts(model.backoff[rows], "", "\t") if k < model.order
                 else repeat("")))
         fh.write("\n\\end\\\n")
 
@@ -505,10 +491,8 @@ def read_arpa(path: str | Path) -> NgramModel:
             raise ConfigError(f"{path}: header promises {n} {k}-grams, found {seen.get(k, 0)}")
 
     words, probs, _ = sections.get(1, ([], [], []))
-    vocab: dict[str, int] = {UNK: _UNK_ID, BOS: _BOS_ID, EOS: _EOS_ID}
-    for w in sorted(w for w, p in zip(words, probs) if p == p):
-        if w not in vocab:
-            vocab[w] = len(vocab)
+    known = {w for w, p in zip(words, probs) if p == p}
+    vocab = {w: i for i, w in enumerate(sorted(known | {UNK, BOS, EOS}))}
     v = len(vocab)
     # Top down: each order's n-grams that can be looked up (all their words in
     # the vocabulary), closed under the prefixes and suffixes of the order
@@ -534,7 +518,7 @@ def read_arpa(path: str | Path) -> NgramModel:
             values[1, at] = np.array(backoffs)[kept]
         levels.append((rows, values, where[len(real):len(real) + len(above)]))
         above = rows
-    if np.isnan(values[0, [_UNK_ID, _EOS_ID]]).any():
+    if np.isnan(values[0, [vocab[UNK], vocab[EOS]]]).any():
         raise ConfigError(f"{path}: no unigram probability for {UNK!r} or {EOS!r}")
     # An n-gram's key: V * the global index of its prefix + its last id.
     keys, base = [np.arange(v) - v], 0

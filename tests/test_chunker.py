@@ -268,6 +268,16 @@ class TestSubprocessTranslator:
             if expected[i] is None:
                 assert str(r) == f"translator produced no output for chunk {i}"
 
+    @pytest.mark.parametrize("stdout", ["a\nb\nc\n", "eins\rzwei\ndrei\n"],
+                             ids=["three-lines", "carriage-return"])
+    def test_surplus_stdout_lines_fail_every_text(self, stdout):
+        """A line too many shifts every later translation onto the wrong text."""
+        echo = SubprocessTranslator([sys.executable, "-c",
+                                     f"import sys; sys.stdin.read(); sys.stdout.write({stdout!r})"])
+        got = echo.translate_many(["x", "y"])
+        assert [str(r) for r in got] == ["translator wrote 3 lines for 2 texts"] * 2
+        assert all(isinstance(r, Exception) for r in got)
+
     def test_translator_that_cannot_start_is_recorded(self, tmp_path):
         chunks = [Chunk("d", 0, ("x",), 1), Chunk("d", 1, ("y",), 1)]
         missing = SubprocessTranslator([str(tmp_path / "no-such-translator")])

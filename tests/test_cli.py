@@ -270,6 +270,21 @@ class TestChunkTranslationFailures:
             else:
                 assert r["translation"] == r["text"] and "error" not in r
 
+    def test_carriage_return_in_output_is_a_recorded_failure(self, tmp_path):
+        """A "\r" ends a line, so the marked document's call has a line too many."""
+        split = " ".join(shlex.quote(a) for a in [sys.executable, "-c", (
+            "import sys; sys.stdout.write(sys.stdin.read().replace('KAPUTT', 'KA\\rPUTT'))")])
+        cfg, shard = _notes_workspace(tmp_path, split)
+        ws = tmp_path / "ws"
+        assert main(["pipeline", "--config", str(cfg), "--workspace", str(ws)]) == 0
+        n = len(chunk_document(shard.documents[2], 12))
+        failures = json.loads((ws / "chunk" / "notes.failures.json").read_text())
+        assert failures == [{"doc_id": "notes-2", "errors": [
+            {"index": i, "error": f"translator wrote {n + 1} lines for {n} texts"}
+            for i in range(n)]}]
+        kept = read_shard(ws / "chunk" / "notes.jsonl")
+        assert [d.id for d in kept.documents] == [d.id for d in shard.documents if d.id != "notes-2"]
+
     def test_non_utf8_translator_output_is_a_recorded_failure(self, tmp_path):
         garbage = " ".join(shlex.quote(a) for a in [sys.executable, "-c", (
             "import sys; sys.stdin.buffer.read(); sys.stdout.buffer.write(b'\\xff\\xfe\\n')")])
@@ -455,6 +470,24 @@ class TestValidateCommand:
         config.write_text(json.dumps(obj), encoding="utf-8")
         assert main(["validate", "--config", str(config)]) == 2
         assert f"$.params.{field}:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit,expected", [
+        (lambda obj: obj["sources"][1].update(name=obj["sources"][0]["name"]),
+         "$.sources: source names must be unique"),
+        (lambda obj: obj.pop("langid"),
+         "$.langid: required because a source enables the langid step"),
+        (lambda obj: obj["langid"].update(target="fr"),
+         "$.langid.target: target language missing from training corpora"),
+        (lambda obj: obj.pop("quality_lm"),
+         "$.quality_lm: required because a source enables the quality_filter step"),
+    ], ids=["duplicate-source", "no-langid", "target-untrained", "no-quality-lm"])
+    def test_cross_section_rule_rejected(self, tmp_path, capsys, edit, expected):
+        config = build_pipeline_fixture(tmp_path)
+        obj = json.loads(config.read_text())
+        edit(obj)
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["validate", "--config", str(config)]) == 2
+        assert expected in capsys.readouterr().out.splitlines()
 
     def test_dedup_group_named_combined(self, tmp_path, capsys):
         config = build_pipeline_fixture(tmp_path)
@@ -854,6 +887,14 @@ class TestPipelineCommand:
         cfg = tmp_path / "config.json"
         cfg.write_text('{"sources": []}', encoding="utf-8")
         assert main(["pipeline", "--config", str(cfg), "--workspace", str(tmp_path / "ws")]) == 2
+
+    def test_other_error_in_a_stage_exits_3(self, tmp_path, capsys):
+        config = build_pipeline_fixture(tmp_path)
+        ws = tmp_path / "ws"
+        ws.mkdir()
+        (ws / "preprocess").write_text("kein Verzeichnis", encoding="utf-8")
+        assert main(["pipeline", "--config", str(config), "--workspace", str(ws)]) == 3
+        assert "stage failure: stage preprocess failed: " in capsys.readouterr().err
 
     def test_resume_skips_completed_stages(self, tmp_path, capsys):
         config = build_pipeline_fixture(tmp_path)

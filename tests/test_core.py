@@ -48,6 +48,9 @@ class TestDocument:
     def test_token_count_derived(self):
         d = make_doc("x", "drei kleine Worte")
         assert d.token_count == 3
+        assert dataclasses.replace(d, text="nur zwei").token_count == 2
+        with pytest.raises(TypeError):
+            Document(id="x", source="s", domain="medical", text="a", token_count=7)
 
     def test_domain_coerced(self):
         d = Document(id="x", source="s", domain="medical", text="a")

@@ -306,6 +306,22 @@ class TestSerialization:
         assert peak < weights.nbytes / 2, (peak, weights.nbytes)
         assert np.array_equal(load_model(path).weights, weights)
 
+    def test_load_reads_the_weights_without_a_copy(self, tmp_path):
+        weights = np.random.default_rng(0).standard_normal((2, 1 << 18))
+        model = LangIdModel(labels=("de", "en"), feature_buckets=1 << 18, weights=weights,
+                            bias=np.array([0.5, -0.5]))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        tracemalloc.start()
+        try:
+            back = load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * weights.nbytes, (peak, weights.nbytes)
+        assert np.array_equal(back.weights, weights) and back.weights.flags.writeable
+        assert np.array_equal(back.bias, model.bias)
+
     def test_header_with_loss_history_loads(self, de_en_model, tmp_path):
         """Version 0.1.0 also wrote its epoch losses into the header; such a
         file loads and scores as the model it holds."""

@@ -218,7 +218,7 @@ class TestTraining:
 class TestPerplexity:
     def test_uniform_closed_form(self):
         # hand-built uniform model: every event carries probability 1/V
-        vocab = {UNK: 0, BOS: 1, EOS: 2, "a": 3, "b": 4, "c": 5}
+        vocab = {EOS: 0, BOS: 1, UNK: 2, "a": 3, "b": 4, "c": 5}
         pred = [w for w in vocab if w != BOS]
         v = len(pred)
         ids = np.arange(len(vocab))
@@ -229,6 +229,18 @@ class TestPerplexity:
             score = score_perplexity(model, make_doc("x", text))
             assert score.perplexity == pytest.approx(v, abs=1e-6)
             assert score.token_count == len(text.split()) + 1
+
+    @pytest.mark.parametrize("vocab", [
+        {UNK: 0, BOS: 1, EOS: 2, "a": 3, "b": 4, "c": 5},
+        {EOS: 0, BOS: 1, UNK: 2, "a": 3, "b": 5, "c": 4},
+        {EOS: 0, BOS: 1, UNK: 2, "a": 3, "b": 4, "c": 6},
+        {EOS: 0, UNK: 1, "a": 2, "b": 3, "c": 4, "d": 5},
+    ], ids=["specials-first", "swapped", "gap", "no-bos"])
+    def test_vocabulary_numbered_in_string_order(self, vocab):
+        ids = np.arange(len(vocab))
+        with pytest.raises(ValueError, match="0..V-1 in string order"):
+            NgramModel(order=1, vocab=vocab, keys=ids - len(vocab), prob=np.full(ids.size, 0.2),
+                       backoff=np.full(ids.size, np.nan))
 
     def test_trained_uniform_perplexity_close_to_vocab_size(self):
         rng = random.Random(8)
@@ -461,8 +473,14 @@ ngram 3=2
     @pytest.mark.parametrize("old,new,message", [
         ("-0.3\ta zz", "-0.3\tb c", "duplicate n-gram"),
         ("-1\t<unk>", "-99\t<unk>", "no unigram probability"),
-    ], ids=["duplicate", "no-unk"])
+        ("\\data\\", "vorab\n\\data\\", "unexpected line outside any section: 'vorab'"),
+        ("-0.1\ta b c", "-0.1\ta b", r"short line in \\3-grams section"),
+        (HAND_ARPA[HAND_ARPA.index("\\1-grams:"):HAND_ARPA.index("\\end\\")], "",
+         "no n-gram sections found"),
+        ("ngram 2=2", "ngram 2=3", "header promises 3 2-grams, found 2"),
+    ], ids=["duplicate", "no-unk", "before-data", "short-row", "no-sections", "count"])
     def test_unusable_arpa_rejected(self, tmp_path, old, new, message):
+        assert old in self.HAND_ARPA
         path = tmp_path / "hand.arpa"
         path.write_text(self.HAND_ARPA.replace(old, new), encoding="utf-8")
         with pytest.raises(ConfigError, match=message):
