@@ -209,15 +209,32 @@ class PipelineConfig:
     dedup_policy: str = "remove_all"
 
 
-_REQUIRED_FIELDS = ("id", "source", "domain", "text")
+_RECORD_FIELDS = tuple((name, str) for name in ("id", "source", "domain", "text"))
+_MANIFEST_FIELDS = (("source", str), ("doc_count", int), ("token_count", int), ("checksum", str))
+_TYPE_NAMES = {str: "a string", int: "a JSON integer"}
 
 
-def _parse_record(obj: dict, path: Path, lineno: int) -> Document:
-    for name in _REQUIRED_FIELDS:
-        if name not in obj:
-            raise ShardFormatError(f"{path}:{lineno}: missing field {name!r}")
-        if not isinstance(obj[name], str):
-            raise ShardFormatError(f"{path}:{lineno}: field {name!r} must be a string")
+def _check_fields(obj: dict, fields: tuple, path: Path, lineno: int, escaped: bool) -> None:
+    """Each field is present with its JSON type; a bool is no integer. A line
+    with a \\u escape (`escaped`) may hold a lone surrogate, which has no UTF-8
+    form, so only then are its strings encoded."""
+    for name, kind in fields:
+        if type(obj.get(name)) is not kind:
+            if name not in obj:
+                raise ShardFormatError(f"{path}:{lineno}: missing field {name!r}")
+            raise ShardFormatError(f"{path}:{lineno}: field {name!r} must be {_TYPE_NAMES[kind]}")
+    if escaped:
+        for name, kind in fields:
+            if kind is str:
+                try:
+                    obj[name].encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ShardFormatError(
+                        f"{path}:{lineno}: field {name!r} holds a lone surrogate") from None
+
+
+def _parse_record(obj: dict, path: Path, lineno: int, escaped: bool) -> Document:
+    _check_fields(obj, _RECORD_FIELDS, path, lineno, escaped)
     try:
         domain = Domain(obj["domain"])
     except ValueError:
@@ -244,19 +261,18 @@ def read_shard(path: str | Path) -> CorpusShard:
                     raise ShardFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
                 if not isinstance(obj, dict):
                     raise ShardFormatError(f"{path}:{lineno}: expected a JSON object")
+                # A backslash is found at memchr speed, about 9 times faster
+                # than "\\u"; most lines hold none.
+                escaped = "\\" in line and "\\u" in line
                 if obj.get("__manifest__"):
                     if manifest is not None:
                         raise ShardFormatError(f"{path}:{lineno}: multiple manifest lines")
-                    manifest = Manifest(
-                        source=obj.get("source", ""),
-                        doc_count=obj.get("doc_count", -1),
-                        token_count=obj.get("token_count", -1),
-                        checksum=obj.get("checksum", ""),
-                    )
+                    _check_fields(obj, _MANIFEST_FIELDS, path, lineno, escaped)
+                    manifest = Manifest(**{name: obj[name] for name, _ in _MANIFEST_FIELDS})
                     continue
                 if manifest is not None:
                     raise ShardFormatError(f"{path}:{lineno}: record after manifest line")
-                docs.append(_parse_record(obj, path, lineno))
+                docs.append(_parse_record(obj, path, lineno, escaped))
     except UnicodeDecodeError as exc:
         raise ShardFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if manifest is None:

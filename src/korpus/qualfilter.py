@@ -35,11 +35,13 @@ is itself in the model; so is every suffix. `prob` is p(last | prefix) and
 both. A flat key of k packed ids would overflow int64 at order 5 with 2^13
 ids; this one stays below V * (number of n-grams).
 
-Training and ARPA I/O work on whole arrays. The scorer walks a document left
-to right, as KenLM does: its state is the longest n-gram that ends the text
-so far, and each token is a binary search among the children of the state (a
-run of `keys`), backing off along (k-1)-suffixes. A walk in Python costs less
-than the fixed cost of the dozens of numpy calls a vectorised document needs.
+Training and ARPA I/O work on whole arrays. `_count_ngrams` numbers the
+n-grams for both: those of the padded documents, or every contiguous piece of
+each n-gram an ARPA file lists. The scorer walks a document left to right, as
+KenLM does: its state is the longest n-gram that ends the text so far, and
+each token is a binary search among the children of the state (a run of
+`keys`), backing off along (k-1)-suffixes. A walk in Python costs less than
+the fixed cost of the dozens of numpy calls a vectorised document needs.
 
 Bit identity with the per-n-gram definition: discounts, probabilities and
 backoffs are elementwise numpy float64 ops in the scalar formulas' operand
@@ -205,12 +207,14 @@ def _estimate_discounts(counts: np.ndarray, order_k: int) -> np.ndarray:
 
 def _count_ngrams(seq: np.ndarray, depth: np.ndarray, v: int, order: int,
                   bos: int) -> list[tuple]:
-    """Each order's distinct n-grams in the padded sequences, unigrams first.
+    """Each order's distinct n-grams in the concatenated sequences `seq`, unigrams first.
 
-    Per order: the sorted keys, the raw counts, each n-gram's (k-1)-suffix as
-    an index into the order below (None for unigrams), and whether it starts
-    with <s>, whose id is `bos`. `depth` is each position's offset in its
-    padded document.
+    `depth` is each position's offset in its sequence: a padded document in
+    training, a listed n-gram in `read_arpa`. An n-gram counts where it fits
+    in its sequence, and every id of the vocabulary is a unigram. Per order:
+    the sorted keys, the raw counts, each n-gram's (k-1)-suffix as an index
+    into the order below (None for unigrams), and whether it starts with <s>,
+    whose id is `bos`.
     """
     ids = np.arange(v)
     levels = [(ids - v, np.bincount(seq, minlength=v), None, ids == bos)]
@@ -421,31 +425,19 @@ def _log10_texts(values: np.ndarray, none: str, lead: str) -> np.ndarray:
     return texts[codes]
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows in lexicographic order, and the position of each row among them."""
-    sort = np.lexsort(rows.T[::-1])
-    rows = rows[sort]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    where = np.empty(len(rows), dtype=np.int64)
-    where[sort] = np.cumsum(new) - 1
-    return rows[new], where
-
-
 def read_arpa(path: str | Path) -> NgramModel:
     """Parse an ARPA file. Tokens contain no whitespace, so plain splitting is safe.
 
     An n-gram with a word outside the vocabulary (the unigrams with a
-    probability) can never be looked up and is left out. A missing prefix or
-    suffix of an n-gram is added without probability or backoff, which the
-    scorer treats as absent.
+    probability) can never be looked up and is left out. The model holds the
+    listed n-grams closed under prefixes and suffixes, which is every
+    contiguous piece of each listed n-gram: `_count_ngrams` numbers them,
+    reading each listed n-gram as a sequence of its own. A piece that is not
+    listed has no probability or backoff, which the scorer treats as absent.
     """
     path = Path(path)
     sections: dict[int, tuple[list, list, list]] = {}  # order -> words, p, backoff
-    order = 0
-    section = 0
     expected: dict[int, int] = {}
-    seen: Counter[int] = Counter()
     try:
         with open(path, encoding="utf-8") as fh:
             state = "preamble"
@@ -460,7 +452,6 @@ def read_arpa(path: str | Path) -> NgramModel:
                     break
                 if line.startswith("\\") and line.endswith("-grams:"):
                     section = int(line[1:-7])
-                    order = max(order, section)
                     state = "grams"
                     words, probs, backoffs = sections.setdefault(section, ([], [], []))
                     continue
@@ -473,7 +464,6 @@ def read_arpa(path: str | Path) -> NgramModel:
                 parts = line.split()
                 if len(parts) < 1 + section:
                     raise ConfigError(f"{path}: short line in \\{section}-grams section: {line!r}")
-                seen[section] += 1
                 logp = float(parts[0])
                 # -99 marks placeholder entries such as <s>
                 probs.append(10.0 ** logp if logp > -98.0 else _NONE)
@@ -484,47 +474,40 @@ def read_arpa(path: str | Path) -> NgramModel:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except (ValueError, IndexError, OverflowError):  # a number, count or header
         raise ConfigError(f"{path}:{lineno}: cannot parse {raw_line.strip()!r}") from None
-    if order == 0:
+    order = max(sections, default=0)
+    if order < 1:
         raise ConfigError(f"{path}: no n-gram sections found")
     for k, n in expected.items():
-        if seen.get(k, 0) != n:
-            raise ConfigError(f"{path}: header promises {n} {k}-grams, found {seen.get(k, 0)}")
+        found = len(sections.get(k, ((), (), ()))[1])
+        if found != n:
+            raise ConfigError(f"{path}: header promises {n} {k}-grams, found {found}")
 
     words, probs, _ = sections.get(1, ([], [], []))
     known = {w for w, p in zip(words, probs) if p == p}
     vocab = {w: i for i, w in enumerate(sorted(known | {UNK, BOS, EOS}))}
     v = len(vocab)
-    # Top down: each order's n-grams that can be looked up (all their words in
-    # the vocabulary), closed under the prefixes and suffixes of the order
-    # above and sorted by id tuple, which is the order of the keys.
-    levels = []  # from the top order down: sorted rows, (prob, backoff), prefix positions
-    above = np.empty((0, order + 1), dtype=np.int64)
-    for k in range(order, 0, -1):
-        words, probs, backoffs = sections.get(k, ([], [], []))
+    listed = []  # per order: the id rows that can be looked up, their probs and backoffs
+    for k in range(1, order + 1):
+        words, probs, backoffs = sections.pop(k, ([], [], []))
         ids = np.fromiter(map(vocab.get, words, repeat(-1)), dtype=np.int64,
                           count=len(words)).reshape(-1, k)
         kept = (ids >= 0).all(axis=1)
-        real = ids[kept]
-        if k == 1:
-            rows, where = np.arange(v).reshape(-1, 1), np.concatenate([real[:, 0], above[:, 0]])
-        else:
-            rows, where = _unique_rows(np.concatenate([real, above[:, :-1], above[:, 1:]]))
-        at = where[:len(real)]
+        listed.append((ids[kept], np.array(probs)[kept], np.array(backoffs)[kept]))
+    del words, probs, backoffs  # free the last section's lists before the arrays grow
+    seq = np.concatenate([ids.ravel() for ids, _, _ in listed])
+    depth = np.concatenate([np.tile(np.arange(ids.shape[1]), len(ids)) for ids, _, _ in listed])
+    keys = np.concatenate([keys for keys, _, _, _ in
+                           _count_ngrams(seq, depth, v, order, vocab[BOS])])
+    prob, backoff = np.full(keys.size, _NONE), np.full(keys.size, _NONE)
+    for k, (ids, p, b) in enumerate(listed, 1):
+        at = ids[:, 0]  # global index of each row's first j + 1 ids; a unigram's is its id
+        for j in range(1, k):
+            at = keys.searchsorted(at * v + ids[:, j])
         if np.unique(at).size < at.size:
             raise ConfigError(f"{path}: duplicate n-gram in the \\{k}-grams section")
-        values = np.full((2, len(rows)), _NONE)
-        values[0, at] = np.array(probs)[kept]
+        prob[at] = p
         if k < order:  # a top-order backoff is never used
-            values[1, at] = np.array(backoffs)[kept]
-        levels.append((rows, values, where[len(real):len(real) + len(above)]))
-        above = rows
-    if np.isnan(values[0, [vocab[UNK], vocab[EOS]]]).any():
+            backoff[at] = b
+    if np.isnan(prob[[vocab[UNK], vocab[EOS]]]).any():
         raise ConfigError(f"{path}: no unigram probability for {UNK!r} or {EOS!r}")
-    # An n-gram's key: V * the global index of its prefix + its last id.
-    keys, base = [np.arange(v) - v], 0
-    for (rows, _, _), (lower, _, prefix) in zip(levels[-2::-1], levels[::-1]):
-        keys.append((base + prefix) * v + rows[:, -1])
-        base += len(lower)
-    values = np.concatenate([values for _, values, _ in levels[::-1]], axis=1)
-    return NgramModel(order=order, vocab=vocab, keys=np.concatenate(keys),
-                      prob=values[0], backoff=values[1])
+    return NgramModel(order=order, vocab=vocab, keys=keys, prob=prob, backoff=backoff)

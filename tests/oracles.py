@@ -9,11 +9,22 @@ block by block. `oracle_chunk_sentences` packs chunks with an explicit buffer
 that a flush empties, where `korpus.chunker.chunk_sentences` appends to groups.
 `oracle_write_arpa` builds the whole ARPA text as one list of lines, formatting
 each value on its own, where `korpus.qualfilter.write_arpa` streams the rows.
+`oracle_read_arpa` closes the listed n-grams top down, adding each order's
+prefixes and suffixes to the order below and sorting id rows with `lexsort`,
+then builds the keys bottom up; `korpus.qualfilter.read_arpa` numbers every
+piece of each listed n-gram with training's `_count_ngrams`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import repeat
+from pathlib import Path
+
 import numpy as np
+
+from korpus.errors import ConfigError
+from korpus.qualfilter import _NONE, BOS, EOS, UNK, NgramModel
 
 
 def build_oracle_stream(doc_token_lists: list[list[int]]):
@@ -244,3 +255,112 @@ def oracle_write_arpa(model, path) -> None:
     lines = ["\\data\\"] + counts + sections + ["", "\\end\\"]
     with atomic_write(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows in lexicographic order, and the position of each row among them."""
+    sort = np.lexsort(rows.T[::-1])
+    rows = rows[sort]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    where = np.empty(len(rows), dtype=np.int64)
+    where[sort] = np.cumsum(new) - 1
+    return rows[new], where
+
+
+def oracle_read_arpa(path: str | Path) -> NgramModel:
+    """Parse an ARPA file. Tokens contain no whitespace, so plain splitting is safe.
+
+    An n-gram with a word outside the vocabulary (the unigrams with a
+    probability) can never be looked up and is left out. A missing prefix or
+    suffix of an n-gram is added without probability or backoff, which the
+    scorer treats as absent.
+    """
+    path = Path(path)
+    sections: dict[int, tuple[list, list, list]] = {}  # order -> words, p, backoff
+    order = 0
+    section = 0
+    expected: dict[int, int] = {}
+    seen: Counter[int] = Counter()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            state = "preamble"
+            for lineno, raw_line in enumerate(fh, start=1):
+                line = raw_line.strip()
+                if not line:
+                    continue
+                if line == "\\data\\":
+                    state = "data"
+                    continue
+                if line == "\\end\\":
+                    break
+                if line.startswith("\\") and line.endswith("-grams:"):
+                    section = int(line[1:-7])
+                    order = max(order, section)
+                    state = "grams"
+                    words, probs, backoffs = sections.setdefault(section, ([], [], []))
+                    continue
+                if state == "data":
+                    name, _, count = line.partition("=")
+                    expected[int(name.split()[1])] = int(count)
+                    continue
+                if state != "grams":
+                    raise ConfigError(f"{path}: unexpected line outside any section: {line!r}")
+                parts = line.split()
+                if len(parts) < 1 + section:
+                    raise ConfigError(f"{path}: short line in \\{section}-grams section: {line!r}")
+                seen[section] += 1
+                logp = float(parts[0])
+                # -99 marks placeholder entries such as <s>
+                probs.append(10.0 ** logp if logp > -98.0 else _NONE)
+                backoffs.append(10.0 ** float(parts[1 + section]) if len(parts) > 1 + section
+                                else _NONE)
+                words += parts[1:1 + section]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except (ValueError, IndexError, OverflowError):  # a number, count or header
+        raise ConfigError(f"{path}:{lineno}: cannot parse {raw_line.strip()!r}") from None
+    if order == 0:
+        raise ConfigError(f"{path}: no n-gram sections found")
+    for k, n in expected.items():
+        if seen.get(k, 0) != n:
+            raise ConfigError(f"{path}: header promises {n} {k}-grams, found {seen.get(k, 0)}")
+
+    words, probs, _ = sections.get(1, ([], [], []))
+    known = {w for w, p in zip(words, probs) if p == p}
+    vocab = {w: i for i, w in enumerate(sorted(known | {UNK, BOS, EOS}))}
+    v = len(vocab)
+    # Top down: each order's n-grams that can be looked up (all their words in
+    # the vocabulary), closed under the prefixes and suffixes of the order
+    # above and sorted by id tuple, which is the order of the keys.
+    levels = []  # from the top order down: sorted rows, (prob, backoff), prefix positions
+    above = np.empty((0, order + 1), dtype=np.int64)
+    for k in range(order, 0, -1):
+        words, probs, backoffs = sections.get(k, ([], [], []))
+        ids = np.fromiter(map(vocab.get, words, repeat(-1)), dtype=np.int64,
+                          count=len(words)).reshape(-1, k)
+        kept = (ids >= 0).all(axis=1)
+        real = ids[kept]
+        if k == 1:
+            rows, where = np.arange(v).reshape(-1, 1), np.concatenate([real[:, 0], above[:, 0]])
+        else:
+            rows, where = _unique_rows(np.concatenate([real, above[:, :-1], above[:, 1:]]))
+        at = where[:len(real)]
+        if np.unique(at).size < at.size:
+            raise ConfigError(f"{path}: duplicate n-gram in the \\{k}-grams section")
+        values = np.full((2, len(rows)), _NONE)
+        values[0, at] = np.array(probs)[kept]
+        if k < order:  # a top-order backoff is never used
+            values[1, at] = np.array(backoffs)[kept]
+        levels.append((rows, values, where[len(real):len(real) + len(above)]))
+        above = rows
+    if np.isnan(values[0, [vocab[UNK], vocab[EOS]]]).any():
+        raise ConfigError(f"{path}: no unigram probability for {UNK!r} or {EOS!r}")
+    # An n-gram's key: V * the global index of its prefix + its last id.
+    keys, base = [np.arange(v) - v], 0
+    for (rows, _, _), (lower, _, prefix) in zip(levels[-2::-1], levels[::-1]):
+        keys.append((base + prefix) * v + rows[:, -1])
+        base += len(lower)
+    values = np.concatenate([values for _, values, _ in levels[::-1]], axis=1)
+    return NgramModel(order=order, vocab=vocab, keys=np.concatenate(keys),
+                      prob=values[0], backoff=values[1])

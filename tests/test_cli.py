@@ -454,6 +454,20 @@ class TestValidateCommand:
         diags = validate_config(config)
         assert len(diags) == 1 and diags[0].startswith("$.langid.train:"), diags
 
+    @pytest.mark.parametrize("content,diagnostic", [
+        (None, "$: cannot read {path}: "),
+        (b'\xff{"sources": []}', "$: not UTF-8 text: invalid start byte at byte 0"),
+        (b'{"sources": ', "$: invalid JSON: Expecting value (line 1)"),
+    ], ids=["missing", "not-utf8", "invalid-json"])
+    def test_unreadable_config(self, tmp_path, capsys, content, diagnostic):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["validate", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out.startswith(diagnostic.format(path=path)) and out.count("\n") == 1, out
+        assert err == "error: 1 problem(s) found\n"
+
     @pytest.mark.parametrize("field,value", [
         ("min_words", -1),
         ("ngram_order", 0),
@@ -887,6 +901,37 @@ class TestPipelineCommand:
         cfg = tmp_path / "config.json"
         cfg.write_text('{"sources": []}', encoding="utf-8")
         assert main(["pipeline", "--config", str(cfg), "--workspace", str(tmp_path / "ws")]) == 2
+
+    def test_unknown_stop_after_exits_2(self, tmp_path, capsys):
+        config = build_pipeline_fixture(tmp_path)
+        ws = tmp_path / "ws"
+        assert main(["pipeline", "--config", str(config), "--workspace", str(ws),
+                     "--stop-after", "bogus"]) == 2
+        assert capsys.readouterr().err == "error: unknown stage 'bogus'\n"
+        assert not ws.exists()
+
+    def test_run_and_lm_score_leave_hashlib_unimported(self, tmp_path):
+        """Importing hashlib maps OpenSSL, about 3.6 MB of RSS, so neither a full
+        run nor `korpus lm score` on its model may import it."""
+        config = build_pipeline_fixture(tmp_path)
+        shard = sorted((tmp_path / "inputs").glob("*.jsonl"))[0]
+        ws = tmp_path / "ws"
+        script = (
+            "import sys\n"
+            "from korpus.cli import main\n"
+            "config, ws, shard, out = sys.argv[1:]\n"
+            "assert main(['pipeline', '--config', config, '--workspace', ws]) == 0\n"
+            "assert main(['lm', 'score', '--model', ws + '/qualfilter/model.arpa',\n"
+            "             '--in', shard, '--out', out]) == 0\n"
+            "print(sorted({'hashlib', '_hashlib'} & sys.modules.keys()))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(korpus.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script, str(config), str(ws), str(shard),
+                               str(tmp_path / "scores.json")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+        assert (tmp_path / "scores.json").exists()
 
     def test_other_error_in_a_stage_exits_3(self, tmp_path, capsys):
         config = build_pipeline_fixture(tmp_path)

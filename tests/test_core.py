@@ -71,6 +71,16 @@ docs_strategy = st.lists(
 )
 
 
+def set_fields(i, **fields):
+    """An edit of line i of a shard: set JSON fields, dumped with ASCII escapes."""
+    def edit(lines):
+        obj = json.loads(lines[i])
+        obj.update(fields)
+        lines[i] = json.dumps(obj)
+        return lines
+    return edit
+
+
 class TestShardIO:
     def test_three_records(self, tmp_path):
         shard = make_shard(["eins zwei", "drei", "vier fünf sechs"])
@@ -96,6 +106,42 @@ class TestShardIO:
                         encoding="utf-8")
         with pytest.raises(ShardFormatError, match=":2:"):
             read_shard(path)
+
+    @pytest.mark.parametrize("edit,message", [
+        (set_fields(0, text=7), ":1: field 'text' must be a string"),
+        (set_fields(0, domain="poetry"), ":1: unknown domain 'poetry'"),
+        (lambda lines: ["[1, 2]"] + lines, ":1: expected a JSON object"),
+        (lambda lines: lines + lines[-1:], ":4: multiple manifest lines"),
+        (lambda lines: lines + lines[:1], ":4: record after manifest line"),
+        (lambda lines: lines[:1] + [""] + lines[1:], None),
+        (lambda lines: [json.dumps(json.loads(line)) for line in lines], None),
+        (set_fields(2, doc_count=2.0), ":3: field 'doc_count' must be a JSON integer"),
+        (set_fields(2, token_count=True), ":3: field 'token_count' must be a JSON integer"),
+        (set_fields(2, source=1), ":3: field 'source' must be a string"),
+        (set_fields(2, checksum=None), ":3: field 'checksum' must be a string"),
+        (lambda lines: lines[:2] + ['{"__manifest__": true}'], ":3: missing field 'source'"),
+        (set_fields(1, id="b\ud800"), ":2: field 'id' holds a lone surrogate"),
+        (set_fields(1, source="s\udfff"), ":2: field 'source' holds a lone surrogate"),
+        (set_fields(1, domain="\ud800formal"), ":2: field 'domain' holds a lone surrogate"),
+        (set_fields(1, text="Grüße \ud800"), ":2: field 'text' holds a lone surrogate"),
+        (set_fields(2, source="test\ud800"), ":3: field 'source' holds a lone surrogate"),
+    ], ids=["non-string", "unknown-domain", "not-an-object", "two-manifests",
+            "record-after-manifest", "blank-line", "ascii-escapes", "float-count",
+            "bool-count", "numeric-source", "null-checksum", "bare-manifest",
+            "surrogate-id", "surrogate-source", "surrogate-domain", "surrogate-text",
+            "surrogate-manifest"])
+    def test_line_checks(self, tmp_path, edit, message):
+        """Each line is checked where it is read; `None`: the shard reads back whole."""
+        shard = make_shard(["eins zwei", "Grüße 😀 drei"])
+        path = tmp_path / "s.jsonl"
+        write_shard(shard, path)
+        lines = edit(path.read_text(encoding="utf-8").splitlines())
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if message is None:
+            assert read_shard(path) == shard
+        else:
+            with pytest.raises(ShardFormatError, match=f"^{re.escape(str(path) + message)}$"):
+                read_shard(path)
 
     def test_not_utf8_names_file(self, tmp_path):
         path = tmp_path / "latin1.jsonl"

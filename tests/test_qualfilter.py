@@ -18,7 +18,7 @@ from korpus.qualfilter import (
 
 from conftest import de_sentence, make_doc, make_shard, med_sentence
 from kn_oracle import oracle_model, oracle_perplexity
-from oracles import oracle_write_arpa
+from oracles import oracle_read_arpa, oracle_write_arpa
 
 TOY_TEXTS = ["a b a c", "b a a"]
 
@@ -345,6 +345,27 @@ class TestSelection:
             filter_top_k(shard, toy_model(), -1)
 
 
+def thin_arpa(text, rng, share):
+    """The ARPA text with each row of order >= 2 deleted at rate `share` and,
+    at rate `share`, one word's unigram probability set to -99; the header
+    counts follow."""
+    blocks = text.split("\n\n")  # the header, one block per section, then \\end\\
+    counts = []
+    for k, block in enumerate(blocks[1:-1], 1):
+        title, *rows = block.split("\n")
+        if k == 1 and rng.random() < share:
+            words = [i for i, r in enumerate(rows) if r.split("\t")[1] not in SPECIAL_TOKENS]
+            if words:
+                i = rng.choice(words)
+                rows[i] = "-99" + rows[i][rows[i].index("\t"):]
+        elif k > 1:
+            rows = [r for r in rows if rng.random() >= share]
+        blocks[k] = "\n".join([title, *rows])
+        counts.append(f"ngram {k}={len(rows)}")
+    blocks[0] = "\n".join(["\\data\\", *counts])
+    return "\n\n".join(blocks)
+
+
 class TestArpa:
     def test_round_trip_scores(self, tmp_path):
         rng = random.Random(4)
@@ -424,6 +445,32 @@ class TestArpa:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:{lineno}: cannot parse"):
             read_arpa(path)
+
+    @pytest.mark.parametrize("min_count", [1, 2])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_matches_oracle_reader(self, tmp_path, order, min_count):
+        """Against the reader with its own top-down closure that `read_arpa`
+        replaced, on trained models and on files that lack rows."""
+        rng = random.Random(9000 + 10 * order + min_count)
+        path = tmp_path / "m.arpa"
+        added = 0  # n-grams of order >= 2 with neither value: pieces the file does not list
+        for _ in range(8):
+            texts = random_corpus(rng, n_words=rng.randint(5, 40), n_docs=rng.randint(1, 40),
+                                  max_len=rng.randint(1, 12))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # sparse count-of-counts
+                model = train_ngram([make_shard(texts)], order=order, min_count=min_count)
+            write_arpa(model, path)
+            if rng.random() < 0.7:
+                path.write_text(thin_arpa(path.read_text(encoding="utf-8"), rng, 0.3),
+                                encoding="utf-8")
+            new, old = read_arpa(path), oracle_read_arpa(path)
+            assert (new.order, new.vocab) == (old.order, old.vocab)
+            for name in ("keys", "prob", "backoff"):  # NaN equals NaN here
+                np.testing.assert_array_equal(getattr(new, name), getattr(old, name), name)
+            v = len(new.vocab)
+            added += np.count_nonzero(np.isnan(new.prob[v:]) & np.isnan(new.backoff[v:]))
+        assert added > 0 or order < 3
 
     HAND_ARPA = """\\data\\
 ngram 1=7
