@@ -188,11 +188,18 @@ class CorpusShard:
                 f"manifest mismatch for source {self.manifest.source!r}: "
                 f"stored {self.manifest}, recomputed {recomputed}"
             )
-        seen: set[str] = set()
-        for d in self.documents:
-            if d.id in seen:
-                raise IntegrityError(f"duplicate document id {d.id!r}")
-            seen.add(d.id)
+        if (dup := _duplicate_id(self.documents)) is not None:
+            raise IntegrityError(f"duplicate document id {dup!r}")
+
+
+def _duplicate_id(docs: Iterable[Document]) -> str | None:
+    """The first id that an earlier document already has, if any."""
+    seen: set[str] = set()
+    for d in docs:
+        if d.id in seen:
+            return d.id
+        seen.add(d.id)
+    return None
 
 
 @dataclass
@@ -214,15 +221,22 @@ _MANIFEST_FIELDS = (("source", str), ("doc_count", int), ("token_count", int), (
 _TYPE_NAMES = {str: "a string", int: "a JSON integer"}
 
 
-def _check_fields(obj: dict, fields: tuple, path: Path, lineno: int, escaped: bool) -> None:
+def _where(path: Path, lineno: int | None) -> str:
+    """A line for messages: `path:lineno`, or `path: last line` for a line read from the end."""
+    return f"{path}: last line" if lineno is None else f"{path}:{lineno}"
+
+
+def _check_fields(obj: dict, fields: tuple, path: Path, lineno: int | None,
+                  escaped: bool) -> None:
     """Each field is present with its JSON type; a bool is no integer. A line
     with a \\u escape (`escaped`) may hold a lone surrogate, which has no UTF-8
     form, so only then are its strings encoded."""
     for name, kind in fields:
         if type(obj.get(name)) is not kind:
             if name not in obj:
-                raise ShardFormatError(f"{path}:{lineno}: missing field {name!r}")
-            raise ShardFormatError(f"{path}:{lineno}: field {name!r} must be {_TYPE_NAMES[kind]}")
+                raise ShardFormatError(f"{_where(path, lineno)}: missing field {name!r}")
+            raise ShardFormatError(
+                f"{_where(path, lineno)}: field {name!r} must be {_TYPE_NAMES[kind]}")
     if escaped:
         for name, kind in fields:
             if kind is str:
@@ -230,7 +244,12 @@ def _check_fields(obj: dict, fields: tuple, path: Path, lineno: int, escaped: bo
                     obj[name].encode("utf-8")
                 except UnicodeEncodeError:
                     raise ShardFormatError(
-                        f"{path}:{lineno}: field {name!r} holds a lone surrogate") from None
+                        f"{_where(path, lineno)}: field {name!r} holds a lone surrogate") from None
+
+
+def _parse_manifest(obj: dict, path: Path, lineno: int | None, escaped: bool) -> Manifest:
+    _check_fields(obj, _MANIFEST_FIELDS, path, lineno, escaped)
+    return Manifest(**{name: obj[name] for name, _ in _MANIFEST_FIELDS})
 
 
 def _parse_record(obj: dict, path: Path, lineno: int, escaped: bool) -> Document:
@@ -267,8 +286,7 @@ def read_shard(path: str | Path) -> CorpusShard:
                 if obj.get("__manifest__"):
                     if manifest is not None:
                         raise ShardFormatError(f"{path}:{lineno}: multiple manifest lines")
-                    _check_fields(obj, _MANIFEST_FIELDS, path, lineno, escaped)
-                    manifest = Manifest(**{name: obj[name] for name, _ in _MANIFEST_FIELDS})
+                    manifest = _parse_manifest(obj, path, lineno, escaped)
                     continue
                 if manifest is not None:
                     raise ShardFormatError(f"{path}:{lineno}: record after manifest line")
@@ -280,6 +298,41 @@ def read_shard(path: str | Path) -> CorpusShard:
     shard = CorpusShard(tuple(docs), manifest)
     shard.verify()
     return shard
+
+
+_TAIL_BLOCK = 1 << 12  # bytes; a manifest line is about 150
+
+
+def read_manifest(path: str | Path) -> Manifest:
+    """The manifest of a shard file from its last non-blank line alone, with the
+    checks `read_shard` gives a manifest line. Only the file's tail is read, so
+    its records, counts and checksum are not verified."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        pos = fh.seek(0, os.SEEK_END)
+        tail = b""
+        while True:  # doubling blocks back from the end, until a break precedes the last line
+            step = min(pos, max(_TAIL_BLOCK, len(tail)))
+            pos -= step
+            fh.seek(pos)
+            tail = fh.read(step) + tail
+            # Breaks are \n, \r and \r\n, as for read_shard's universal newlines,
+            # and the trailing ones end blank lines.
+            body = tail.rstrip(b"\r\n")
+            start = max(body.rfind(b"\n"), body.rfind(b"\r")) + 1
+            if start or not pos:
+                break
+    try:
+        line = body[start:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ShardFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    try:
+        obj = json.loads(line) if line else None
+    except json.JSONDecodeError as exc:
+        raise ShardFormatError(f"{_where(path, None)}: invalid JSON ({exc.msg})") from None
+    if not (isinstance(obj, dict) and obj.get("__manifest__")):
+        raise ShardFormatError(f"{path}: missing manifest line")
+    return _parse_manifest(obj, path, None, "\\u" in line)
 
 
 @contextmanager
@@ -321,12 +374,18 @@ def merge_shards(shards: Iterable[CorpusShard], source: str | None = None) -> Co
     """Concatenate documents of several shards into one (order preserved).
 
     A single shard keeps its counts and checksum and only takes the new source:
-    its manifest is trusted, as `read_shard` verified it.
+    its manifest is trusted, as `read_shard` verified it. Documents of several
+    shards must have distinct ids, or IntegrityError names the first repeated
+    one and the source.
     """
     shards = list(shards)
     if len(shards) != 1:
-        return CorpusShard.from_documents(
+        merged = CorpusShard.from_documents(
             (doc for shard in shards for doc in shard.documents), source=source)
+        if (dup := _duplicate_id(merged.documents)) is not None:
+            raise IntegrityError(
+                f"duplicate document id {dup!r} in source {merged.manifest.source!r}")
+        return merged
     (shard,) = shards
     if source is None:
         source = _common_source(shard.documents)

@@ -21,27 +21,43 @@ trim source is one of the sources, and source names are unique. Each path is
 a glob pattern: a relative one resolves against the directory of the config or
 spec that names it, its matches are read in sorted order, and each pattern
 must match a file.
+
+`assemble` reads each source with `read_shard` and merges its files under the
+source's name. A caller may name sources to leave unread instead: each has one
+shard file, which the caller passes into the dataset as it is, and its counts
+come from that file's manifest line (`read_manifest`). The trim source is
+always read. The pipeline runner names the sources whose shard is a stage
+output, which reads back and re-writes to its own bytes (see `korpus.pipeline`);
+`korpus mix --spec` reads every source.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import Collection, NamedTuple, Sequence
 
-from .core import CorpusShard, merge_shards, read_shard
+from .core import CorpusShard, Manifest, merge_shards, read_manifest, read_shard
 from .errors import ConfigError
 from .report import CompositionReport, CompositionRow
 from .rng import SplitMix64
 
 
+class PassThrough(NamedTuple):
+    """A source `assemble` did not read: its one shard file goes into the dataset
+    as it is, so its manifest line alone gives its counts."""
+
+    manifest: Manifest
+
+
 def trim_to_budget(
-    shards: list[CorpusShard],
+    shards: list[CorpusShard | PassThrough],
     source: str,
     budget_tokens: int,
     seed: int,
-) -> list[CorpusShard]:
+) -> list[CorpusShard | PassThrough]:
     """Seeded removal of whole documents from the shard whose manifest source is
-    `source` (not by document label) until within budget; other shards are returned as is."""
+    `source` (not by document label) until within budget; other shards are
+    returned as is, and only their manifests are read."""
     total = sum(s.manifest.token_count for s in shards)
     if total <= budget_tokens:
         return list(shards)
@@ -72,13 +88,19 @@ def assemble(
     budget_tokens: int | None = None,
     trim_source: str | None = None,
     seed: int = 0,
-) -> tuple[list[CorpusShard], CompositionReport]:
+    unread: Collection[str] = (),
+) -> tuple[list[CorpusShard | PassThrough], CompositionReport]:
     """Read all (name, domain, paths) sources, trim `trim_source` if a budget
     is given, and report composition.
 
-    Returns one merged shard per source, in the given order.
+    Returns one merged shard per source, in the given order. A source named in
+    `unread` has exactly one path, whose file the caller passes to the dataset
+    as it is; only its manifest line is read, and its entry is a PassThrough.
+    The trim source is always read.
     """
-    shards = [merge_shards([read_shard(p) for p in paths], source=name)
+    shards = [PassThrough(read_manifest(*paths))
+              if name in unread and name != trim_source
+              else merge_shards([read_shard(p) for p in paths], source=name)
               for name, _, paths in sources]
 
     if budget_tokens is not None:

@@ -24,6 +24,18 @@ stage wrote. Every writer takes `(value, path)`.
 After each stage, ran or cached, a source reads `<stage>/<name>.jsonl` if the
 stage's outputs hold that path. Names have no dot (`$defs/name` in the schema),
 so a side file such as `<name>.chunks.jsonl` is never another source's shard.
+
+Mix parses only what it must. A dataset source whose shard is a stage output
+(its checksum is in that stage's marker), and that is not the dataset's trim
+source, is copied in blocks to `datasets/<ds>/<name>.jsonl`. The copy is hashed
+as it is written, and a hash other than the marker's raises IntegrityError
+with no file written. Its composition counts come from its manifest line. The
+trim source loses documents, and a raw input's manifest may name another
+source and its bytes need not be `write_shard`'s, so these two are parsed with
+`read_shard` and re-written with `write_shard`, as `korpus mix --spec` does for
+every source. A copy has the bytes of that re-write: every stage writes
+`<stage>/<name>.jsonl` with `write_shard` and source `name`, and `write_shard`
+gives a shard read from its own output the same bytes again.
 """
 
 from __future__ import annotations
@@ -35,7 +47,7 @@ import sys
 from dataclasses import dataclass, asdict
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, BinaryIO, Callable, Iterator
 
 import jsonschema
 
@@ -46,10 +58,10 @@ except ImportError:  # Python >= 3.12 or a build without it
 
 from . import __version__, chunker, dedup, langid, mixer, qualfilter, report as report_mod
 from .core import (
-    _FNV_OFFSET, CorpusShard, PipelineConfig, atomic_write, fnv1a_bytes, merge_shards, read_shard,
-    write_shard,
+    _FNV_OFFSET, CorpusShard, PipelineConfig, atomic_write, fnv1a_bytes, merge_shards,
+    read_manifest, read_shard, write_shard,
 )
-from .errors import ConfigError, IntegrityError, KorpusError, StageError
+from .errors import ConfigError, IntegrityError, KorpusError, ShardFormatError, StageError
 from .preprocess import clean_shard
 
 STAGES = ("preprocess", "langid", "dedup", "qualfilter", "chunk", "mix", "report")
@@ -148,13 +160,22 @@ def resolve_paths(patterns: list[str], base: Path) -> list[Path]:
 
 
 def _resolve_each(loc: str, patterns: list[str], base: Path, diags: list[str]) -> list[Path]:
-    """`resolve_paths`, with a diagnostic at `loc[j]` for each dead pattern j."""
+    """`resolve_paths`, with a diagnostic at `loc[j]` for each dead pattern j and
+    for each of its files whose manifest line is missing or malformed
+    (`read_manifest`, which reads the file's tail only)."""
     out: list[Path] = []
     for j, pat in enumerate(patterns):
         try:
-            out += resolve_paths([pat], base)
+            paths = resolve_paths([pat], base)
         except ConfigError as exc:
             diags.append(f"{loc}[{j}]: {exc}")
+            continue
+        for p in paths:
+            try:
+                read_manifest(p)
+            except ShardFormatError as exc:
+                diags.append(f"{loc}[{j}]: {exc}")
+        out += paths
     return out
 
 
@@ -200,7 +221,12 @@ def parse_mix_spec(path: str | Path) -> dict:
 
 
 def parse_config(path: str | Path) -> tuple[RunConfig | None, list[str]]:
-    """Parse and validate; returns (config or None, diagnostics)."""
+    """Parse and validate; returns (config or None, diagnostics).
+
+    Every raw input (source files, langid corpora, the KN reference) must have
+    a well-formed manifest as its last line. Only that line is checked here; the
+    records, counts and checksum are checked by the first stage that reads the
+    file."""
     path = Path(path)
     obj, diags = _load_json(path, _VALIDATOR)
     if diags:
@@ -295,11 +321,24 @@ def _read_blocks(path: str | Path) -> Iterator[bytes]:
         yield from iter(lambda: fh.read(_READ_BLOCK), b"")
 
 
-def _checksum_file(path: Path) -> str:
+def _checksum_file(path: Path, copy: BinaryIO | None = None) -> str:
+    """FNV-1a of the file's bytes; each block read is also written to `copy`, if given."""
     state = _FNV_OFFSET
     for block in _read_blocks(path):
         state = fnv1a_bytes(block, state)
+        if copy is not None:
+            copy.write(block)
     return f"{state:016x}"
+
+
+def _copy_checked(source: tuple[Path, str], path: Path) -> None:
+    """Copy the file `source` names to `path`, unless its bytes no longer hash to
+    the checksum its stage recorded: then IntegrityError, and nothing is written."""
+    src, checksum = source
+    with atomic_write(path) as fh:
+        if _checksum_file(src, fh) != checksum:
+            raise IntegrityError(
+                f"{src} was modified after its stage recorded it; re-run with --force")
 
 
 def _run_key(config: RunConfig, seed_override: int | None) -> str:
@@ -333,6 +372,8 @@ class PipelineRun:
         self.seed_override = seed_override
         self.key = _run_key(config, seed_override)
         self.state: dict[str, list[Path]] = dict(config.source_files)
+        # The marker checksum of each source's shard that is a stage output.
+        self.checksums: dict[str, str] = {}
 
     # -- marker bookkeeping ------------------------------------------------
 
@@ -406,6 +447,7 @@ class PipelineRun:
                 rel = str(Path(stage, f"{src.name}.jsonl"))
                 if rel in outputs:
                     self.state[src.name] = [self.ws / rel]
+                    self.checksums[src.name] = outputs[rel]
             if stage == stop_after:
                 self.log(f"[pipeline] stopped after {stage}")
                 return {}
@@ -509,14 +551,20 @@ class PipelineRun:
             yield f"chunk/{src.name}.failures.json", write_json, failures
 
     def _stage_mix(self) -> Outputs:
+        """A source whose shard is a stage output is copied, unless it is the
+        dataset's trim source; see the module docstring."""
         domain = {s.name: s.domain for s in self.cfg.sources}
         for ds in self.cfg.datasets:
             shards, composition = mixer.assemble(
                 [(name, domain[name], self.state[name]) for name in ds.sources],
-                ds.budget_tokens, ds.trim_source, self._mix_seed(ds),
+                ds.budget_tokens, ds.trim_source, self._mix_seed(ds), unread=self.checksums,
             )
             for name, shard in zip(ds.sources, shards):
-                yield f"datasets/{ds.name}/{name}.jsonl", write_shard, shard
+                rel = f"datasets/{ds.name}/{name}.jsonl"
+                if isinstance(shard, mixer.PassThrough):
+                    yield rel, _copy_checked, (self.state[name][0], self.checksums[name])
+                else:
+                    yield rel, write_shard, shard
             yield (f"datasets/{ds.name}/composition.json", write_text,
                    report_mod.render(composition, "json"))
 

@@ -17,8 +17,8 @@ import korpus
 from korpus import core, dedup, langid, pipeline
 from korpus.chunker import chunk_document, chunk_record
 from korpus.cli import main
-from korpus.core import read_shard, write_shard
-from korpus.errors import ConfigError
+from korpus.core import merge_shards, read_shard, write_shard
+from korpus.errors import ConfigError, IntegrityError
 from korpus.pipeline import STAGES, load_schema, run_pipeline, validate_config
 
 from conftest import (
@@ -350,6 +350,20 @@ class TestMixCommand:
         assert read_shard(outdir / "gc4.jsonl").manifest.doc_count == 6
         payload = json.loads(report.read_text())
         assert payload["type"] == "composition"
+
+    def test_repeated_document_id_across_paths_exits_4(self, tmp_path, capsys):
+        for name in ("a", "b"):
+            write_shard(make_shard([f"{name} eins zwei"], source="s", prefix="x"),
+                        tmp_path / f"{name}.jsonl")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"name": "mini", "sources": [
+            {"source": "s", "domain": "formal", "paths": ["a.jsonl", "b.jsonl"]}]}),
+            encoding="utf-8")
+        outdir = tmp_path / "ds"
+        assert main(["mix", "--spec", str(spec_path), "--out-dir", str(outdir)]) == 4
+        assert capsys.readouterr().err == (
+            "integrity error: duplicate document id 'x-0' in source 's'\n")
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("change,expected", [
         ({"seed": 3.7}, "$.seed: 3.7 is not of type 'integer'"),
@@ -734,6 +748,32 @@ class TestInputPaths:
         assert expected in (captured.out + captured.err).splitlines()
         assert not (tmp_path / "ds").exists() and not (tmp_path / "o.jsonl").exists()
 
+    @pytest.mark.parametrize("name,loc", [
+        ("books", "$.sources[7].paths[0]"),
+        ("langid-de", "$.langid.train.de[0]"),
+        ("med-reference", "$.quality_lm.reference[0]"),
+    ])
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda m: [json.dumps({**json.loads(m), "doc_count": 9.0})],
+         "last line: field 'doc_count' must be a JSON integer"),
+        (lambda m: [], "missing manifest line"),
+    ], ids=["float-count", "no-manifest"])
+    def test_raw_input_manifest_checked_before_any_stage(self, tmp_path, capsys, name, loc,
+                                                         edit, problem):
+        """Every raw input's manifest line is checked when the config is parsed,
+        so `korpus pipeline` exits 2 before preprocess runs."""
+        config = build_pipeline_fixture(tmp_path)
+        path = tmp_path / "inputs" / f"{name}.jsonl"
+        *records, manifest = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(records + edit(manifest)) + "\n", encoding="utf-8")
+        expected = f"{loc}: {path}: {problem}"
+        assert main(["validate", "--config", str(config)]) == 2
+        assert capsys.readouterr().out == expected + "\n"
+        ws = tmp_path / "ws"
+        assert main(["pipeline", "--config", str(config), "--workspace", str(ws)]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not ws.exists()
+
     def test_directory_is_not_a_file(self, tmp_path, monkeypatch, capsys):
         """A pattern that matches only directories matches no file."""
         config = build_pipeline_fixture(tmp_path)
@@ -896,6 +936,27 @@ class TestPipelineCommand:
         assert len(reports) == 2  # group stage + combined
         kept = read_shard(ws / "datasets" / "mini" / "solo.jsonl")
         assert {d.id for d in kept.documents} == {f"d{i}" for i in range(4)}
+
+    @pytest.mark.parametrize("files,patterns", [
+        (("a", "b"), ["inputs/*.jsonl"]),
+        (("a",), ["inputs/a.jsonl", "inputs/*.jsonl"]),
+    ], ids=["two-files", "two-patterns-one-file"])
+    def test_repeated_document_id_in_a_source_exits_4(self, tmp_path, capsys, files, patterns):
+        """Mix merges the files of a source with no step, and their ids must be distinct."""
+        for name in files:
+            write_shard(CorpusShard.from_documents([make_doc("x1", f"{name} eins zwei", "s")]),
+                        tmp_path / "inputs" / f"{name}.jsonl")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "sources": [{"name": "s", "domain": "formal", "paths": patterns}],
+            "datasets": [{"name": "ds", "sources": ["s"]}],
+        }), encoding="utf-8")
+        ws = tmp_path / "ws"
+        assert main(["pipeline", "--config", str(config), "--workspace", str(ws)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err[-2:] == ["[pipeline] mix: running",
+                            "integrity error: duplicate document id 'x1' in source 's'"]
+        assert not (ws / "datasets").exists()
 
     def test_schema_error_exit_code(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -1115,6 +1176,79 @@ class TestPipelineCommand:
         monkeypatch.undo()
         run_pipeline(config, ws)
         assert workspace_digest(ws) == fresh_digest
+
+
+class TestMixCopies:
+    """Mix copies a source's shard that is a stage output, unless it trims it;
+    the copy's bytes are checked against the checksum its stage recorded."""
+
+    def test_stage_output_modified_before_mix(self, tmp_path, fresh_digest):
+        config = build_pipeline_fixture(tmp_path)
+        ws = tmp_path / "ws"
+        shard_path = ws / "dedup" / "news.jsonl"
+        original = []
+
+        def log(msg):
+            if msg == "[pipeline] mix: running":
+                original.append(shard_path.read_bytes())
+                docs = read_shard(shard_path).documents[:-1]
+                write_shard(CorpusShard.from_documents(docs, source="news"), shard_path)
+                read_shard(shard_path)  # still a valid shard: only the marker checksum sees it
+
+        cfg, _ = pipeline.parse_config(config)
+        with pytest.raises(IntegrityError, match=r"dedup/news\.jsonl was modified after its stage"):
+            pipeline.PipelineRun(cfg, ws, log=log).run()
+        assert original
+        assert not list(ws.glob("datasets/*/news.jsonl")) and not list(ws.rglob("*.tmp"))
+        assert not (ws / "markers" / "mix.json").exists()
+        shard_path.write_bytes(original[0])
+        run_pipeline(config, ws)
+        assert workspace_digest(ws) == fresh_digest
+
+    def test_copies_equal_the_rewrite(self, tmp_path, monkeypatch):
+        """Each copy equals what re-reading and re-writing its stage output gives,
+        and `korpus mix --spec`, which re-writes every source, writes the same datasets."""
+        config = build_pipeline_fixture(tmp_path)
+        ws = tmp_path / "ws"
+        copies: list[tuple[Path, Path]] = []
+        real = pipeline._copy_checked
+        monkeypatch.setattr(pipeline, "_copy_checked",
+                            lambda value, path: copies.append((value[0], path)) or real(value, path))
+        run_pipeline(config, ws)
+        assert sorted(str(dst.relative_to(ws)) for _, dst in copies) == [
+            "datasets/quality/gc4.jsonl", "datasets/quality/news.jsonl",
+            "datasets/quality/wiki.jsonl", "datasets/variety/news.jsonl",
+            "datasets/variety/oscar-medical.jsonl", "datasets/variety/pubmed-translated.jsonl",
+            "datasets/variety/reddit.jsonl", "datasets/variety/wiki.jsonl",
+        ]
+        for src, dst in copies:
+            rewritten = tmp_path / "rewritten.jsonl"
+            write_shard(merge_shards([read_shard(src)], source=dst.stem), rewritten)
+            assert rewritten.read_bytes() == src.read_bytes() == dst.read_bytes(), dst
+
+        obj = json.loads(config.read_text(encoding="utf-8"))
+        sources = {s["name"]: s for s in obj["sources"]}
+
+        def current(name):  # the source's latest stage output, else its raw input
+            for stage in reversed(STAGES):
+                marker = json.loads((ws / "markers" / f"{stage}.json").read_text(encoding="utf-8"))
+                if f"{stage}/{name}.jsonl" in marker["outputs"]:
+                    return [str(ws / stage / f"{name}.jsonl")]
+            return [str(tmp_path / p) for p in sources[name]["paths"]]
+
+        for ds in obj["datasets"]:
+            spec = {k: v for k, v in ds.items() if k != "sources"}
+            spec["sources"] = [{"source": name, "domain": sources[name]["domain"],
+                                "paths": current(name)} for name in ds["sources"]]
+            spec_path = tmp_path / f"{ds['name']}.spec.json"
+            spec_path.write_text(json.dumps(spec), encoding="utf-8")
+            out = tmp_path / "cli" / ds["name"]
+            assert main(["mix", "--spec", str(spec_path), "--out-dir", str(out),
+                         "--report", str(out / "composition.json")]) == 0
+            expected = sorted((ws / "datasets" / ds["name"]).iterdir())
+            assert [p.name for p in expected] == sorted(p.name for p in out.iterdir())
+            for path in expected:
+                assert (out / path.name).read_bytes() == path.read_bytes(), path
 
 
 # `--help` lists each subcommand on an indented line of its own; the bare word

@@ -12,7 +12,7 @@ from referencing.jsonschema import DRAFT202012
 from korpus import core
 from korpus.core import (
     CorpusShard, Document, Domain, PipelineConfig, fnv1a_hex, merge_shards,
-    read_shard, tokenize, write_shard,
+    read_manifest, read_shard, tokenize, write_shard,
 )
 from korpus.errors import IntegrityError, ShardFormatError
 from korpus.pipeline import _MIX_SPEC_VALIDATOR, _schema_diagnostics, load_schema
@@ -143,6 +143,60 @@ class TestShardIO:
             with pytest.raises(ShardFormatError, match=f"^{re.escape(str(path) + message)}$"):
                 read_shard(path)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda lines: lines, None),
+        (lambda lines: lines + ["", ""], None),
+        (lambda lines: [json.dumps(json.loads(line)) for line in lines], None),
+        (set_fields(2, doc_count=2.0), ": last line: field 'doc_count' must be a JSON integer"),
+        (set_fields(2, token_count=True), ": last line: field 'token_count' must be a JSON integer"),
+        (set_fields(2, source=1), ": last line: field 'source' must be a string"),
+        (set_fields(2, checksum=None), ": last line: field 'checksum' must be a string"),
+        (lambda lines: lines[:2] + ['{"__manifest__": true}'], ": last line: missing field 'source'"),
+        (set_fields(2, source="test\ud800"), ": last line: field 'source' holds a lone surrogate"),
+        (lambda lines: lines[:2] + ["{oops"], ": last line: invalid JSON (Expecting property name "
+                                              "enclosed in double quotes)"),
+        (lambda lines: lines[:2], ": missing manifest line"),
+        (lambda lines: [], ": missing manifest line"),
+    ], ids=["as-written", "trailing-blank-lines", "ascii-escapes", "float-count", "bool-count",
+            "numeric-source", "null-checksum", "bare-manifest", "surrogate-manifest",
+            "invalid-json", "records-only", "blank-only"])
+    def test_read_manifest_checks_the_last_line(self, tmp_path, edit, message):
+        """`read_manifest` gives `read_shard`'s manifest, or its check of that line, from the tail."""
+        shard = make_shard(["eins zwei", "Grüße 😀 drei"])
+        path = tmp_path / "s.jsonl"
+        write_shard(shard, path)
+        lines = edit(path.read_text(encoding="utf-8").splitlines())
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if message is None:
+            assert read_manifest(path) == shard.manifest
+        else:
+            with pytest.raises(ShardFormatError, match=f"^{re.escape(str(path) + message)}$"):
+                read_manifest(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("source_len", [1, 3900, 4000, 4096, 9000, 40000])
+    def test_read_manifest_across_blocks_and_line_breaks(self, tmp_path, newline, source_len):
+        """The last line may be longer than the tail block and start at any offset,
+        or be the only line; any line break that `read_shard` reads ends it."""
+        source = "s" * source_len
+        for docs in (["eins zwei", "drei " * (source_len % 700)], []):
+            shard = make_shard(docs, source=source)
+            path = tmp_path / "s.jsonl"
+            write_shard(shard, path)
+            lines = path.read_bytes().splitlines()
+            path.write_bytes(newline.encode().join(lines + [b"", b""]))
+            assert read_manifest(path) == read_shard(path).manifest == shard.manifest
+            path.write_bytes(newline.encode().join(lines[:-1]))
+            with pytest.raises(ShardFormatError, match=": missing manifest line$"):
+                read_manifest(path)
+
+    def test_read_manifest_not_utf8(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        write_shard(make_shard(["eins"], source="Grüße"), path)
+        path.write_bytes(path.read_bytes().decode("utf-8").encode("latin-1"))
+        with pytest.raises(ShardFormatError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            read_manifest(path)
+
     def test_not_utf8_names_file(self, tmp_path):
         path = tmp_path / "latin1.jsonl"
         path.write_bytes('{"id": "a", "source": "s", "domain": "formal", "text": "Grüße"}\n'
@@ -266,6 +320,14 @@ class TestMergeShards:
         b = make_shard(["zwei"], prefix="b")
         merged = merge_shards([a, b], source="m")
         assert [d.id for d in merged.documents] == ["a-0", "b-0"]
+
+    @pytest.mark.parametrize("source,named", [("m", "m"), (None, "t")])
+    def test_repeated_id_across_shards_names_id_and_source(self, source, named):
+        a = make_shard(["eins", "zwei"], source="t", prefix="x")
+        b = make_shard(["drei"], source="t", prefix="x")
+        with pytest.raises(IntegrityError,
+                           match=f"^duplicate document id 'x-0' in source '{named}'$"):
+            merge_shards([a, b], source=source)
 
     @pytest.mark.parametrize("source", ["m", None])
     def test_single_shard_keeps_manifest_without_rehash(self, monkeypatch, source):

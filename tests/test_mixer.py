@@ -4,7 +4,7 @@ import pytest
 
 from korpus.core import CorpusShard, write_shard
 from korpus.errors import ConfigError
-from korpus.mixer import assemble, trim_to_budget
+from korpus.mixer import PassThrough, assemble, trim_to_budget
 from korpus.pipeline import parse_mix_spec
 from korpus.report import CompositionReport
 
@@ -134,6 +134,24 @@ class TestAssemble:
         assert [d.id for d in shards_a[0].documents] == [d.id for d in shards_b[0].documents]
         assert report_a == report_b
         assert report_a.totals()[1] == 600
+
+    def test_unread_sources_counted_from_their_manifests(self, tmp_path):
+        """An unread source's entry is its manifest alone, and the report is the
+        same as when every source is read; the trim source is read regardless."""
+        sources = []
+        for name, n_docs in (("gc4", 10), ("news", 4), ("wiki", 3)):
+            path = tmp_path / f"{name}.jsonl"
+            write_shard(hundred_token_shard(n_docs, source=name), path)
+            sources.append((name, "formal", [path]))
+        everything = {"gc4", "news", "wiki"}
+        read, report = assemble(sources)
+        assert assemble(sources, unread=everything) == (
+            [PassThrough(shard.manifest) for shard in read], report)
+        budget = {"budget_tokens": 1200, "trim_source": "gc4", "seed": 2}
+        read, report = assemble(sources, **budget)
+        assert report.totals() == (12, 1200)
+        assert assemble(sources, **budget, unread=everything) == (
+            [read[0], PassThrough(read[1].manifest), PassThrough(read[2].manifest)], report)
 
     @pytest.mark.parametrize("news_label,recent_label", [
         ("zeit", "recent"),  # the trim source's documents carry another label
