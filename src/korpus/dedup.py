@@ -2,12 +2,18 @@
 
 Documents are concatenated into one stream of 32-bit token ids with a unique
 separator id between consecutive documents; a separator occurs exactly once in
-the stream, so no repeated substring can cross a document boundary.
+the stream, so no repeated substring can cross a document boundary. Each
+document is tokenized once: `staged_dedup` numbers every group with one
+vocabulary, and its combined pass joins the survivors' ids from the group
+streams.
 
-The index is the stream's suffix array, built by prefix doubling (one sort of
-a packed int64 key per round), and its LCP array, found by binary lifting over
-the rank arrays of those rounds. Positions and ranks are int32, so a stream
-holds at most 2**31 - 1 tokens.
+The index is the stream's suffix array, built by prefix doubling with the
+token ids as the first ranks. Each round after the first re-sorts only the
+suffixes whose prefix so far is shared (Larsson and Sadakane), so a suffix
+costs a sort only while it is tied. The LCP array comes from binary lifting
+over the rank arrays of those rounds, which the last, all-distinct one is not
+kept for. Positions and ranks are int32, so a stream holds at most 2**31 - 1
+tokens.
 
 `find_duplicates` reports *maximal matching spans*: spans of at least
 `min_match` tokens whose token sequence occurs at two or more distinct stream
@@ -23,7 +29,6 @@ need not itself occur twice.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,45 +75,60 @@ class DedupReport:
     stage: str
 
 
-def build_stream(shards: list[CorpusShard]) -> TokenStream:
-    """Concatenate documents with unique separator ids between them.
+class _Vocab(dict):
+    """Token -> id; an unseen token gets the next id."""
 
-    Token ids follow first occurrence in the stream.
+    def __missing__(self, token: str) -> int:
+        token_id = self[token] = len(self)
+        return token_id
+
+
+def build_stream(shards: list[CorpusShard], vocab: _Vocab | None = None) -> TokenStream:
+    """Tokenize each document once and join the documents into one stream.
+
+    Token ids follow first occurrence in `vocab`, a new one unless the caller
+    shares one between streams: `staged_dedup` numbers every group with one
+    vocabulary, so the combined pass can join the group streams' ids.
     """
-    vocab: defaultdict[str, int] = defaultdict()
-    vocab.default_factory = vocab.__len__  # an unseen token gets the next id
-    ids: list[np.ndarray] = []
-    boundaries = []
-    doc_ids = []
-    seen: set[str] = set()
-    pos = 0
+    if vocab is None:
+        vocab = _Vocab()
+    lookup = vocab.__getitem__
+    pieces: list[np.ndarray] = []
+    doc_ids: list[str] = []
     for shard in shards:
         for doc in shard.documents:
-            if doc.id in seen:
-                raise IntegrityError(f"duplicate document id {doc.id!r} across shards")
-            seen.add(doc.id)
             toks = tokenize(doc.text)
-            ids.append(np.fromiter(map(vocab.__getitem__, toks), dtype=np.int64, count=len(toks)))
-            boundaries.append((len(doc_ids), pos, pos + len(toks)))
+            pieces.append(np.fromiter(map(lookup, toks), dtype=np.int32, count=len(toks)))
             doc_ids.append(doc.id)
-            pos += len(toks) + 1  # one separator slot after each doc but the last
-    n_docs = len(doc_ids)
-    n_separators = max(0, n_docs - 1)
-    if len(vocab) + n_separators > _MAX_IDS:
+    return _join(pieces, doc_ids, len(vocab))
+
+
+def _join(pieces: list[np.ndarray], doc_ids: list[str], sentinel_base: int) -> TokenStream:
+    """The documents' ids in order, with the separator id sentinel_base + i
+    after document i, for every document but the last."""
+    seen: set[str] = set()
+    for doc_id in doc_ids:
+        if doc_id in seen:
+            raise IntegrityError(f"duplicate document id {doc_id!r} across shards")
+        seen.add(doc_id)
+    n_separators = max(0, len(pieces) - 1)
+    if sentinel_base + n_separators > _MAX_IDS:
         raise CapacityError(
-            f"{len(vocab)} tokens + {n_separators} separators exceed the 32-bit id space"
+            f"{sentinel_base} tokens + {n_separators} separators exceed the 32-bit id space"
         )
-    # pos counted one separator slot per doc; the last doc has none.
-    total = pos - 1 if n_docs > 0 else 0
+    total = sum(piece.size for piece in pieces) + n_separators
     if total > _MAX_IDS:
         raise CapacityError(f"a stream of {total} tokens exceeds the 32-bit index")
-    sentinel_base = len(vocab)
     tokens = np.empty(total, dtype=np.int32)
-    for i, (row, (_, start, end)) in enumerate(zip(ids, boundaries)):
-        tokens[start:end] = row
-        if i < n_docs - 1:
+    boundaries = []
+    pos = 0
+    for i, piece in enumerate(pieces):
+        end = pos + piece.size
+        tokens[pos:end] = piece
+        boundaries.append((i, pos, end))
+        if i < n_separators:
             tokens[end] = sentinel_base + i
-    vocab.default_factory = None  # breaks the reference cycle, so the dict is freed on return
+        pos = end + 1
     return TokenStream(
         tokens=tokens,
         doc_boundaries=tuple(boundaries),
@@ -118,35 +138,70 @@ def build_stream(shards: list[CorpusShard]) -> TokenStream:
 
 
 def _suffix_array(arr: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Prefix-doubling suffix array plus the rank array of every round.
+    """Prefix-doubling suffix array that re-sorts only the suffixes still tied
+    (Larsson and Sadakane, TCS 2007), plus the rank arrays `_lcp` needs.
 
-    ranks[k][p] is the dense rank of arr[p:p + 2**k] (cut at the stream end), so
-    two positions share a rank at level k iff their 2**k-token prefixes are
-    equal. Each round sorts one packed int64 key, rank * (n + 1) + next rank + 1,
-    with next rank -1 past the end. Tied keys get one rank whatever their order,
-    and the last round's keys are all distinct, so the sort need not be stable.
+    `arr` holds ids in [0, 2**31 - 1), as a stream does. ranks[k][p] ranks
+    arr[p:p + 2**k], cut at the stream end: two positions
+    share a rank at level k iff those prefixes are equal, and ranks follow the
+    prefixes' order. Level 0 is `arr` itself. At a later level, a rank is the
+    SA index of the first suffix of its group (its head), and the array has one
+    more entry, -1 at index n, for the empty suffix.
+
+    Round 1 sorts every position by its first two ids. Each later round sorts
+    only the SA slots of groups that still tie, each by (head, rank of the
+    suffix 2**k further on), in one packed int64 key; a group that has become
+    a singleton keeps its slot and its head for good. The sort need not be
+    stable, as tied keys form one group whatever their order. When no group
+    ties, the level just sorted is not kept: its ranks are all distinct, and
+    `_lcp` never reads it.
     """
     n = arr.size
     if n == 0:
         return np.empty(0, dtype=np.int32), []
-    rank = np.unique(arr, return_inverse=True)[1].astype(np.int32)
-    ranks = [rank]
-    k = 1
+    ranks = [arr]
+    key = arr.astype(np.int64)
+    key *= int(arr.max()) + 2
+    key[:-1] += arr[1:]
+    key[:-1] += 1  # the next id + 1, or 0 past the end
+    sa = pos = np.argsort(key).astype(np.int32)
+    key = key[pos]
+    slots = np.arange(n, dtype=np.int32)  # the SA slots just sorted; pos = sa[slots]
+    step = 2
     while True:
-        key = rank.astype(np.int64)
-        key *= n + 1
-        key[: n - k] += rank[k:] + 1
-        order = np.argsort(key)
-        sorted_key = key[order]
-        changed = np.empty(n, dtype=np.int32)
-        changed[0] = 0
-        np.not_equal(sorted_key[1:], sorted_key[:-1], out=changed[1:])
-        rank = np.empty(n, dtype=np.int32)
-        rank[order] = np.cumsum(changed, dtype=np.int32)
+        new = np.empty(slots.size, dtype=bool)  # a group starts at this slot
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        del key
+        tied = ~new
+        tied[:-1] |= tied[1:]  # in a group of two or more
+        if not tied.any():
+            return sa, ranks
+        heads = np.where(new, slots, 0)
+        del new
+        np.maximum.accumulate(heads, out=heads)
+        if len(ranks) == 1:
+            rank = np.empty(n + 1, dtype=np.int32)
+            rank[n] = -1
+        else:
+            rank = ranks[-1].copy()
+        rank[pos] = heads
         ranks.append(rank)
-        if rank[order[-1]] == n - 1:
-            return order.astype(np.int32), ranks
-        k *= 2
+        slots = slots[tied]
+        pos = pos[tied]
+        key = heads[tied].astype(np.int64)
+        del heads, tied
+        key *= n + 1
+        key += rank[pos + step]  # in [-1, n): heads stay apart
+        order = np.argsort(key).astype(np.int32)
+        key = key[order]
+        pos = pos[order]
+        del order
+        sa[slots] = pos
+        step *= 2
+
+
+_LCP_BLOCK = 1 << 14  # suffix pairs lifted together; their temporaries stay below 1 MB
 
 
 def _lcp(sa: np.ndarray, ranks: list[np.ndarray]) -> np.ndarray:
@@ -154,23 +209,26 @@ def _lcp(sa: np.ndarray, ranks: list[np.ndarray]) -> np.ndarray:
 
     Binary lifting over the rank levels of `_suffix_array`, top level first: a
     pair advances by 2**k where both 2**k-token blocks are in range and share a
-    rank. The top level's ranks are all distinct, so every lcp is below
-    2**top and the lifts below the top sum to it.
+    rank. The level above the top has all ranks distinct, so every lcp is below
+    2**len(ranks) and the lifts sum to it. The pairs are lifted one block at a
+    time, each level over the whole block: a rank read out of range is clipped,
+    and the range test discards it.
     """
     n = sa.size
-    if n <= 1:
-        return np.empty(0, dtype=np.int32)
-    a = sa[:-1].copy()
-    b = sa[1:].copy()
-    for k in range(len(ranks) - 2, -1, -1):
-        step = 1 << k
-        limit = n - step
-        live = np.flatnonzero((a <= limit) & (b <= limit))
-        rank = ranks[k]
-        live = live[rank[a[live]] == rank[b[live]]]
-        a[live] += step
-        b[live] += step
-    return a - sa[:-1]
+    lcp = np.empty(max(n - 1, 0), dtype=np.int32)
+    for lo in range(0, n - 1, _LCP_BLOCK):
+        hi = min(lo + _LCP_BLOCK, n - 1)
+        a = sa[lo:hi].copy()
+        b = sa[lo + 1:hi + 1].copy()
+        for k in range(len(ranks) - 1, -1, -1):
+            step = 1 << k
+            rank = ranks[k]
+            lift = np.maximum(a, b) <= n - step
+            lift &= rank.take(a, mode="clip") == rank.take(b, mode="clip")
+            np.add(a, step, out=a, where=lift)
+            np.add(b, step, out=b, where=lift)
+        np.subtract(a, sa[lo:hi], out=lcp[lo:hi])
+    return lcp
 
 
 def build_suffix_index(stream: TokenStream) -> SuffixIndex:
@@ -398,9 +456,47 @@ def dedup_shards(
     stage: str = "single",
 ) -> tuple[list[CorpusShard], DedupReport]:
     """One full pass: stream, index, span search, policy application."""
-    stream = build_stream(shards)
+    return _dedup_stream(build_stream(shards), shards, min_match, policy, stage)
+
+
+def _dedup_stream(
+    stream: TokenStream,
+    shards: list[CorpusShard],
+    min_match: int,
+    policy: str,
+    stage: str,
+) -> tuple[list[CorpusShard], DedupReport]:
     spans = find_duplicates(build_suffix_index(stream), stream, min_match)
     return apply_policy(shards, spans, policy, stage=stage)
+
+
+def _group_passes(
+    stage_groups: list[tuple[str, list[CorpusShard]]],
+    min_match: int,
+    policy: str,
+) -> tuple[list[DedupReport], list[CorpusShard], TokenStream]:
+    """One pass per group; returns their reports, the surviving shards and the
+    stream of the survivors, joined from the group streams' ids. One vocabulary
+    numbers every group, and is freed before the first index is built; the
+    group streams are freed on return, before the combined index is built."""
+    vocab = _Vocab()
+    streams = [build_stream(shards, vocab) for _, shards in stage_groups]
+    sentinel_base = len(vocab)
+    del vocab
+    reports = []
+    survivors: list[CorpusShard] = []
+    pieces: list[np.ndarray] = []
+    doc_ids: list[str] = []
+    for (name, shards), stream in zip(stage_groups, streams):
+        out, report = _dedup_stream(stream, shards, min_match, policy, name)
+        reports.append(report)
+        survivors.extend(out)
+        kept = {doc.id for shard in out for doc in shard.documents}
+        for i, start, end in stream.doc_boundaries:
+            if stream.doc_ids[i] in kept:
+                pieces.append(stream.tokens[start:end])
+                doc_ids.append(stream.doc_ids[i])
+    return reports, survivors, _join(pieces, doc_ids, sentinel_base)
 
 
 def staged_dedup(
@@ -408,7 +504,12 @@ def staged_dedup(
     min_match: int,
     policy: str,
 ) -> tuple[list[CorpusShard], list[DedupReport]]:
-    """Per-group passes followed by one combined pass over the survivors."""
+    """Per-group passes followed by one combined pass over the survivors.
+
+    Each document is tokenized once: the combined stream joins the ids the
+    group passes gave the survivors. Spans depend only on which token
+    sequences are equal, not on how the ids number them.
+    """
     names = [name for name, _ in stage_groups]
     if len(set(names)) != len(names):
         raise ConfigError("stage group names must be unique")
@@ -417,12 +518,6 @@ def staged_dedup(
     for name in names:
         if not re.search(NAME_PATTERN, name):
             raise ConfigError(f"stage group name {name!r} does not match {NAME_PATTERN!r}")
-    reports = []
-    survivors: list[CorpusShard] = []
-    for name, shards in stage_groups:
-        out, report = dedup_shards(shards, min_match, policy, stage=name)
-        reports.append(report)
-        survivors.extend(out)
-    final, combined = dedup_shards(survivors, min_match, policy, stage=COMBINED)
-    reports.append(combined)
-    return final, reports
+    reports, survivors, stream = _group_passes(stage_groups, min_match, policy)
+    final, combined = _dedup_stream(stream, survivors, min_match, policy, COMBINED)
+    return final, [*reports, combined]

@@ -19,7 +19,9 @@ Each stage body is a generator of its outputs: it yields
 `(path relative to the workspace, writer, value)` and writes nothing itself.
 The runner calls `writer(value, path)` for each, in order, and records
 exactly those paths in the stage's marker, so a marker lists every file its
-stage wrote. Every writer takes `(value, path)`.
+stage wrote. Every writer takes `(value, path)`. A writer that hashes the bytes
+as it writes them returns their checksum, and the marker records it as is;
+every other output is read back and hashed once its stage is done.
 
 After each stage, ran or cached, a source reads `<stage>/<name>.jsonl` if the
 stage's outputs hold that path. Names have no dot (`$defs/name` in the schema),
@@ -67,7 +69,7 @@ from .preprocess import clean_shard
 STAGES = ("preprocess", "langid", "dedup", "qualfilter", "chunk", "mix", "report")
 
 # What a stage body yields: (path relative to the workspace, writer, value).
-Outputs = Iterator[tuple[str, Callable[[Any, Path], None], Any]]
+Outputs = Iterator[tuple[str, Callable[[Any, Path], str | None], Any]]
 
 
 @dataclass
@@ -160,10 +162,13 @@ def resolve_paths(patterns: list[str], base: Path) -> list[Path]:
 
 
 def _resolve_each(loc: str, patterns: list[str], base: Path, diags: list[str]) -> list[Path]:
-    """`resolve_paths`, with a diagnostic at `loc[j]` for each dead pattern j and
-    for each of its files whose manifest line is missing or malformed
-    (`read_manifest`, which reads the file's tail only)."""
+    """`resolve_paths`, with a diagnostic at `loc[j]` for each dead pattern j, for
+    each of its files that the list already matched, by this or another path
+    (its records would be read twice), and for each of its files whose manifest
+    line is missing or malformed (`read_manifest`, which reads the file's tail
+    only)."""
     out: list[Path] = []
+    matched: dict[tuple[int, int], int] = {}  # (device, inode) -> the pattern that matched it
     for j, pat in enumerate(patterns):
         try:
             paths = resolve_paths([pat], base)
@@ -171,11 +176,18 @@ def _resolve_each(loc: str, patterns: list[str], base: Path, diags: list[str]) -
             diags.append(f"{loc}[{j}]: {exc}")
             continue
         for p in paths:
+            st = p.stat()
+            file = (st.st_dev, st.st_ino)
+            if file in matched:
+                diags.append(f"{loc}[{j}]: {p} is a file that {loc}[{matched[file]}] "
+                             "already matched")
+                continue
+            matched[file] = j
             try:
                 read_manifest(p)
             except ShardFormatError as exc:
                 diags.append(f"{loc}[{j}]: {exc}")
-        out += paths
+            out.append(p)
     return out
 
 
@@ -331,14 +343,16 @@ def _checksum_file(path: Path, copy: BinaryIO | None = None) -> str:
     return f"{state:016x}"
 
 
-def _copy_checked(source: tuple[Path, str], path: Path) -> None:
+def _copy_checked(source: tuple[Path, str], path: Path) -> str:
     """Copy the file `source` names to `path`, unless its bytes no longer hash to
-    the checksum its stage recorded: then IntegrityError, and nothing is written."""
+    the checksum its stage recorded: then IntegrityError, and nothing is written.
+    Returns that checksum, which is also the copy's."""
     src, checksum = source
     with atomic_write(path) as fh:
         if _checksum_file(src, fh) != checksum:
             raise IntegrityError(
                 f"{src} was modified after its stage recorded it; re-run with --force")
+    return checksum
 
 
 def _run_key(config: RunConfig, seed_override: int | None) -> str:
@@ -404,11 +418,12 @@ class PipelineRun:
                     f"or modified; re-run with --force"
                 )
 
-    def _finish_stage(self, stage: str, written: list[Path]) -> dict[str, str]:
-        """Write the stage's marker; returns the output checksums it records."""
+    def _finish_stage(self, stage: str, written: dict[Path, str | None]) -> dict[str, str]:
+        """Write the stage's marker; returns the output checksums it records. An
+        output whose writer returned no checksum is read back and hashed."""
         outputs = {
-            str(p.relative_to(self.ws)): _checksum_file(p)
-            for p in sorted(set(written))
+            str(p.relative_to(self.ws)): checksum or _checksum_file(p)
+            for p, checksum in sorted(written.items())
         }
         write_json({"key": self.key, "outputs": outputs, "stage": stage},
                    self._marker_path(stage))
@@ -453,14 +468,14 @@ class PipelineRun:
                 return {}
         return json.loads((self.ws / "report" / "summary.json").read_text(encoding="utf-8"))
 
-    def _write_outputs(self, outputs: Outputs) -> list[Path]:
-        """Write each output a stage body yields, in order; returns their paths.
-        The last value written is freed on return, before the next stage runs."""
-        written: list[Path] = []
+    def _write_outputs(self, outputs: Outputs) -> dict[Path, str | None]:
+        """Write each output a stage body yields, in order; returns each path with
+        the checksum its last writer returned, if any. The last value written is
+        freed on return, before the next stage runs."""
+        written: dict[Path, str | None] = {}
         for rel, writer, value in outputs:
             path = self.ws / rel
-            writer(value, path)
-            written.append(path)
+            written[path] = writer(value, path)
         return written
 
     def _read_source(self, name: str) -> CorpusShard:

@@ -1,9 +1,11 @@
 """Brute-force oracles, independent of the library's suffix-array machinery.
 
-The repeat-length oracle compares the stream against itself at every shift
-(O(n^2) total work) instead of sorting suffixes; span derivation and document
-flagging are re-implemented with plain loops, and a span's earliest other
-occurrence is found by comparing it with every window of the stream.
+The suffix-array oracle sorts the suffixes as Python lists and counts each
+adjacent pair's common prefix token by token. The repeat-length oracle
+compares the stream against itself at every shift (O(n^2) total work) instead
+of sorting suffixes; span derivation and document flagging are re-implemented
+with plain loops, and a span's earliest other occurrence is found by comparing
+it with every window of the stream.
 `oracle_fnv1a` is the FNV-1a byte loop that `korpus.core.fnv1a_bytes` computes
 block by block. `oracle_chunk_sentences` packs chunks with an explicit buffer
 that a flush empties, where `korpus.chunker.chunk_sentences` appends to groups.
@@ -63,6 +65,20 @@ def oracle_repeat_lengths(arr: np.ndarray) -> np.ndarray:
         np.maximum(rep[:m], run, out=rep[:m])
         np.maximum(rep[d:d + m], run, out=rep[d:d + m])
     return rep
+
+
+def oracle_suffix_array(tokens: list[int]) -> tuple[list[int], list[int]]:
+    """The suffixes' start positions sorted by comparing the suffixes as lists,
+    and the common prefix of each adjacent pair, counted token by token."""
+    n = len(tokens)
+    sa = sorted(range(n), key=lambda p: tokens[p:])
+    lcp = []
+    for i, j in zip(sa, sa[1:]):
+        k = 0
+        while max(i, j) + k < n and tokens[i + k] == tokens[j + k]:
+            k += 1
+        lcp.append(k)
+    return sa, lcp
 
 
 def oracle_maximal_spans(rep, min_match: int) -> list[tuple[int, int]]:

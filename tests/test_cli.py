@@ -774,6 +774,32 @@ class TestInputPaths:
         assert capsys.readouterr().err == f"error: {expected}\n"
         assert not ws.exists()
 
+    @pytest.mark.parametrize("edit,loc,again", [
+        (lambda obj: obj["sources"][7]["paths"].append("inputs/b*.jsonl"),
+         "$.sources[7].paths", "books.jsonl"),
+        (lambda obj: obj["langid"]["train"]["de"].append("inputs/langid-d*.jsonl"),
+         "$.langid.train.de", "langid-de.jsonl"),
+        (lambda obj: obj["quality_lm"]["reference"].append("inputs/alias.jsonl"),
+         "$.quality_lm.reference", "alias.jsonl"),
+    ], ids=["source", "langid-train", "reference-by-symlink"])
+    def test_file_matched_twice_in_one_list(self, tmp_path, capsys, edit, loc, again):
+        """A path list that matches one file twice, by any path, would read its
+        records twice: `korpus validate` and `korpus pipeline` exit 2 naming the
+        second pattern, before any stage runs. `alias.jsonl` is a symlink."""
+        config = build_pipeline_fixture(tmp_path)
+        (tmp_path / "inputs" / "alias.jsonl").symlink_to("med-reference.jsonl")
+        obj = json.loads(config.read_text(encoding="utf-8"))
+        edit(obj)
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        expected = (f"{loc}[1]: {tmp_path / 'inputs' / again} is a file that {loc}[0] "
+                    f"already matched")
+        assert main(["validate", "--config", str(config)]) == 2
+        assert capsys.readouterr().out == expected + "\n"
+        ws = tmp_path / "ws"
+        assert main(["pipeline", "--config", str(config), "--workspace", str(ws)]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not ws.exists()
+
     def test_directory_is_not_a_file(self, tmp_path, monkeypatch, capsys):
         """A pattern that matches only directories matches no file."""
         config = build_pipeline_fixture(tmp_path)
@@ -937,12 +963,10 @@ class TestPipelineCommand:
         kept = read_shard(ws / "datasets" / "mini" / "solo.jsonl")
         assert {d.id for d in kept.documents} == {f"d{i}" for i in range(4)}
 
-    @pytest.mark.parametrize("files,patterns", [
-        (("a", "b"), ["inputs/*.jsonl"]),
-        (("a",), ["inputs/a.jsonl", "inputs/*.jsonl"]),
-    ], ids=["two-files", "two-patterns-one-file"])
-    def test_repeated_document_id_in_a_source_exits_4(self, tmp_path, capsys, files, patterns):
-        """Mix merges the files of a source with no step, and their ids must be distinct."""
+    @staticmethod
+    def _one_source(tmp_path: Path, files: tuple[str, ...], patterns: list[str]) -> Path:
+        """A config whose one source, with no step, reads `patterns` over `files`,
+        each holding one document with id x1."""
         for name in files:
             write_shard(CorpusShard.from_documents([make_doc("x1", f"{name} eins zwei", "s")]),
                         tmp_path / "inputs" / f"{name}.jsonl")
@@ -951,12 +975,33 @@ class TestPipelineCommand:
             "sources": [{"name": "s", "domain": "formal", "paths": patterns}],
             "datasets": [{"name": "ds", "sources": ["s"]}],
         }), encoding="utf-8")
+        return config
+
+    @pytest.mark.parametrize("files,patterns", [
+        (("a", "b"), ["inputs/*.jsonl"]),
+    ], ids=["two-files"])
+    def test_repeated_document_id_in_a_source_exits_4(self, tmp_path, capsys, files, patterns):
+        """Mix merges the files of a source with no step, and their ids must be distinct."""
+        config = self._one_source(tmp_path, files, patterns)
         ws = tmp_path / "ws"
         assert main(["pipeline", "--config", str(config), "--workspace", str(ws)]) == 4
         err = capsys.readouterr().err.splitlines()
         assert err[-2:] == ["[pipeline] mix: running",
                             "integrity error: duplicate document id 'x1' in source 's'"]
         assert not (ws / "datasets").exists()
+
+    def test_two_patterns_one_file_exits_2(self, tmp_path, capsys):
+        """Two patterns of one list that match one file are found when the config
+        is parsed, before any stage runs."""
+        config = self._one_source(tmp_path, ("a",), ["inputs/a.jsonl", "inputs/*.jsonl"])
+        expected = (f"$.sources[0].paths[1]: {tmp_path / 'inputs' / 'a.jsonl'} is a file that "
+                    f"$.sources[0].paths[0] already matched")
+        assert main(["validate", "--config", str(config)]) == 2
+        assert capsys.readouterr().out == expected + "\n"
+        ws = tmp_path / "ws"
+        assert main(["pipeline", "--config", str(config), "--workspace", str(ws)]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not ws.exists()
 
     def test_schema_error_exit_code(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -1205,6 +1250,39 @@ class TestMixCopies:
         run_pipeline(config, ws)
         assert workspace_digest(ws) == fresh_digest
 
+    COPIES = [
+        "datasets/quality/gc4.jsonl", "datasets/quality/news.jsonl",
+        "datasets/quality/wiki.jsonl", "datasets/variety/news.jsonl",
+        "datasets/variety/oscar-medical.jsonl", "datasets/variety/pubmed-translated.jsonl",
+        "datasets/variety/reddit.jsonl", "datasets/variety/wiki.jsonl",
+    ]
+
+    def test_each_copy_is_hashed_once(self, tmp_path, monkeypatch, fresh_digest):
+        """A copy's bytes are hashed as they are written, and the mix marker records
+        that hash, its stage output's checksum: the dataset file is not read back."""
+        config = build_pipeline_fixture(tmp_path)
+        ws = tmp_path / "ws"
+        copying: list[Path] = []
+        reading: list[Path] = []
+        real = pipeline._checksum_file
+        monkeypatch.setattr(pipeline, "_checksum_file", lambda path, copy=None: (
+            copying if copy else reading).append(Path(path)) or real(path, copy))
+        run_pipeline(config, ws)
+        monkeypatch.undo()
+        assert len(copying) == len(self.COPIES)
+        latest = {}  # file name -> checksum of the last stage that wrote it
+        for stage in STAGES[:STAGES.index("mix")]:
+            marker = json.loads((ws / "markers" / f"{stage}.json").read_text(encoding="utf-8"))
+            latest.update((Path(rel).name, c) for rel, c in marker["outputs"].items())
+        outputs = json.loads((ws / "markers" / "mix.json").read_text(encoding="utf-8"))["outputs"]
+        for rel, checksum in outputs.items():
+            assert checksum == real(ws / rel), rel
+            if rel in self.COPIES:
+                assert ws / rel not in reading and checksum == latest[Path(rel).name], rel
+            else:
+                assert reading.count(ws / rel) == 1, rel
+        assert workspace_digest(ws) == fresh_digest
+
     def test_copies_equal_the_rewrite(self, tmp_path, monkeypatch):
         """Each copy equals what re-reading and re-writing its stage output gives,
         and `korpus mix --spec`, which re-writes every source, writes the same datasets."""
@@ -1215,12 +1293,7 @@ class TestMixCopies:
         monkeypatch.setattr(pipeline, "_copy_checked",
                             lambda value, path: copies.append((value[0], path)) or real(value, path))
         run_pipeline(config, ws)
-        assert sorted(str(dst.relative_to(ws)) for _, dst in copies) == [
-            "datasets/quality/gc4.jsonl", "datasets/quality/news.jsonl",
-            "datasets/quality/wiki.jsonl", "datasets/variety/news.jsonl",
-            "datasets/variety/oscar-medical.jsonl", "datasets/variety/pubmed-translated.jsonl",
-            "datasets/variety/reddit.jsonl", "datasets/variety/wiki.jsonl",
-        ]
+        assert sorted(str(dst.relative_to(ws)) for _, dst in copies) == self.COPIES
         for src, dst in copies:
             rewritten = tmp_path / "rewritten.jsonl"
             write_shard(merge_shards([read_shard(src)], source=dst.stem), rewritten)

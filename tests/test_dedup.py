@@ -1,5 +1,6 @@
 import functools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from korpus import dedup
 from korpus.errors import CapacityError, ConfigError, IntegrityError
 
 from conftest import int_docs_to_shard, make_doc, random_token_docs
-from oracles import oracle_doc_spans, oracle_match_docs
+from oracles import oracle_doc_spans, oracle_match_docs, oracle_suffix_array
 
 
 def brute_force_suffix_sort(tokens: list[int]) -> list[int]:
@@ -91,6 +92,118 @@ class TestSuffixArray:
             while i + k < len(tokens) and j + k < len(tokens) and tokens[i + k] == tokens[j + k]:
                 k += 1
             assert lcp[r] == k
+
+
+@st.composite
+def planted_streams(draw) -> list[int]:
+    """Documents of random ids over a small vocabulary, joined by unique
+    separators, with one passage of 512 or more ids planted at least twice:
+    two equal 512-id prefixes take the doubling to 10 rounds or more."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    vocab = draw(st.integers(1, 6))
+    passage = [rng.randrange(vocab) for _ in range(draw(st.integers(512, 700)))]
+    docs = [[rng.randrange(vocab) for _ in range(rng.randrange(0, 120))]
+            for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(2, 3))):
+        rng.choice(docs).extend(passage + [rng.randrange(vocab) for _ in range(rng.randrange(30))])
+    tokens = docs[0]
+    for i, doc in enumerate(docs[1:]):
+        tokens += [vocab + i] + doc
+    return tokens
+
+
+@settings(max_examples=20, deadline=None)
+@given(planted_streams())
+def test_suffix_array_and_lcp_equal_oracle(tokens):
+    sa, ranks = _suffix_array(np.asarray(tokens, dtype=np.int32))
+    assert len(ranks) >= 10  # levels 0..9 still tie, so 10 or more rounds ran
+    want_sa, want_lcp = oracle_suffix_array(tokens)
+    assert sa.tolist() == want_sa
+    assert _lcp(sa, ranks).tolist() == want_lcp
+
+
+def crawl_shape(docs: int = 1200, seed: int = 11) -> list[np.ndarray]:
+    """Documents shaped like the web sources of the crawl-boilerplate benchmark:
+    30-90 Zipf-distributed words over 8,000, and every second one ends with a
+    word of its own and the same 60-word footer."""
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(1.0 / np.arange(1, 8001) ** 1.05)
+
+    def words(k):
+        return np.searchsorted(cum, rng.random(k) * cum[-1]).astype(np.int32)
+    footer = words(60)
+    out = []
+    for i in range(docs):
+        body = words(30 + (i * 7919) % 61)
+        if i % 2:
+            body = np.concatenate([body, [8000 + i], footer]).astype(np.int32)
+        out.append(body)
+    return out
+
+
+def long_repeat_shape(docs: int = 100, length: int = 2000, seed: int = 5) -> list[np.ndarray]:
+    """Documents of `length` random ids, every tenth a copy of the first."""
+    rng = np.random.default_rng(seed)
+    first = rng.integers(0, 5000, length, dtype=np.int32)
+    return [first if i % 10 == 0 else rng.integers(0, 5000, length, dtype=np.int32)
+            for i in range(docs)]
+
+
+STREAM_SHAPES = {"crawl": crawl_shape, "long-repeat": long_repeat_shape}
+
+
+def shape_stream(shape: str) -> dedup.TokenStream:
+    docs = STREAM_SHAPES[shape]()
+    return dedup._join(docs, [f"d{i}" for i in range(len(docs))], 10_000)
+
+
+class _SortCounter:
+    """Stands for numpy in `korpus.dedup` and records the size of every argsort."""
+
+    def __init__(self):
+        self.sizes: list[int] = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argsort(self, a, *args, **kwargs):
+        self.sizes.append(a.size)
+        return np.argsort(a, *args, **kwargs)
+
+
+class TestDoublingWork:
+    """Round 1 sorts every suffix; a later round re-sorts only the suffixes
+    whose prefix so far is shared, so a repeated prefix costs a sort, a unique
+    one does not."""
+
+    @pytest.mark.parametrize("shape", STREAM_SHAPES)
+    def test_positions_sorted_per_round(self, shape, monkeypatch):
+        arr = shape_stream(shape).tokens
+        n = arr.size
+        counter = _SortCounter()
+        monkeypatch.setattr(dedup, "np", counter)
+        sa, ranks = _suffix_array(arr)
+        monkeypatch.undo()
+        # rep[p] >= h iff another suffix shares the h-token prefix of suffix p.
+        rep = dedup._repeat_lengths(dedup.SuffixIndex(sa, _lcp(sa, ranks)))
+        want = [n]
+        while (tied := int(np.count_nonzero(rep >= 2 ** len(want)))) > 0:
+            want.append(tied)
+        assert counter.sizes == want
+        assert len(ranks) == len(want)  # the level with no ties is not kept
+        assert sum(want) < {"crawl": 3.0, "long-repeat": 2.5}[shape] * n
+
+    @pytest.mark.parametrize("shape,bound", [("crawl", 40), ("long-repeat", 60)])
+    def test_index_peak_bytes_per_token(self, shape, bound):
+        """tracemalloc peak of `build_suffix_index`, result included, per stream token."""
+        stream = shape_stream(shape)
+        tracemalloc.start()
+        try:
+            build_suffix_index(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / stream.tokens.size < bound
 
 
 class TestBuildStream:
@@ -347,6 +460,14 @@ class TestStagedDedup:
                 continue
             index = build_suffix_index(stream)
             assert find_duplicates(index, stream, 4) == []
+
+    def test_document_id_repeated_across_groups_rejected(self):
+        """Each group's stream holds distinct ids; the combined stream, joined
+        from the group streams, checks the ids across groups."""
+        a = CorpusShard.from_documents([make_doc("same", "x y z")])
+        b = CorpusShard.from_documents([make_doc("same", "u v w")])
+        with pytest.raises(IntegrityError, match="duplicate document id 'same' across shards"):
+            staged_dedup([("a", [a]), ("b", [b])], 2, "remove_all")
 
     def test_duplicate_group_names_rejected(self):
         shard = int_docs_to_shard([[1, 2]])
