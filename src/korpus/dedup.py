@@ -2,10 +2,9 @@
 
 Documents are concatenated into one stream of 32-bit token ids with a unique
 separator id between consecutive documents; a separator occurs exactly once in
-the stream, so no repeated substring can cross a document boundary. Each
-document is tokenized once: `staged_dedup` numbers every group with one
-vocabulary, and its combined pass joins the survivors' ids from the group
-streams.
+the stream, so no repeated substring can cross a document boundary.
+`staged_dedup` tokenizes and indexes every group's documents once, and each of
+its passes reads that index restricted to the documents it sees (`_restrict`).
 
 The index is the stream's suffix array, built by prefix doubling with the
 token ids as the first ranks. Each round after the first re-sorts only the
@@ -83,15 +82,14 @@ class _Vocab(dict):
         return token_id
 
 
-def build_stream(shards: list[CorpusShard], vocab: _Vocab | None = None) -> TokenStream:
+def build_stream(shards: list[CorpusShard]) -> TokenStream:
     """Tokenize each document once and join the documents into one stream.
 
-    Token ids follow first occurrence in `vocab`, a new one unless the caller
-    shares one between streams: `staged_dedup` numbers every group with one
-    vocabulary, so the combined pass can join the group streams' ids.
+    Token ids follow first occurrence. Positions and ids are int32, so all
+    the documents together, separators included, must fit in 2**31 - 1
+    (`CapacityError`).
     """
-    if vocab is None:
-        vocab = _Vocab()
+    vocab = _Vocab()
     lookup = vocab.__getitem__
     pieces: list[np.ndarray] = []
     doc_ids: list[str] = []
@@ -236,15 +234,30 @@ def build_suffix_index(stream: TokenStream) -> SuffixIndex:
     return SuffixIndex(suffix_array=sa, lcp=_lcp(sa, ranks))
 
 
-def _repeat_lengths(index: SuffixIndex) -> np.ndarray:
-    """rep[p] = longest prefix of the suffix at p shared with any other suffix."""
+def _restrict(index: SuffixIndex, keep: np.ndarray) -> SuffixIndex:
+    """The index of the stream positions where `keep` holds.
+
+    Filtering a suffix array keeps it sorted, and the lcp of two suffixes is
+    the minimum lcp over the ranks between them (Manber and Myers, SIAM J.
+    Comput. 1993). `staged_dedup` keeps or omits each document whole, with its
+    separator.
+    """
+    sa = index.suffix_array
+    kept = keep[sa]
+    ranks = np.flatnonzero(kept)
+    lcp = np.minimum.reduceat(index.lcp[:ranks[-1]], ranks[:-1]) if ranks.size else index.lcp[:0]
+    return SuffixIndex(suffix_array=sa[kept], lcp=lcp)
+
+
+def _repeat_lengths(index: SuffixIndex, n: int) -> np.ndarray:
+    """rep[p] = longest prefix of the suffix at p shared with any other suffix
+    of the index, for the n stream positions; 0 where the index omits p."""
     sa = index.suffix_array
     lcp = index.lcp
-    n = sa.size
-    by_rank = np.zeros(n, dtype=np.int32)
+    by_rank = np.zeros(sa.size, dtype=np.int32)
     by_rank[:-1] = lcp
     np.maximum(by_rank[1:], lcp, out=by_rank[1:])
-    rep = np.empty(n, dtype=np.int32)
+    rep = np.zeros(n, dtype=np.int32)
     rep[sa] = by_rank
     return rep
 
@@ -289,15 +302,17 @@ def find_duplicates(index: SuffixIndex, stream: TokenStream, min_match: int) -> 
     the amount of duplicated text rather than the stream length.
     Each span is verified against its earliest other occurrence before being
     reported.
+
+    `index` may omit whole documents of `stream` (`_restrict`); positions stay
+    the stream's, and only the documents in the index are searched.
     """
-    if min_match < 2:
-        raise ConfigError("min_match must be >= 2")
-    n = stream.tokens.size
-    if n == 0:
-        return []
+    _check_min_match(min_match)
     sa = index.suffix_array
     lcp = index.lcp
-    rep = _repeat_lengths(index)
+    if sa.size == 0:
+        return []
+    n = stream.tokens.size
+    rep = _repeat_lengths(index, n)
     end = np.arange(n, dtype=np.int32) + rep
     keep = rep >= min_match
     keep[1:] &= end[1:] > end[:-1]
@@ -309,7 +324,7 @@ def find_duplicates(index: SuffixIndex, stream: TokenStream, min_match: int) -> 
     # Ranks next to an lcp >= min_match. Between two runs of them the
     # compressed lcp is the original gap value, which is < min_match.
     good = lcp >= min_match
-    in_run = np.zeros(n, dtype=bool)
+    in_run = np.zeros(sa.size, dtype=bool)
     in_run[:-1] |= good
     in_run[1:] |= good
     run_ranks = np.flatnonzero(in_run)
@@ -399,8 +414,7 @@ def apply_policy(
     earlier document that was retained. The earliest carrier of a sequence is
     therefore always kept, and purely internal repeats never delete a document.
     """
-    if policy not in ("remove_all", "keep_first"):
-        raise ConfigError(f"unknown dedup policy {policy!r}")
+    _check_policy(policy)
     order: dict[str, int] = {}
     token_counts: dict[str, int] = {}
     for shard in shards:
@@ -449,54 +463,14 @@ def apply_policy(
     return out_shards, report
 
 
-def dedup_shards(
-    shards: list[CorpusShard],
-    min_match: int,
-    policy: str,
-    stage: str = "single",
-) -> tuple[list[CorpusShard], DedupReport]:
-    """One full pass: stream, index, span search, policy application."""
-    return _dedup_stream(build_stream(shards), shards, min_match, policy, stage)
+def _check_min_match(min_match: int) -> None:
+    if min_match < 2:
+        raise ConfigError("min_match must be >= 2")
 
 
-def _dedup_stream(
-    stream: TokenStream,
-    shards: list[CorpusShard],
-    min_match: int,
-    policy: str,
-    stage: str,
-) -> tuple[list[CorpusShard], DedupReport]:
-    spans = find_duplicates(build_suffix_index(stream), stream, min_match)
-    return apply_policy(shards, spans, policy, stage=stage)
-
-
-def _group_passes(
-    stage_groups: list[tuple[str, list[CorpusShard]]],
-    min_match: int,
-    policy: str,
-) -> tuple[list[DedupReport], list[CorpusShard], TokenStream]:
-    """One pass per group; returns their reports, the surviving shards and the
-    stream of the survivors, joined from the group streams' ids. One vocabulary
-    numbers every group, and is freed before the first index is built; the
-    group streams are freed on return, before the combined index is built."""
-    vocab = _Vocab()
-    streams = [build_stream(shards, vocab) for _, shards in stage_groups]
-    sentinel_base = len(vocab)
-    del vocab
-    reports = []
-    survivors: list[CorpusShard] = []
-    pieces: list[np.ndarray] = []
-    doc_ids: list[str] = []
-    for (name, shards), stream in zip(stage_groups, streams):
-        out, report = _dedup_stream(stream, shards, min_match, policy, name)
-        reports.append(report)
-        survivors.extend(out)
-        kept = {doc.id for shard in out for doc in shard.documents}
-        for i, start, end in stream.doc_boundaries:
-            if stream.doc_ids[i] in kept:
-                pieces.append(stream.tokens[start:end])
-                doc_ids.append(stream.doc_ids[i])
-    return reports, survivors, _join(pieces, doc_ids, sentinel_base)
+def _check_policy(policy: str) -> None:
+    if policy not in ("remove_all", "keep_first"):
+        raise ConfigError(f"unknown dedup policy {policy!r}")
 
 
 def staged_dedup(
@@ -506,9 +480,11 @@ def staged_dedup(
 ) -> tuple[list[CorpusShard], list[DedupReport]]:
     """Per-group passes followed by one combined pass over the survivors.
 
-    Each document is tokenized once: the combined stream joins the ids the
-    group passes gave the survivors. Spans depend only on which token
-    sequences are equal, not on how the ids number them.
+    One stream and one suffix index hold every group's documents, so
+    `CapacityError` bounds the tokens of all groups together. Each pass finds
+    its spans in that index restricted to the documents it sees: its group's,
+    then every group's survivors. The spans are those of a pass with a stream
+    of its own, because they depend only on which token sequences are equal.
     """
     names = [name for name, _ in stage_groups]
     if len(set(names)) != len(names):
@@ -518,6 +494,28 @@ def staged_dedup(
     for name in names:
         if not re.search(NAME_PATTERN, name):
             raise ConfigError(f"stage group name {name!r} does not match {NAME_PATTERN!r}")
-    reports, survivors, stream = _group_passes(stage_groups, min_match, policy)
-    final, combined = _dedup_stream(stream, survivors, min_match, policy, COMBINED)
+    _check_min_match(min_match)
+    _check_policy(policy)
+    stream = build_stream([shard for _, shards in stage_groups for shard in shards])
+    index = build_suffix_index(stream)
+    # Stream positions of each document and the separator after it.
+    widths = np.diff([*(start for _, start, _ in stream.doc_boundaries), stream.tokens.size])
+
+    def dedup_pass(shards: list[CorpusShard], stage: str) -> tuple[list[CorpusShard], DedupReport]:
+        ids = {doc.id for shard in shards for doc in shard.documents}
+        view = index
+        if len(ids) < len(stream.doc_ids):
+            seen = np.fromiter(map(ids.__contains__, stream.doc_ids), dtype=bool,
+                               count=len(stream.doc_ids))
+            view = _restrict(index, np.repeat(seen, widths))
+        spans = find_duplicates(view, stream, min_match)
+        return apply_policy(shards, spans, policy, stage=stage)
+
+    reports = []
+    survivors: list[CorpusShard] = []
+    for name, shards in stage_groups:
+        out, report = dedup_pass(shards, name)
+        reports.append(report)
+        survivors.extend(out)
+    final, combined = dedup_pass(survivors, COMBINED)
     return final, [*reports, combined]

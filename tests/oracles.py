@@ -6,6 +6,8 @@ compares the stream against itself at every shift (O(n^2) total work) instead
 of sorting suffixes; span derivation and document flagging are re-implemented
 with plain loops, and a span's earliest other occurrence is found by comparing
 it with every window of the stream.
+`oracle_staged_dedup` gives every dedup pass a stream and a suffix index of
+its own, where `korpus.dedup.staged_dedup` restricts one index to each pass.
 `oracle_fnv1a` is the FNV-1a byte loop that `korpus.core.fnv1a_bytes` computes
 block by block. `oracle_chunk_sentences` packs chunks with an explicit buffer
 that a flush empties, where `korpus.chunker.chunk_sentences` appends to groups.
@@ -132,6 +134,28 @@ def oracle_match_docs(doc_token_lists: list[list[int]], doc_spans) -> list[int]:
         else:
             raise AssertionError(f"oracle span {doc_i, start, length} has no other occurrence")
     return out
+
+
+def oracle_staged_dedup(stage_groups, min_match: int, policy: str):
+    """Per-group passes, then one pass over every group's survivors, each pass
+    with a fresh `build_stream` and `build_suffix_index` of its own."""
+    from korpus.dedup import (
+        COMBINED, apply_policy, build_stream, build_suffix_index, find_duplicates,
+    )
+
+    def one_pass(shards, stage):
+        stream = build_stream(shards)
+        spans = find_duplicates(build_suffix_index(stream), stream, min_match)
+        return apply_policy(shards, spans, policy, stage=stage)
+
+    reports = []
+    survivors = []
+    for name, shards in stage_groups:
+        out, report = one_pass(shards, name)
+        reports.append(report)
+        survivors.extend(out)
+    final, combined = one_pass(survivors, COMBINED)
+    return final, [*reports, combined]
 
 
 def oracle_fnv1a(data: bytes, state: int = 0xCBF29CE484222325) -> int:

@@ -1,6 +1,7 @@
 import functools
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,14 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from korpus.core import CorpusShard, Document, tokenize
 from korpus.dedup import (
-    apply_policy, build_stream, build_suffix_index, dedup_shards,
+    apply_policy, build_stream, build_suffix_index,
     find_duplicates, merge_spans, staged_dedup, _lcp, _suffix_array,
 )
 from korpus import dedup
 from korpus.errors import CapacityError, ConfigError, IntegrityError
 
 from conftest import int_docs_to_shard, make_doc, random_token_docs
-from oracles import oracle_doc_spans, oracle_match_docs, oracle_suffix_array
+from oracles import (
+    oracle_doc_spans, oracle_match_docs, oracle_staged_dedup, oracle_suffix_array,
+)
 
 
 def brute_force_suffix_sort(tokens: list[int]) -> list[int]:
@@ -185,7 +188,7 @@ class TestDoublingWork:
         sa, ranks = _suffix_array(arr)
         monkeypatch.undo()
         # rep[p] >= h iff another suffix shares the h-token prefix of suffix p.
-        rep = dedup._repeat_lengths(dedup.SuffixIndex(sa, _lcp(sa, ranks)))
+        rep = dedup._repeat_lengths(dedup.SuffixIndex(sa, _lcp(sa, ranks)), n)
         want = [n]
         while (tied := int(np.count_nonzero(rep >= 2 ** len(want)))) > 0:
             want.append(tied)
@@ -204,6 +207,39 @@ class TestDoublingWork:
         finally:
             tracemalloc.stop()
         assert peak / stream.tokens.size < bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_restrict_equals_filtered_index(seed):
+    """A view keeping none, one, some or all documents, each with the
+    separator after it, holds the full SA filtered and, between neighbours,
+    the common prefix counted token by token."""
+    rng = random.Random(seed)
+    vocab = rng.choice([2, 4, 30])
+    docs = [rng.choices(range(vocab), k=rng.randrange(30)) for _ in range(rng.randrange(1, 8))]
+    stream = dedup._join([np.asarray(d, dtype=np.int32) for d in docs],
+                         [f"d{i}" for i in range(len(docs))], vocab)
+    index = build_suffix_index(stream)
+    tokens = stream.tokens.tolist()
+    n = len(tokens)
+    everything = range(len(docs))
+    for chosen in ([], [rng.randrange(len(docs))], rng.sample(everything, rng.randrange(len(docs) + 1)),
+                   everything):
+        keep = np.zeros(n, dtype=bool)
+        for i in chosen:
+            _, start, end = stream.doc_boundaries[i]
+            keep[start:end + 1] = True
+        view = dedup._restrict(index, keep)
+        sa = view.suffix_array.tolist()
+        assert sa == [p for p in index.suffix_array.tolist() if keep[p]]
+        want = []
+        for i, j in zip(sa, sa[1:]):
+            k = 0
+            while max(i, j) + k < n and tokens[i + k] == tokens[j + k]:
+                k += 1
+            want.append(k)
+        assert view.lcp.tolist() == want
 
 
 class TestBuildStream:
@@ -425,15 +461,30 @@ class TestApplyPolicy:
 
 
 class TestStagedDedup:
-    def test_single_group_equals_single_stage(self, rng):
-        docs = random_token_docs(rng, 800, vocab=10)
-        shard = int_docs_to_shard(docs)
-        single_out, single_report = dedup_shards([shard], 5, "remove_all")
-        staged_out, reports = staged_dedup([("only", [shard])], 5, "remove_all")
-        assert [d.id for s in staged_out for d in s.documents] == \
-               [d.id for s in single_out for d in s.documents]
-        assert len(reports) == 2
-        assert reports[0].stage == "only" and reports[1].stage == "combined"
+    @pytest.mark.parametrize("groups", [1, 3])
+    def test_one_index_per_call(self, groups, rng, monkeypatch):
+        """One stream and one index serve the G group passes and the combined one."""
+        calls = Counter()
+        for name in ("build_stream", "build_suffix_index", "find_duplicates"):
+            real = getattr(dedup, name)
+            monkeypatch.setattr(dedup, name, lambda *args, _name=name, _real=real:
+                                calls.update([_name]) or _real(*args))
+        passage = [rng.randrange(50) for _ in range(40)]
+        stage_groups = [
+            (f"g{g}", [int_docs_to_shard([passage + [g], [rng.randrange(50) for _ in range(30)]],
+                                         source=f"g{g}")])
+            for g in range(groups)
+        ]
+        staged_dedup(stage_groups, 8, "keep_first")
+        assert calls == {"build_stream": 1, "build_suffix_index": 1, "find_duplicates": groups + 1}
+
+    @pytest.mark.parametrize("min_match,policy", [(1, "remove_all"), (0, "keep_first"), (4, "bogus")])
+    def test_arguments_checked_before_any_work(self, min_match, policy, monkeypatch):
+        def build_stream(shards):
+            raise AssertionError("build_stream ran before the arguments were checked")
+        monkeypatch.setattr(dedup, "build_stream", build_stream)
+        with pytest.raises(ConfigError):
+            staged_dedup([("g", [int_docs_to_shard([[1, 2, 3]])])], min_match, policy)
 
     def test_cross_group_duplicate_caught_in_combined(self, rng):
         passage = [rng.randrange(50) for _ in range(80)]
@@ -462,8 +513,8 @@ class TestStagedDedup:
             assert find_duplicates(index, stream, 4) == []
 
     def test_document_id_repeated_across_groups_rejected(self):
-        """Each group's stream holds distinct ids; the combined stream, joined
-        from the group streams, checks the ids across groups."""
+        """The one stream over every group's documents checks the ids across
+        groups."""
         a = CorpusShard.from_documents([make_doc("same", "x y z")])
         b = CorpusShard.from_documents([make_doc("same", "u v w")])
         with pytest.raises(IntegrityError, match="duplicate document id 'same' across shards"):
@@ -496,3 +547,37 @@ def test_flagged_docs_equal_oracle_property(doc_tokens, min_match):
     flagged = {s.doc_id for s in spans}
     _, oracle_flagged = oracle_doc_spans(doc_tokens, min_match)
     assert flagged == {f"rand-{i}" for i in oracle_flagged}
+
+
+@st.composite
+def dedup_groups(draw) -> list[tuple[str, list[CorpusShard]]]:
+    """1-3 dedup groups of 0-2 shards, with empty groups, shards and
+    documents. One passage is planted twice inside a group and another once
+    in each of two groups."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    vocab = rng.choice([3, 20])
+    groups = [[[rng.choices(range(vocab), k=rng.randrange(20)) for _ in range(rng.randrange(5))]
+               for _ in range(rng.randrange(3))]
+              for _ in range(draw(st.integers(1, 3)))]
+    filled = [docs for docs in ([doc for shard in group for doc in shard] for group in groups) if docs]
+    plantings = []
+    if filled:
+        docs = rng.choice(filled)
+        plantings.append([rng.choice(docs), rng.choice(docs)])
+    if len(filled) >= 2:
+        plantings.append([rng.choice(docs) for docs in rng.sample(filled, 2)])
+    for targets in plantings:
+        passage = rng.choices(range(vocab), k=rng.randrange(6, 12))
+        for doc in targets:
+            cut = rng.randrange(len(doc) + 1)
+            doc[cut:cut] = passage
+    return [(f"g{g}", [int_docs_to_shard(shard, source=f"g{g}s{i}") for i, shard in enumerate(group)])
+            for g, group in enumerate(groups)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dedup_groups(), st.integers(2, 6), st.sampled_from(["remove_all", "keep_first"]))
+def test_staged_dedup_equals_oracle(stage_groups, min_match, policy):
+    """Shards and reports equal those of passes with a stream and an index of their own."""
+    assert staged_dedup(stage_groups, min_match, policy) == \
+        oracle_staged_dedup(stage_groups, min_match, policy)
