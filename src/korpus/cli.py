@@ -1,8 +1,11 @@
 """korpus command line: one subcommand per pipeline stage plus the runner.
 
 Input flags (--in, --lang, --group) take glob patterns relative to the working
-directory; each pattern must match a file, and its matches are read in sorted
-order. `korpus pipeline --seed-override N` replaces every configured seed.
+directory, under a config's rule for a path list (`pipeline.resolve_paths`):
+each pattern must match a file, its matches are read in sorted order, the
+patterns of one list (--in, or one --lang language) may not match one file
+twice, and each file must end in a manifest line. `korpus pipeline
+--seed-override N` replaces every configured seed.
 
 Exit codes: 0 success, 2 config error, 3 stage failure, 4 integrity error.
 """

@@ -1,8 +1,10 @@
 """Exact-substring deduplication over token streams via suffix arrays.
 
-Documents are concatenated into one stream of 32-bit token ids with a unique
-separator id between consecutive documents; a separator occurs exactly once in
-the stream, so no repeated substring can cross a document boundary.
+Documents are laid out in one stream of 32-bit token ids, with a separator id
+of its own after each document but the last; a separator occurs exactly once
+in the stream, so no repeated substring can cross a document boundary. The
+layout, `bounds`, is the running sum of the documents' token counts, each
+plus one for its separator.
 `staged_dedup` tokenizes and indexes every group's documents once, and each of
 its passes reads that index restricted to the documents it sees (`_restrict`).
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorpusShard, tokenize
+from .core import CorpusShard, _duplicate_id, tokenize
 from .errors import CapacityError, ConfigError, IntegrityError
 
 _MAX_IDS = 2**31 - 1
@@ -44,10 +46,12 @@ NAME_PATTERN = "^[A-Za-z0-9][A-Za-z0-9_-]*(?![\\s\\S])"
 
 @dataclass(frozen=True)
 class TokenStream:
+    """Document i is tokens[bounds[i]:bounds[i + 1] - 1], and its separator is
+    at bounds[i + 1] - 1, which for the last document is the stream's end."""
+
     tokens: np.ndarray  # int32 token ids, separators included
-    doc_boundaries: tuple[tuple[int, int, int], ...]  # (doc_index, start, end)
+    bounds: np.ndarray  # int64, one entry per document and one more
     doc_ids: tuple[str, ...]
-    sentinel_base: int
 
 
 @dataclass(frozen=True)
@@ -83,56 +87,30 @@ class _Vocab(dict):
 
 
 def build_stream(shards: list[CorpusShard]) -> TokenStream:
-    """Tokenize each document once and join the documents into one stream.
+    """Tokenize each document once, straight into its place in the stream.
 
-    Token ids follow first occurrence. Positions and ids are int32, so all
-    the documents together, separators included, must fit in 2**31 - 1
-    (`CapacityError`).
+    The layout comes from the documents' token counts before any text is
+    tokenized, so a stream longer than int32 positions allow (2**31 - 1
+    tokens, separators included) raises `CapacityError` first. Token ids
+    follow first occurrence, and the separator after document i is V + i
+    for a vocabulary of V ids. V is at most the token count, so every id is
+    below the stream length.
     """
+    docs = [doc for shard in shards for doc in shard.documents]
+    if (dup := _duplicate_id(docs)) is not None:
+        raise IntegrityError(f"duplicate document id {dup!r} across shards")
+    bounds = np.cumsum([0, *(doc.token_count + 1 for doc in docs)], dtype=np.int64)
+    n = max(int(bounds[-1]) - 1, 0)  # the last document has no separator
+    if n > _MAX_IDS:
+        raise CapacityError(f"a stream of {n} tokens exceeds the 32-bit index")
     vocab = _Vocab()
     lookup = vocab.__getitem__
-    pieces: list[np.ndarray] = []
-    doc_ids: list[str] = []
-    for shard in shards:
-        for doc in shard.documents:
-            toks = tokenize(doc.text)
-            pieces.append(np.fromiter(map(lookup, toks), dtype=np.int32, count=len(toks)))
-            doc_ids.append(doc.id)
-    return _join(pieces, doc_ids, len(vocab))
-
-
-def _join(pieces: list[np.ndarray], doc_ids: list[str], sentinel_base: int) -> TokenStream:
-    """The documents' ids in order, with the separator id sentinel_base + i
-    after document i, for every document but the last."""
-    seen: set[str] = set()
-    for doc_id in doc_ids:
-        if doc_id in seen:
-            raise IntegrityError(f"duplicate document id {doc_id!r} across shards")
-        seen.add(doc_id)
-    n_separators = max(0, len(pieces) - 1)
-    if sentinel_base + n_separators > _MAX_IDS:
-        raise CapacityError(
-            f"{sentinel_base} tokens + {n_separators} separators exceed the 32-bit id space"
-        )
-    total = sum(piece.size for piece in pieces) + n_separators
-    if total > _MAX_IDS:
-        raise CapacityError(f"a stream of {total} tokens exceeds the 32-bit index")
-    tokens = np.empty(total, dtype=np.int32)
-    boundaries = []
-    pos = 0
-    for i, piece in enumerate(pieces):
-        end = pos + piece.size
-        tokens[pos:end] = piece
-        boundaries.append((i, pos, end))
-        if i < n_separators:
-            tokens[end] = sentinel_base + i
-        pos = end + 1
-    return TokenStream(
-        tokens=tokens,
-        doc_boundaries=tuple(boundaries),
-        doc_ids=tuple(doc_ids),
-        sentinel_base=sentinel_base,
-    )
+    tokens = np.empty(n, dtype=np.int32)
+    for doc, start in zip(docs, bounds.tolist()):
+        tokens[start:start + doc.token_count] = np.fromiter(
+            map(lookup, tokenize(doc.text)), dtype=np.int32, count=doc.token_count)
+    tokens[bounds[1:-1] - 1] = np.arange(len(vocab), len(vocab) + len(docs) - 1)
+    return TokenStream(tokens=tokens, bounds=bounds, doc_ids=tuple(doc.id for doc in docs))
 
 
 def _suffix_array(arr: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -357,10 +335,10 @@ def find_duplicates(index: SuffixIndex, stream: TokenStream, min_match: int) -> 
     has = t < hi
     best[has] = np.minimum(best[has], _range_min(sa_min, t[has] + 1, hi[has] + 1))
 
-    doc_starts = np.asarray([b[1] for b in stream.doc_boundaries], dtype=np.int64)
-    doc_of_start = np.searchsorted(doc_starts, starts, side="right") - 1
-    doc_of_match = np.searchsorted(doc_starts, best, side="right") - 1
+    doc_of_start = np.searchsorted(stream.bounds, starts, side="right") - 1
+    doc_of_match = np.searchsorted(stream.bounds, best, side="right") - 1
     tokens = stream.tokens
+    bounds = stream.bounds.tolist()
     spans = []
     for p, length, q, doc_i, match_doc_i in zip(
         starts.tolist(), lengths.tolist(), best.tolist(),
@@ -370,8 +348,8 @@ def find_duplicates(index: SuffixIndex, stream: TokenStream, min_match: int) -> 
             raise IntegrityError(f"span at {p} (len {length}) has no matching occurrence")
         if not np.array_equal(tokens[p:p + length], tokens[q:q + length]):
             raise IntegrityError(f"span at {p} does not match its occurrence at {q}")
-        _, d_start, d_end = stream.doc_boundaries[doc_i]
-        if not (d_start <= p and p + length <= d_end):
+        d_start = bounds[doc_i]
+        if p + length > bounds[doc_i + 1] - 1:
             raise IntegrityError(f"span at {p} crosses a document boundary")
         spans.append(DuplicateSpan(
             doc_id=stream.doc_ids[doc_i],
@@ -498,8 +476,9 @@ def staged_dedup(
     _check_policy(policy)
     stream = build_stream([shard for _, shards in stage_groups for shard in shards])
     index = build_suffix_index(stream)
-    # Stream positions of each document and the separator after it.
-    widths = np.diff([*(start for _, start, _ in stream.doc_boundaries), stream.tokens.size])
+    # Stream positions of each document and the separator after it; the last
+    # document's separator position is the stream's end, which no suffix has.
+    widths = np.diff(stream.bounds)
 
     def dedup_pass(shards: list[CorpusShard], stage: str) -> tuple[list[CorpusShard], DedupReport]:
         ids = {doc.id for shard in shards for doc in shard.documents}

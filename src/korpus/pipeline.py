@@ -6,9 +6,9 @@ identical config over identical inputs yields a byte-identical workspace.
 
 Resume contract. A completed stage writes `markers/<stage>.json` holding the
 run key and a checksum of each output it wrote (no timestamps, no absolute
-paths). The run key is a sha256 over the korpus version, the parsed config
-without its resolved paths, the seed override and the bytes of every raw
-input file: source paths, langid training corpora and the KN reference. A
+paths). The run key is a 32-byte blake2b over the korpus version, the parsed
+config without its resolved paths, the seed override and the bytes of every
+raw input file: source paths, langid training corpora and the KN reference. A
 stage is cached only if its marker carries this run's key, so a change to any
 of these reruns every stage. A cached stage re-checks every output checksum its marker
 recorded; a missing or modified output raises IntegrityError (CLI exit 4).
@@ -53,10 +53,9 @@ from typing import Any, BinaryIO, Callable, Iterator
 
 import jsonschema
 
-try:  # the interpreter's own sha256: importing hashlib maps OpenSSL, ~3 MB of RSS
-    from _sha256 import sha256
-except ImportError:  # Python >= 3.12 or a build without it
-    from hashlib import sha256
+# The interpreter's own blake2b, built in on every supported Python: importing
+# hashlib maps OpenSSL, ~3 MB of RSS.
+from _blake2 import blake2b
 
 from . import __version__, chunker, dedup, langid, mixer, qualfilter, report as report_mod
 from .core import (
@@ -139,56 +138,73 @@ def _schema_diagnostics(obj, validator=_VALIDATOR) -> list[str]:
     return out
 
 
+class PatternError(ConfigError):
+    """The problems of one `resolve_paths` call, each (index of its pattern, text,
+    index of the pattern that matched the text's file first, or None). The
+    message names that pattern by its text, `diagnostics(loc)` as loc[i]."""
+
+    def __init__(self, patterns: list[str], problems: list[tuple[int, str, int | None]]):
+        self.problems = problems
+        super().__init__("; ".join(self._texts(lambda i: repr(patterns[i]))))
+
+    def _texts(self, name: Callable[[int], str]) -> list[str]:
+        return [text if first is None else f"{text} is a file that {name(first)} already matched"
+                for _, text, first in self.problems]
+
+    def diagnostics(self, loc: str) -> list[str]:
+        texts = self._texts(lambda i: f"{loc}[{i}]")
+        return [f"{loc}[{j}]: {text}" for (j, _, _), text in zip(self.problems, texts)]
+
+
 def resolve_paths(patterns: list[str], base: Path) -> list[Path]:
     """The one rule for every input path: a relative glob pattern resolves against
     `base`, the directory of the config or mix spec that names it (the working
-    directory for a CLI flag); each pattern's matches are sorted, and a pattern
-    that matches no file, or that the file-system encoding cannot hold, raises
-    ConfigError naming it."""
+    directory for a CLI flag), and each pattern's matches are sorted.
+
+    Every problem goes into one PatternError: a pattern that the file-system
+    encoding cannot hold or that matches no file; a file that the list already
+    matched, by the same or another path, compared by device and inode (its
+    records would be read twice); and a file whose manifest line is missing or
+    malformed (`read_manifest`, which reads the file's tail only)."""
     out: list[Path] = []
+    problems: list[tuple[int, str, int | None]] = []
+    matched: dict[tuple[int, int], int] = {}  # (device, inode) -> the pattern that matched it
     base = Path(globmod.escape(str(base)))  # a directory such as run[1]/ is no pattern
-    for pat in patterns:
+    for j, pat in enumerate(patterns):
         try:
             os.fsencode(pat)
         except UnicodeEncodeError:  # e.g. an umlaut under an ASCII locale
             # !a: a console in that encoding cannot print the pattern as it is
-            raise ConfigError(f"{pat!a} cannot be encoded in the file-system encoding "
-                              f"({sys.getfilesystemencoding()})") from None
+            problems.append((j, f"{pat!a} cannot be encoded in the file-system encoding "
+                                f"({sys.getfilesystemencoding()})", None))
+            continue
         matches = sorted(m for m in globmod.glob(str(base / pat)) if Path(m).is_file())
         if not matches:
-            raise ConfigError(f"no files match {pat!r}")
-        out.extend(map(Path, matches))
-    return out
-
-
-def _resolve_each(loc: str, patterns: list[str], base: Path, diags: list[str]) -> list[Path]:
-    """`resolve_paths`, with a diagnostic at `loc[j]` for each dead pattern j, for
-    each of its files that the list already matched, by this or another path
-    (its records would be read twice), and for each of its files whose manifest
-    line is missing or malformed (`read_manifest`, which reads the file's tail
-    only)."""
-    out: list[Path] = []
-    matched: dict[tuple[int, int], int] = {}  # (device, inode) -> the pattern that matched it
-    for j, pat in enumerate(patterns):
-        try:
-            paths = resolve_paths([pat], base)
-        except ConfigError as exc:
-            diags.append(f"{loc}[{j}]: {exc}")
-            continue
-        for p in paths:
+            problems.append((j, f"no files match {pat!r}", None))
+        for p in map(Path, matches):
             st = p.stat()
             file = (st.st_dev, st.st_ino)
             if file in matched:
-                diags.append(f"{loc}[{j}]: {p} is a file that {loc}[{matched[file]}] "
-                             "already matched")
+                problems.append((j, str(p), matched[file]))
                 continue
             matched[file] = j
             try:
                 read_manifest(p)
             except ShardFormatError as exc:
-                diags.append(f"{loc}[{j}]: {exc}")
+                problems.append((j, str(exc), None))
             out.append(p)
+    if problems:
+        raise PatternError(patterns, problems)
     return out
+
+
+def _resolve_at(loc: str, patterns: list[str], base: Path, diags: list[str]) -> list[Path]:
+    """`resolve_paths`, its problems added to `diags` with pattern j named loc[j]."""
+    try:
+        return resolve_paths(patterns, base)
+    except PatternError as exc:
+        diags += exc.diagnostics(loc)
+        return []
 
 
 def _load_json(path: Path, validator) -> tuple[object, list[str]]:
@@ -226,7 +242,7 @@ def parse_mix_spec(path: str | Path) -> dict:
         diags = _dataset_diagnostics("$", [s["source"] for s in obj["sources"]],
                                      obj.get("budget_tokens"), obj.get("trim_source"))
         for i, src in enumerate(obj["sources"]):
-            src["paths"] = _resolve_each(f"$.sources[{i}].paths", src["paths"], path.parent, diags)
+            src["paths"] = _resolve_at(f"$.sources[{i}].paths", src["paths"], path.parent, diags)
     if diags:
         raise ConfigError("; ".join(diags))
     return obj
@@ -275,15 +291,15 @@ def parse_config(path: str | Path) -> tuple[RunConfig | None, list[str]]:
         diags.append("$.quality_lm: required because a source enables the quality_filter step")
 
     base = path.parent
-    source_files = {s.name: _resolve_each(f"$.sources[{i}].paths", s.paths, base, diags)
+    source_files = {s.name: _resolve_at(f"$.sources[{i}].paths", s.paths, base, diags)
                     for i, s in enumerate(sources)}
     langid_files, reference_files = {}, []
     if langid_cfg is not None:
-        langid_files = {lang: _resolve_each(f"$.langid.train.{lang}", pats, base, diags)
+        langid_files = {lang: _resolve_at(f"$.langid.train.{lang}", pats, base, diags)
                         for lang, pats in langid_cfg["train"].items()}
     if quality_lm is not None:
-        reference_files = _resolve_each("$.quality_lm.reference", quality_lm["reference"],
-                                        base, diags)
+        reference_files = _resolve_at("$.quality_lm.reference", quality_lm["reference"],
+                                      base, diags)
 
     if diags:
         return None, diags
@@ -356,17 +372,18 @@ def _copy_checked(source: tuple[Path, str], path: Path) -> str:
 
 
 def _run_key(config: RunConfig, seed_override: int | None) -> str:
-    """sha256 over the korpus version, the parsed config without its resolved file
+    """32-byte blake2b over the korpus version, the parsed config without its resolved file
     lists (their paths depend on where the config lives), the seed override and
     the bytes of every raw input file, in resolved order."""
     settings = {k: v for k, v in asdict(config).items()
                 if k not in ("source_files", "langid_files", "reference_files")}
-    key = sha256(
-        json.dumps([__version__, settings, seed_override], sort_keys=True).encode("utf-8"))
+    key = blake2b(
+        json.dumps([__version__, settings, seed_override], sort_keys=True).encode("utf-8"),
+        digest_size=32)
     files = [p for paths in config.source_files.values() for p in paths]
     files += [p for paths in config.langid_files.values() for p in paths]
     for path in files + config.reference_files:
-        digest = sha256()
+        digest = blake2b(digest_size=32)
         for block in _read_blocks(path):
             digest.update(block)
         key.update(digest.digest())

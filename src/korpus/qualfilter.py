@@ -329,10 +329,14 @@ def score_perplexity(model: NgramModel, doc: Document) -> PerplexityScore:
     )
 
 
+def _check_k(k: int) -> None:
+    if k < 1:  # as `quality_top_k` in the config schema
+        raise ConfigError("k must be >= 1")
+
+
 def select_top_k(scores: list[PerplexityScore], k: int) -> list[str]:
     """Ids of the k lowest-perplexity documents; ties break on ascending doc_id."""
-    if k < 0:
-        raise ConfigError("k must be >= 0")
+    _check_k(k)
     ranked = sorted(scores, key=lambda s: (s.perplexity, s.doc_id))
     return [s.doc_id for s in ranked[:k]]
 
@@ -354,8 +358,7 @@ def filter_top_k(
     k: int,
 ) -> tuple[CorpusShard, list[PerplexityScore]]:
     """Score every document and keep the k best; unscorable documents are dropped."""
-    if k < 0:
-        raise ConfigError("k must be >= 0")
+    _check_k(k)
     scores = score_shard(model, shard)
     chosen = set(select_top_k(scores, k))
     kept = CorpusShard.from_documents(

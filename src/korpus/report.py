@@ -63,9 +63,9 @@ def _composition_markdown(report: CompositionReport) -> str:
             f"| {r.domain} | {r.source} | {r.doc_count} | {r.token_count} "
             f"| {_billions(r.token_count)} | {r.share:.4f} |"
         )
-    lines.append(f"| **total** | | {docs} | {tokens} | {_billions(tokens)} | 1.0000 |"
-                 if report.rows else
-                 f"| **total** | | {docs} | {tokens} | {_billions(tokens)} | |")
+    total = f"| **total** | | {docs} | {tokens} | {_billions(tokens)} |"
+    # The share is the rows' sum: 0 when no row has a token.
+    lines.append(f"{total} {1.0 if tokens else 0.0:.4f} |" if report.rows else f"{total} |")
     return "\n".join(lines) + "\n"
 
 

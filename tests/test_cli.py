@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import korpus
-from korpus import core, dedup, langid, pipeline
+from korpus import cli, core, dedup, langid, pipeline
 from korpus.chunker import chunk_document, chunk_record
 from korpus.cli import main
 from korpus.core import merge_shards, read_shard, write_shard
@@ -652,6 +652,8 @@ class TestArgumentErrors:
         ["dedup", "--group", "combined={shard}", "--out-dir", "{out}"],
         ["quality-filter", "--model", "{model}", "--in", "{shard}", "--out", "{out}/o.jsonl",
          "--top-k", "-1"],
+        ["quality-filter", "--model", "{model}", "--in", "{shard}", "--out", "{out}/o.jsonl",
+         "--top-k", "0"],
         ["chunk", "--in", "{empty}", "--out", "{out}/o.jsonl", "--budget", "0"],
         ["dedup", "--group", "a={empty}", "--out-dir", "{out}", "--min-match", "1"],
         [*LANGID_TRAIN, "--epochs", "-3"],
@@ -672,6 +674,7 @@ class TestArgumentErrors:
         ["report", "--in", "{report_dedup}"],
         ["report", "--in", "{report_composition}"],
     ], ids=["min-words", "budget", "min-match", "repeated-group", "group-combined", "top-k",
+            "top-k-zero",
             "budget-empty-shard", "min-match-empty-shard", "epochs-negative", "epochs-zero",
             "seed-negative", "shard-not-utf8", "config-not-utf8",
             "spec-not-utf8", "config-missing", "arpa-unparsable", "langid-model-truncated",
@@ -799,6 +802,24 @@ class TestInputPaths:
         assert main(["pipeline", "--config", str(config), "--workspace", str(ws)]) == 2
         assert capsys.readouterr().err == f"error: {expected}\n"
         assert not ws.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["preprocess", "--out", "out.jsonl"],
+        ["lm", "train", "--model", "out.arpa"],
+    ], ids=["preprocess", "lm-train"])
+    def test_cli_flag_matching_a_file_twice(self, tmp_path, monkeypatch, capsys, command):
+        """An input flag follows a config's rule: a file matched twice, by any
+        path, exits 2 naming the repeat before any shard is read."""
+        build_pipeline_fixture(tmp_path)
+        monkeypatch.chdir(tmp_path / "inputs")
+
+        def read_shard(path):
+            raise AssertionError(f"read {path} before the input paths were checked")
+        monkeypatch.setattr(cli, "read_shard", read_shard)
+        assert main([*command, "--in", "books.jsonl", "b*.jsonl"]) == 2
+        assert capsys.readouterr().err == (
+            "error: books.jsonl is a file that 'books.jsonl' already matched\n")
+        assert not (tmp_path / "inputs" / command[-1]).exists()
 
     def test_directory_is_not_a_file(self, tmp_path, monkeypatch, capsys):
         """A pattern that matches only directories matches no file."""

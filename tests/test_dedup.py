@@ -156,8 +156,7 @@ STREAM_SHAPES = {"crawl": crawl_shape, "long-repeat": long_repeat_shape}
 
 
 def shape_stream(shape: str) -> dedup.TokenStream:
-    docs = STREAM_SHAPES[shape]()
-    return dedup._join(docs, [f"d{i}" for i in range(len(docs))], 10_000)
+    return build_stream([int_docs_to_shard(STREAM_SHAPES[shape]())])
 
 
 class _SortCounter:
@@ -218,8 +217,7 @@ def test_restrict_equals_filtered_index(seed):
     rng = random.Random(seed)
     vocab = rng.choice([2, 4, 30])
     docs = [rng.choices(range(vocab), k=rng.randrange(30)) for _ in range(rng.randrange(1, 8))]
-    stream = dedup._join([np.asarray(d, dtype=np.int32) for d in docs],
-                         [f"d{i}" for i in range(len(docs))], vocab)
+    stream = build_stream([int_docs_to_shard(docs)])
     index = build_suffix_index(stream)
     tokens = stream.tokens.tolist()
     n = len(tokens)
@@ -228,8 +226,7 @@ def test_restrict_equals_filtered_index(seed):
                    everything):
         keep = np.zeros(n, dtype=bool)
         for i in chosen:
-            _, start, end = stream.doc_boundaries[i]
-            keep[start:end + 1] = True
+            keep[stream.bounds[i]:stream.bounds[i + 1]] = True
         view = dedup._restrict(index, keep)
         sa = view.suffix_array.tolist()
         assert sa == [p for p in index.suffix_array.tolist() if keep[p]]
@@ -252,30 +249,31 @@ class TestBuildStream:
     def test_empty_corpus(self):
         stream = build_stream([CorpusShard.from_documents([])])
         assert stream.tokens.size == 0
-        assert stream.doc_boundaries == ()
+        assert stream.bounds.tolist() == [0]
 
     def test_separators_unique(self):
         docs = [make_doc(f"d{i}", "a a a") for i in range(5)]
         stream = build_stream([CorpusShard.from_documents(docs)])
-        seps = [t for t in stream.tokens.tolist() if t >= stream.sentinel_base]
+        seps = stream.tokens[stream.bounds[1:-1] - 1].tolist()
         assert len(seps) == 4 and len(set(seps)) == 4
+        assert min(seps) > stream.tokens[:3].max()
 
     def test_round_trip_detokenize(self, rng):
         # Equal tokens get equal ids and distinct tokens distinct ids, all below
-        # the separators, at the positions doc_boundaries gives.
+        # the separators, at the positions bounds gives.
         docs = random_token_docs(rng, 2000)
         shard = int_docs_to_shard(docs)
         stream = build_stream([shard])
         id_of: dict[str, int] = {}
         token_of: dict[int, str] = {}
-        for (i, start, end), doc in zip(stream.doc_boundaries, shard.documents):
-            ids = stream.tokens[start:end].tolist()
+        for i, doc in enumerate(shard.documents):
+            ids = stream.tokens[stream.bounds[i]:stream.bounds[i + 1] - 1].tolist()
             assert stream.doc_ids[i] == doc.id
             assert len(ids) == len(tokenize(doc.text))
             for tok, tid in zip(tokenize(doc.text), ids):
                 assert id_of.setdefault(tok, tid) == tid
                 assert token_of.setdefault(tid, tok) == tok
-        assert max(token_of) < stream.sentinel_base
+        assert max(token_of) < stream.tokens[stream.bounds[1:-1] - 1].min()
 
     def test_duplicate_ids_rejected(self):
         a = CorpusShard.from_documents([make_doc("same", "x y")])
@@ -291,6 +289,38 @@ class TestBuildStream:
         monkeypatch.setattr(dedup, "_MAX_IDS", 5)
         with pytest.raises(CapacityError):
             build_stream([shard])
+
+    def test_capacity_checked_before_tokenizing(self, monkeypatch):
+        """The layout comes from the token counts, so an oversized stream is
+        refused before any text is tokenized."""
+        shard = CorpusShard.from_documents([make_doc("x", "a a a"), make_doc("y", "a a")])
+
+        def tokenize(text):
+            raise AssertionError("tokenized before the capacity check")
+        monkeypatch.setattr(dedup, "tokenize", tokenize)
+        monkeypatch.setattr(dedup, "_MAX_IDS", 5)
+        with pytest.raises(CapacityError):
+            build_stream([shard])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from("abcde"), max_size=6), max_size=6))
+    def test_layout_from_bounds(self, texts):
+        """Document i's ids are tokens[bounds[i]:bounds[i + 1] - 1], and the
+        separators between documents are distinct and above every token id."""
+        docs = [make_doc(f"d{i}", " ".join(words)) for i, words in enumerate(texts)]
+        stream = build_stream([CorpusShard.from_documents(docs)])
+        bounds = stream.bounds.tolist()
+        assert len(bounds) == len(docs) + 1 and stream.doc_ids == tuple(d.id for d in docs)
+        id_of: dict[str, int] = {}
+        ids = []
+        for i, words in enumerate(texts):
+            got = stream.tokens[bounds[i]:bounds[i + 1] - 1].tolist()
+            assert got == [id_of.setdefault(w, len(id_of)) for w in words]
+            ids += got
+        assert stream.tokens.size == max(bounds[-1] - 1, 0)
+        seps = stream.tokens[stream.bounds[1:-1] - 1].tolist()
+        assert len(set(seps)) == len(seps) == max(len(docs) - 1, 0)
+        assert all(sep > max(ids, default=-1) for sep in seps)
 
 
 def _find(shard_docs: list[list[int]], min_match: int):
@@ -343,7 +373,7 @@ class TestFindDuplicates:
     def test_every_span_occurs_twice(self, rng):
         docs = random_token_docs(rng, 1500, vocab=20)
         shard, stream, spans = _find(docs, 3)
-        doc_start = {stream.doc_ids[i]: b[1] for i, b in enumerate(stream.doc_boundaries)}
+        doc_start = dict(zip(stream.doc_ids, stream.bounds.tolist()))
         tokens = stream.tokens.tolist()
         for s in spans:
             start = doc_start[s.doc_id] + s.token_start
@@ -357,7 +387,7 @@ class TestFindDuplicates:
     def test_no_span_crosses_separator(self, rng):
         docs = random_token_docs(rng, 1200, vocab=10)
         shard, stream, spans = _find(docs, 2)
-        lengths = {stream.doc_ids[i]: b[2] - b[1] for i, b in enumerate(stream.doc_boundaries)}
+        lengths = dict(zip(stream.doc_ids, (np.diff(stream.bounds) - 1).tolist()))
         for s in spans:
             assert s.token_start + s.token_len <= lengths[s.doc_id]
 

@@ -291,7 +291,9 @@ class TestPerplexity:
 
 class TestSelection:
     def test_k_zero(self):
-        assert select_top_k([], 0) == []
+        """k >= 1, as `quality_top_k` in the config schema."""
+        with pytest.raises(ConfigError, match="k must be >= 1"):
+            select_top_k([], 0)
 
     def test_ordering_with_ties_on_id(self):
         scores = [
@@ -341,8 +343,9 @@ class TestSelection:
             raise AssertionError("scored before the argument check")
         monkeypatch.setattr(qualfilter, "score_shard", fail)
         shard = CorpusShard.from_documents([make_doc("good", "a b a")])
-        with pytest.raises(ConfigError, match="k must be >= 0"):
-            filter_top_k(shard, toy_model(), -1)
+        for k in (-1, 0):
+            with pytest.raises(ConfigError, match="k must be >= 1"):
+                filter_top_k(shard, toy_model(), k)
 
 
 def thin_arpa(text, rng, share):

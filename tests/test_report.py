@@ -70,6 +70,16 @@ class TestRender:
         assert "| formal | gc4 | 10 | 800 | 0.0 | 0.8000 |" in md
         assert "| **total** | | 15 | 1000 | 0.0 | 1.0000 |" in md
 
+    def test_total_share_of_rows_without_tokens(self):
+        """The total line's share is the rows' sum, 0 when no row has a token."""
+        report = CompositionReport(rows=(
+            CompositionRow(domain="formal", source="gc4", doc_count=2, token_count=0, share=0.0),
+            CompositionRow(domain="informal", source="reddit", doc_count=1, token_count=0,
+                           share=0.0),
+        ))
+        total = render(report, "markdown").splitlines()[-1]
+        assert total == "| **total** | | 3 | 0 | 0.0 | 0.0000 |"
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             render(sample_composition(), "yaml")
