@@ -3,9 +3,9 @@
 Input flags (--in, --lang, --group) take glob patterns relative to the working
 directory, under a config's rule for a path list (`pipeline.resolve_paths`):
 each pattern must match a file, its matches are read in sorted order, the
-patterns of one list (--in, or one --lang language) may not match one file
-twice, and each file must end in a manifest line. `korpus pipeline
---seed-override N` replaces every configured seed.
+patterns of one list (--in, one --lang language, or all --group flags) may
+not match one file twice, and each file must end in a manifest line.
+`korpus pipeline --seed-override N` replaces every configured seed.
 
 Exit codes: 0 success, 2 config error, 3 stage failure, 4 integrity error.
 """
@@ -22,7 +22,8 @@ from . import chunker, dedup, langid, mixer, qualfilter, report as report_mod
 from .core import PipelineConfig, merge_shards, read_shard, write_shard
 from .errors import ConfigError, IntegrityError, KorpusError, ShardFormatError, StageError
 from .pipeline import (
-    _given, parse_mix_spec, resolve_paths, run_pipeline, validate_config, write_json, write_text,
+    _given, parse_mix_spec, resolve_each, resolve_paths, run_pipeline, validate_config,
+    write_json, write_text,
 )
 from .preprocess import clean_shard
 
@@ -68,12 +69,16 @@ def cmd_langid_filter(args) -> int:
 
 
 def cmd_dedup(args) -> int:
-    stage_groups = []
+    names, patterns = [], []
     for spec in args.group:
         name, _, pattern = spec.partition("=")
         if not pattern:
             raise ConfigError(f"--group expects NAME=GLOB, got {spec!r}")
-        stage_groups.append((name, [read_shard(p) for p in resolve_paths([pattern], Path())]))
+        names.append(name)
+        patterns.append(pattern)
+    # One list for all groups: a file in two groups would be read twice.
+    stage_groups = [(name, [read_shard(p) for p in paths])
+                    for name, paths in zip(names, resolve_each(patterns, Path()))]
     policy = args.policy.replace("-", "_")
     final, reports = dedup.staged_dedup(stage_groups, args.min_match, policy)
     outdir = Path(args.out_dir)  # created by the writes: there is always a combined report

@@ -7,9 +7,16 @@ whitespace-normalized before n-gram extraction. Training sorts the examples
 canonically before applying its own seeded shuffle, so the resulting model is
 independent of input document order.
 
-`save_model` writes `model.bin`: the magic bytes, one line of JSON with the
-keys `labels`, `feature_buckets`, `ngram_min` and `ngram_max`, then the
-weights and the bias as little-endian float64.
+Hashed features are sparse: training touches a small share of the buckets.
+The model keeps a weight column only for each bucket that some training
+example hashes to (`LangIdModel.columns`, sorted). Every other bucket maps to
+one more column, the last, which is all zeros: a document scores with the
+terms, in the order, of a dense matrix over every bucket. `save_model`
+writes `model.bin`: the magic bytes, one line of JSON with the keys `labels`,
+`feature_buckets`, `ngram_min` and `ngram_max`, a bitmap of the buckets that
+have a column (`np.packbits`, little bit order, ceil(buckets / 8) bytes),
+then the weights without the zero column, one row per label, and the bias,
+as little-endian float64.
 
 `extract_features` hashes many texts at once. It normalizes them, encodes
 their concatenation to UTF-8 once and runs 64-bit FNV-1a over every n-gram
@@ -20,16 +27,17 @@ temporary memory, which the allocator may keep resident after the batch;
 the features it holds (about 40 bytes per character) stay bounded too.
 Each text's buckets come out in the order a per-n-gram loop would first meet
 them, with the same counts, so the features are bit-identical to hashing one
-n-gram at a time. Logits stay one `weights[:, idx] @ vals` per document: a
-sparse product over a whole shard would sum in another order and change the
+n-gram at a time. Logits stay one `weights[:, column[idx]] @ vals` per
+document, with a term for every bucket of the document, a zero one for a
+bucket without a column: a sparse product over a whole shard, or one that
+skipped the zero terms, would sum in another order and change the
 probabilities in the last bits.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -44,7 +52,9 @@ DEFAULT_BUCKETS = 2**18
 NGRAM_MIN = 3
 NGRAM_MAX = 5
 
-_MAGIC = b"KORPUSLID\x01"
+_MAGIC = b"KORPUSLID\x02"
+_DENSE_MAGIC = b"KORPUSLID\x01"  # korpus 0.2.0: weights over every bucket
+MAX_BUCKETS = 2**31 - 1  # the column map holds int32
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -55,8 +65,19 @@ _BATCH_CHARS = 1 << 13  # characters hashed per array pass
 class LangIdModel:
     labels: tuple[str, ...]
     feature_buckets: int
-    weights: np.ndarray  # [labels, buckets]
+    columns: np.ndarray  # sorted ids of the buckets that have a weight column
+    weights: np.ndarray  # [labels, len(columns) + 1]; the last column is zero
     bias: np.ndarray  # [labels]
+    # Bucket -> its column in weights; a bucket not in columns -> the zero column.
+    column: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        touched = np.zeros(self.feature_buckets, dtype=bool)
+        touched[self.columns] = True
+        self.column = touched.astype(np.int32)
+        np.cumsum(self.column, out=self.column)  # from bool it would cast through a copy
+        self.column -= 1
+        self.column[~touched] = len(self.columns)
 
 
 @dataclass(frozen=True)
@@ -170,6 +191,10 @@ def train_langid(
     Update number `done` (counted from 0 over all epochs) takes the step
     `1.0 - done / total_updates`, a linear decay from 1 towards 0, where
     `total_updates` is `epochs` times the number of non-empty documents.
+
+    The model has a column for each bucket that an example hashes to, and the
+    steps run on those columns alone: the weights of every other bucket stay
+    zero, as they would over all buckets.
     """
     if len(corpora) < 2:
         raise ConfigError("language identification needs at least 2 languages")
@@ -177,6 +202,8 @@ def train_langid(
         raise ConfigError("epochs must be >= 1")
     if feature_buckets < 1:
         raise ConfigError("feature_buckets must be >= 1")
+    if feature_buckets > MAX_BUCKETS:
+        raise ConfigError("feature_buckets must be <= 2**31 - 1")
     if not 0 <= seed < 2**64:
         raise ConfigError("seed must lie in [0, 2**64)")
     labels = tuple(sorted(corpora))
@@ -184,21 +211,28 @@ def train_langid(
         [doc.text for label in labels for doc in corpora[label].documents], feature_buckets,
     ))
     examples = []
+    touched = np.zeros(feature_buckets, dtype=bool)
     for li, label in enumerate(labels):
         non_empty = 0
         for doc, (idx, vals) in zip(corpora[label].documents, features):
             if idx.size == 0:
                 continue
             non_empty += 1
+            touched[idx] = True
             examples.append((label, doc.text, li, idx, vals))
         if non_empty == 0:
             raise ConfigError(f"language {label!r} has no non-empty documents")
+    columns = np.flatnonzero(touched)
+    model = LangIdModel(labels=labels, feature_buckets=feature_buckets, columns=columns,
+                        weights=np.zeros((len(labels), columns.size + 1), dtype=np.float64),
+                        bias=np.zeros(len(labels), dtype=np.float64))
+    for _, _, _, idx, _ in examples:
+        idx[:] = model.column[idx]  # in place: a copy of all of them would raise the peak
     # Canonical order first, then the seeded shuffle: input permutation cannot
     # change the model.
     examples.sort(key=lambda e: (e[0], e[1]))
     rng = SplitMix64(seed)
-    weights = np.zeros((len(labels), feature_buckets), dtype=np.float64)
-    bias = np.zeros(len(labels), dtype=np.float64)
+    weights, bias = model.weights, model.bias
     total_updates = epochs * len(examples)
     done = 0
     for _ in range(epochs):
@@ -206,17 +240,18 @@ def train_langid(
         for _, _, li, idx, vals in examples:
             lr = 1.0 - done / total_updates
             done += 1
-            grad = _softmax(weights[:, idx] @ vals + bias)
+            w = weights[:, idx]  # gathered once; `-=` would gather the columns again
+            grad = _softmax(w @ vals + bias)
             grad[li] -= 1.0
-            weights[:, idx] -= lr * np.outer(grad, vals)
+            weights[:, idx] = w - lr * np.outer(grad, vals)
             bias -= lr * grad
-    return LangIdModel(labels=labels, feature_buckets=feature_buckets, weights=weights, bias=bias)
+    return model
 
 
 def _probs(model: LangIdModel, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
     if idx.size == 0:
         raise UnscorableError("no character n-grams extracted; text is unscorable")
-    return _softmax(model.weights[:, idx] @ vals + model.bias)
+    return _softmax(model.weights[:, model.column[idx]] @ vals + model.bias)
 
 
 def score_probs(model: LangIdModel, text: str) -> np.ndarray:
@@ -260,11 +295,16 @@ def filter_language(
 
 
 def save_model(model: LangIdModel, path: str | Path) -> None:
-    """Byte-deterministic binary serialization (little-endian float64), written atomically.
+    """Byte-deterministic binary serialization, written atomically: the magic,
+    the JSON header line, the bitmap of the buckets that have a column, the
+    weights row by row without the zero column, and the bias (little-endian
+    float64). That is the 0.2.0 file of the dense weights less 8 bytes per
+    label for each bucket without a column, plus the bitmap's
+    ceil(buckets / 8) bytes.
 
     The arrays are written from their own memory, without a bytes copy: on a
-    little-endian host `np.ascontiguousarray` of a C-ordered float64 array is
-    the array itself."""
+    little-endian host `np.ascontiguousarray` of a row of a C-ordered float64
+    array is the row itself."""
     header = json.dumps({
         "labels": list(model.labels),
         "feature_buckets": model.feature_buckets,
@@ -275,45 +315,60 @@ def save_model(model: LangIdModel, path: str | Path) -> None:
         fh.write(_MAGIC)
         fh.write(header.encode("utf-8"))
         fh.write(b"\n")
-        fh.write(np.ascontiguousarray(model.weights, dtype="<f8"))
+        fh.write(np.packbits(model.column < len(model.columns), bitorder="little"))
+        for row in model.weights[:, :-1]:
+            fh.write(np.ascontiguousarray(row, dtype="<f8"))
         fh.write(np.ascontiguousarray(model.bias, dtype="<f8"))
+
+
+def _read_into(fh, array: np.ndarray) -> None:
+    """Fill the array from the file; ValueError if the file ends first."""
+    if fh.readinto(array) != array.nbytes:
+        raise ValueError("file ends early")
 
 
 def load_model(path: str | Path) -> LangIdModel:
     """Read a `save_model` file; raises ConfigError naming the file if it is not one.
 
     Only the header keys that `save_model` writes are read; any other key, such
-    as one that an older version wrote, is ignored. The body is read straight
-    into one array, as long as the file's length says; only bytes past that
-    length (a pipe's whole body) are read as bytes and appended."""
+    as one that an older version wrote, is ignored. A file of korpus 0.2.0,
+    which held the weights of every bucket, is refused: it asks for a retrain.
+    The bitmap gives the number of columns, and each row of weights is read
+    straight into the model's array; the body must end with the bias."""
     with open(path, "rb") as fh:
         magic, header = fh.read(len(_MAGIC)), fh.readline()
+        if magic == _DENSE_MAGIC:
+            raise ConfigError(f"{path}: a language-id model of korpus 0.2.0, which this "
+                              "version does not read; train it again")
         if magic != _MAGIC:
             raise ConfigError(f"{path}: not a language-id model file")
-        body = os.fstat(fh.fileno()).st_size - len(magic) - len(header)  # < 0 for a pipe
-        values = np.empty(max(body, 0) // 8, dtype="<f8")
-        values = values[:fh.readinto(values) // 8]  # fewer if the file shrank meanwhile
-        rest = fh.read()
-    try:
-        header = json.loads(header)
-        grams = (header["ngram_min"], header["ngram_max"])
-        labels = tuple(header["labels"])
-        buckets = int(header["feature_buckets"])
-        if buckets < 1 or len(labels) < 2:
-            raise ValueError(f"{len(labels)} labels and {buckets} feature buckets")
-        if rest:
-            values = np.concatenate([values, np.frombuffer(rest, dtype="<f8")])
-        values = values.astype(np.float64, copy=False)  # a copy only on a big-endian host
-        # The reshape fails unless the body holds exactly the weights and the bias.
-        weights = values[:-len(labels)].reshape(len(labels), buckets)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: corrupt language-id model ({exc})") from None
+        try:
+            header = json.loads(header)
+            grams = (header["ngram_min"], header["ngram_max"])
+            labels = tuple(header["labels"])
+            buckets = int(header["feature_buckets"])
+            if not 1 <= buckets <= MAX_BUCKETS or len(labels) < 2:
+                raise ValueError(f"{len(labels)} labels and {buckets} feature buckets")
+            bitmap = np.empty(-(-buckets // 8), dtype=np.uint8)
+            _read_into(fh, bitmap)
+            columns = np.flatnonzero(np.unpackbits(bitmap, count=buckets, bitorder="little"))
+            weights = np.zeros((len(labels), columns.size + 1), dtype="<f8")
+            for row in weights[:, :-1]:
+                _read_into(fh, row)
+            bias = np.empty(len(labels), dtype="<f8")
+            _read_into(fh, bias)
+            if fh.read(1):
+                raise ValueError("bytes after the bias")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{path}: corrupt language-id model ({exc})") from None
     if grams != (NGRAM_MIN, NGRAM_MAX):
         raise ConfigError(f"{path}: model hashes {grams[0]}-{grams[1]}-grams; "
                           f"this version reads only {NGRAM_MIN}-{NGRAM_MAX}-grams")
     return LangIdModel(
         labels=labels,
         feature_buckets=buckets,
-        weights=weights,
-        bias=values[-len(labels):],
+        columns=columns,
+        # A copy only on a big-endian host.
+        weights=weights.astype(np.float64, copy=False),
+        bias=bias.astype(np.float64, copy=False),
     )

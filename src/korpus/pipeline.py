@@ -157,6 +157,11 @@ class PatternError(ConfigError):
 
 
 def resolve_paths(patterns: list[str], base: Path) -> list[Path]:
+    """`resolve_each`, the matches of all patterns in one list."""
+    return [p for matches in resolve_each(patterns, base) for p in matches]
+
+
+def resolve_each(patterns: list[str], base: Path) -> list[list[Path]]:
     """The one rule for every input path: a relative glob pattern resolves against
     `base`, the directory of the config or mix spec that names it (the working
     directory for a CLI flag), and each pattern's matches are sorted.
@@ -165,8 +170,9 @@ def resolve_paths(patterns: list[str], base: Path) -> list[Path]:
     encoding cannot hold or that matches no file; a file that the list already
     matched, by the same or another path, compared by device and inode (its
     records would be read twice); and a file whose manifest line is missing or
-    malformed (`read_manifest`, which reads the file's tail only)."""
-    out: list[Path] = []
+    malformed (`read_manifest`, which reads the file's tail only). Returns
+    each pattern's matches apart."""
+    out: list[list[Path]] = [[] for _ in patterns]
     problems: list[tuple[int, str, int | None]] = []
     matched: dict[tuple[int, int], int] = {}  # (device, inode) -> the pattern that matched it
     base = Path(globmod.escape(str(base)))  # a directory such as run[1]/ is no pattern
@@ -192,7 +198,7 @@ def resolve_paths(patterns: list[str], base: Path) -> list[Path]:
                 read_manifest(p)
             except ShardFormatError as exc:
                 problems.append((j, str(exc), None))
-            out.append(p)
+            out[j].append(p)
     if problems:
         raise PatternError(patterns, problems)
     return out

@@ -106,6 +106,7 @@ class TestLangidCommands:
         )
         got = langid.load_model(model)
         assert got.labels == ("de", "en")
+        assert got.columns.tolist() == want.columns.tolist()
         assert got.weights.tobytes() == want.weights.tobytes()
         assert got.bias.tobytes() == want.bias.tobytes()
 
@@ -460,6 +461,25 @@ class TestValidateCommand:
         assert ("$.langid: Additional properties are not allowed ('learning_rate' was unexpected)"
                 in capsys.readouterr().out)
 
+    @pytest.mark.parametrize("buckets,diagnostics", [
+        (2**31 - 1, []),
+        (2**31, ["$.langid.feature_buckets: 2147483648 is greater than the maximum of "
+                 "2147483647"]),
+        (2**62, ["$.langid.feature_buckets: 4611686018427387904 is greater than the maximum "
+                 "of 2147483647"]),
+    ])
+    def test_feature_buckets_bounded_by_the_column_map(self, tmp_path, buckets, diagnostics):
+        """The model maps buckets to columns in int32; validate trains nothing."""
+        config = build_pipeline_fixture(tmp_path)
+        obj = json.loads(config.read_text())
+        obj["langid"]["feature_buckets"] = buckets
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        assert validate_config(config) == diagnostics
+
+    def test_bucket_bound_is_the_models(self):
+        schema = load_schema()["properties"]["langid"]["properties"]["feature_buckets"]
+        assert schema["maximum"] == langid.MAX_BUCKETS
+
     def test_empty_langid_label_rejected(self, tmp_path):
         config = build_pipeline_fixture(tmp_path)
         obj = json.loads(config.read_text())
@@ -673,13 +693,16 @@ class TestArgumentErrors:
         ["report", "--in", "{report_bogus}"],
         ["report", "--in", "{report_dedup}"],
         ["report", "--in", "{report_composition}"],
+        ["langid", "filter", "--model", "{old_lid}", "--target", "de", "--in", "{shard}",
+         "--out", "{out}/o.jsonl"],
     ], ids=["min-words", "budget", "min-match", "repeated-group", "group-combined", "top-k",
             "top-k-zero",
             "budget-empty-shard", "min-match-empty-shard", "epochs-negative", "epochs-zero",
             "seed-negative", "shard-not-utf8", "config-not-utf8",
             "spec-not-utf8", "config-missing", "arpa-unparsable", "langid-model-truncated",
             "report-missing", "report-not-utf8", "report-not-json", "report-json-list",
-            "report-unknown-type", "report-dedup-no-fields", "report-composition-no-rows"])
+            "report-unknown-type", "report-dedup-no-fields", "report-composition-no-rows",
+            "langid-model-0.2.0"])
     def test_exit_2_without_traceback(self, lm_inputs, tmp_path, argv):
         shard, model = lm_inputs
         empty = tmp_path / "empty.jsonl"
@@ -690,8 +713,10 @@ class TestArgumentErrors:
         bad_arpa.write_text(model.read_text(encoding="utf-8").replace("ngram 1=", "ngram 1=x"),
                             encoding="utf-8")
         bad_lid = tmp_path / "lid.bin"
-        langid.save_model(langid.LangIdModel(("de", "en"), 4, np.zeros((2, 4)), np.zeros(2)),
-                          bad_lid)
+        langid.save_model(langid.LangIdModel(("de", "en"), 4, np.arange(4), np.zeros((2, 5)),
+                                             np.zeros(2)), bad_lid)
+        old_lid = tmp_path / "old.bin"  # the magic of korpus 0.2.0's dense layout
+        old_lid.write_bytes(b"KORPUSLID\x01" + bad_lid.read_bytes()[len(langid._MAGIC):])
         bad_lid.write_bytes(bad_lid.read_bytes()[:-8])
         report_list = tmp_path / "list.json"  # a JSON list, not an object
         report_list.write_text('[{"type": "dedup"}]', encoding="utf-8")
@@ -702,7 +727,7 @@ class TestArgumentErrors:
         report_composition = tmp_path / "composition.json"
         report_composition.write_text('{"type": "composition"}', encoding="utf-8")
         argv = [a.format(shard=shard, model=model, empty=empty, out=tmp_path / "out",
-                         latin1=latin1, bad_arpa=bad_arpa, bad_lid=bad_lid,
+                         latin1=latin1, bad_arpa=bad_arpa, bad_lid=bad_lid, old_lid=old_lid,
                          report_list=report_list, report_bogus=report_bogus,
                          report_dedup=report_dedup, report_composition=report_composition)
                 for a in argv]
@@ -715,6 +740,8 @@ class TestArgumentErrors:
         assert "Traceback" not in proc.stderr
         if argv[0] == "report":
             assert argv[2] in proc.stderr
+        if argv[:2] == ["langid", "filter"]:
+            assert proc.stderr.startswith(f"error: {argv[3]}: ")
 
 
 class TestInputPaths:
@@ -820,6 +847,21 @@ class TestInputPaths:
         assert capsys.readouterr().err == (
             "error: books.jsonl is a file that 'books.jsonl' already matched\n")
         assert not (tmp_path / "inputs" / command[-1]).exists()
+
+    def test_two_dedup_groups_naming_one_file(self, tmp_path, monkeypatch, capsys):
+        """The --group flags of one dedup command are one list: a file that two
+        groups match exits 2 naming the earlier pattern, before any shard is read."""
+        build_pipeline_fixture(tmp_path)
+        monkeypatch.chdir(tmp_path / "inputs")
+
+        def read_shard(path):
+            raise AssertionError(f"read {path} before the input paths were checked")
+        monkeypatch.setattr(cli, "read_shard", read_shard)
+        assert main(["dedup", "--group", "g=books.jsonl", "--group", "h=b*.jsonl",
+                     "--out-dir", "out"]) == 2
+        assert capsys.readouterr().err == (
+            "error: books.jsonl is a file that 'books.jsonl' already matched\n")
+        assert not (tmp_path / "inputs" / "out").exists()
 
     def test_directory_is_not_a_file(self, tmp_path, monkeypatch, capsys):
         """A pattern that matches only directories matches no file."""

@@ -61,12 +61,42 @@ def _feature_digest(texts: list[str], setting: dict) -> str:
     return proc.stdout
 
 
+def _dense(model: LangIdModel) -> np.ndarray:
+    """The weights over every bucket: the model's columns, zeros elsewhere."""
+    dense = np.zeros((len(model.labels), model.feature_buckets))
+    dense[:, model.columns] = model.weights[:, :-1]
+    return dense
+
+
+def _dense_file(model: LangIdModel, path: Path) -> bytes:
+    """The model in korpus 0.2.0's layout: its magic, this version's header
+    line, then the dense weights and the bias (little-endian float64)."""
+    save_model(model, path)
+    header = path.read_bytes()[len(langid._MAGIC):].split(b"\n", 1)[0]
+    return (b"KORPUSLID\x01" + header + b"\n" + _dense(model).astype("<f8").tobytes()
+            + model.bias.astype("<f8").tobytes())
+
+
+def _full_model(buckets: int = 1 << 18) -> LangIdModel:
+    """A model with a column for every bucket."""
+    weights = np.random.default_rng(0).standard_normal((2, buckets + 1))
+    weights[:, -1] = 0.0
+    return LangIdModel(labels=("de", "en"), feature_buckets=buckets,
+                       columns=np.arange(buckets), weights=weights,
+                       bias=np.array([0.5, -0.5]))
+
+
 @pytest.fixture(scope="module")
 def de_en_model():
     rng = random.Random(42)
     de = make_shard([de_sentence(rng) for _ in range(300)], source="de", prefix="de")
     en = make_shard([en_sentence(rng) for _ in range(300)], source="en", prefix="en")
     return train_langid({"de": de, "en": en}, epochs=12, seed=7)
+
+
+@pytest.fixture(scope="module")
+def de_en_dense(de_en_model):
+    return _dense(de_en_model)
 
 
 class TestTraining:
@@ -91,11 +121,14 @@ class TestTraining:
         ("epochs", 0, "epochs must be >= 1"),
         ("epochs", -3, "epochs must be >= 1"),
         ("feature_buckets", 0, "feature_buckets must be >= 1"),
+        ("feature_buckets", 2**31, r"feature_buckets must be <= 2\*\*31 - 1"),
+        ("feature_buckets", 2**62, r"feature_buckets must be <= 2\*\*31 - 1"),
         ("seed", -1, "seed must lie in"),
         ("seed", 2**64, "seed must lie in"),
     ])
     def test_bad_argument_rejected_before_features(self, monkeypatch, option, value, rule):
-        """The rules of the config schema, checked before any document is hashed."""
+        """The rules of the config schema, checked before any document is hashed
+        and before any array over the buckets is allocated."""
         monkeypatch.setattr(langid, "extract_features", mock.Mock(side_effect=AssertionError))
         corpora = {"de": make_shard(["hallo welt"], source="de", prefix="d"),
                    "en": make_shard(["hello world"], source="en", prefix="e")}
@@ -142,8 +175,23 @@ class TestTraining:
              "en": make_shard(list(reversed(en_texts)), source="en", prefix="e")},
             epochs=3, seed=5,
         )
+        assert np.array_equal(m1.columns, m2.columns)
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.bias, m2.bias)
+
+    def test_columns_are_the_touched_buckets(self, de_en_model):
+        """A column for each bucket that a training text hashes to, and only
+        those; the zero column is last."""
+        rng = random.Random(42)  # the texts of de_en_model, as its fixture draws them
+        texts = [de_sentence(rng) for _ in range(300)] + [en_sentence(rng) for _ in range(300)]
+        touched = np.unique(np.concatenate([idx for idx, _ in extract_features(texts)]))
+        assert de_en_model.columns.tolist() == touched.tolist()
+        assert de_en_model.weights.shape == (2, touched.size + 1)
+        assert not de_en_model.weights[:, -1].any()
+        assert de_en_model.column.dtype == np.int32
+        assert de_en_model.column[touched].tolist() == list(range(touched.size))
+        untouched = np.setdiff1d(np.arange(de_en_model.feature_buckets), touched)
+        assert (de_en_model.column[untouched] == touched.size).all()
 
 
 class TestFeatures:
@@ -162,11 +210,19 @@ class TestFeatures:
 
     def test_model_bytes_pinned(self, de_en_model, tmp_path):
         # Digest of the model trained on features hashed one n-gram at a time
-        # (oracle_extract_features); the batched hashing must not move a bit.
+        # (oracle_extract_features), over all buckets, in korpus 0.2.0's dense
+        # layout: neither the batched hashing nor the compact columns may move
+        # a bit.
+        assert hashlib.sha256(_dense_file(de_en_model, tmp_path / "model.bin")).hexdigest() == (
+            "1e0de84cd8205010ba570446f7bc407244681c0782cc990ec35d33c2b671c2be"
+        )
+
+    def test_compact_model_bytes_pinned(self, de_en_model, tmp_path):
+        # The same model in this version's layout (model.bin of korpus 0.3.0).
         path = tmp_path / "model.bin"
         save_model(de_en_model, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "1e0de84cd8205010ba570446f7bc407244681c0782cc990ec35d33c2b671c2be"
+            "ad9a2e6dfe1b82844d5506a8c76841cb535e489e9cf3845ef63333c803dc1df2"
         )
 
     @pytest.fixture(scope="class")
@@ -197,15 +253,28 @@ class TestScoring:
         s = score(de_en_model, de_sentence(rng) + " " + de_sentence(rng))
         assert s.label == "de" and s.prob > 0.9
 
-    def test_reference_softmax_agreement(self, de_en_model):
+    def test_reference_softmax_agreement(self, de_en_model, de_en_dense):
         # slow reference: recompute the softmax from raw feature extraction
         text = "die kluge Lehrerin liest im Garten"
         (idx, vals), = extract_features([text], de_en_model.feature_buckets)
-        logits = de_en_model.weights[:, idx] @ vals + de_en_model.bias
+        logits = de_en_dense[:, idx] @ vals + de_en_model.bias
         z = np.exp(logits - logits.max())
         reference = z / z.sum()
         got = score_probs(de_en_model, text)
         assert np.allclose(got, reference, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=st.text(_ALPHABET + "ghilmnrstw", max_size=40))
+    def test_scores_equal_the_dense_product(self, de_en_model, de_en_dense, text):
+        """Buckets that training never touched score through the zero column,
+        with the terms and the order of the product over every bucket."""
+        text = "中文字 " + text  # buckets that the German and English texts never hash to
+        (idx, vals), = extract_features([text], de_en_model.feature_buckets)
+        assert (de_en_model.column[idx] == len(de_en_model.columns)).any()
+        logits = de_en_dense[:, idx] @ vals + de_en_model.bias
+        z = logits - logits.max()
+        e = np.exp(z)
+        assert score_probs(de_en_model, text).tobytes() == (e / e.sum()).tobytes()
 
     def test_empty_text_unscorable(self, de_en_model):
         with pytest.raises(UnscorableError):
@@ -289,13 +358,14 @@ class TestSerialization:
         back = load_model(path)
         assert back.labels == de_en_model.labels
         assert back.feature_buckets == de_en_model.feature_buckets
+        assert back.columns.tolist() == de_en_model.columns.tolist()
+        assert np.array_equal(back.column, de_en_model.column)
         assert np.array_equal(back.weights, de_en_model.weights)
         assert np.array_equal(back.bias, de_en_model.bias)
 
     def test_save_writes_without_copying_the_weights(self, tmp_path):
-        weights = np.random.default_rng(0).standard_normal((2, 1 << 18))
-        model = LangIdModel(labels=("de", "en"), feature_buckets=1 << 18, weights=weights,
-                            bias=np.array([0.5, -0.5]))
+        model = _full_model()
+        weights = model.weights
         path = tmp_path / "model.bin"
         tracemalloc.start()
         try:
@@ -307,9 +377,8 @@ class TestSerialization:
         assert np.array_equal(load_model(path).weights, weights)
 
     def test_load_reads_the_weights_without_a_copy(self, tmp_path):
-        weights = np.random.default_rng(0).standard_normal((2, 1 << 18))
-        model = LangIdModel(labels=("de", "en"), feature_buckets=1 << 18, weights=weights,
-                            bias=np.array([0.5, -0.5]))
+        model = _full_model()
+        weights = model.weights
         path = tmp_path / "model.bin"
         save_model(model, path)
         tracemalloc.start()
@@ -318,13 +387,32 @@ class TestSerialization:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * weights.nbytes, (peak, weights.nbytes)
+        # The weights once, and the model's two index arrays: every bucket has
+        # a column here, so columns holds every bucket id.
+        index = back.column.nbytes + back.columns.nbytes
+        assert peak < 1.25 * weights.nbytes + index, (peak, weights.nbytes, index)
         assert np.array_equal(back.weights, weights) and back.weights.flags.writeable
         assert np.array_equal(back.bias, model.bias)
 
+    @pytest.mark.parametrize("buckets", [1, 7, 8, 9, 1 << 12])
+    def test_file_is_the_dense_file_less_the_untouched_columns(self, de_en_model, tmp_path,
+                                                                buckets):
+        """The dense file, less 8 bytes per label for each bucket without a
+        column, plus the bitmap: smaller whenever more than a bitmap's worth of
+        buckets has none, larger by the bitmap alone when every bucket has one."""
+        path = tmp_path / "model.bin"
+        for model in (_full_model(buckets), de_en_model):
+            save_model(model, path)
+            untouched = model.feature_buckets - len(model.columns)
+            assert path.stat().st_size == (len(_dense_file(model, tmp_path / "d.bin"))
+                                           - 8 * len(model.labels) * untouched
+                                           + -(-model.feature_buckets // 8))
+        assert path.stat().st_size < len(_dense_file(de_en_model, tmp_path / "d.bin")) / 50
+
     def test_header_with_loss_history_loads(self, de_en_model, tmp_path):
-        """Version 0.1.0 also wrote its epoch losses into the header; such a
-        file loads and scores as the model it holds."""
+        """A header key that this version does not write, such as the epoch
+        losses of version 0.1.0, is ignored: the file loads and scores as the
+        model it holds."""
         path = tmp_path / "model.bin"
         save_model(de_en_model, path)
         head, body = path.read_bytes().split(b"\n", 1)
@@ -377,15 +465,27 @@ class TestSerialization:
         lambda head, body: head.replace(b'"labels"', b'"namen"') + b"\n" + body,
         lambda head, body: head.replace(b'"feature_buckets": ', b'"feature_buckets": -') + b"\n" + body,
         lambda head, body: langid._MAGIC + b"[1, 2]\n" + body,
+        lambda head, body: head + b"\n",  # no bitmap
+        lambda head, body: head + b"\n" + bytes([body[0] | 2]) + body[1:],  # one more column
+        lambda head, body: head + b"\n" + bytes([body[0] & ~4]) + body[1:],  # one column fewer
     ], ids=["bias-truncated", "value-truncated", "trailing-bytes", "header-cut", "labels-missing",
-            "negative-buckets", "header-not-object"])
+            "negative-buckets", "header-not-object", "bitmap-missing", "bitmap-extra-column",
+            "bitmap-missing-column"])
     def test_corrupt_model_names_file(self, tmp_path, corrupt):
-        model = langid.LangIdModel(("de", "en"), 4, np.arange(8.0).reshape(2, 4), np.ones(2))
+        model = langid.LangIdModel(("de", "en"), 4, np.array([0, 2]),
+                                   np.array([[0.0, 1.0, 0.0], [2.0, 3.0, 0.0]]), np.ones(2))
         path = tmp_path / "model.bin"
         save_model(model, path)
         head, body = path.read_bytes().split(b"\n", 1)
         path.write_bytes(corrupt(head, body))
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
+            load_model(path)
+
+    def test_dense_file_of_0_2_0_asks_for_a_retrain(self, de_en_model, tmp_path):
+        path = tmp_path / "old.bin"
+        path.write_bytes(_dense_file(de_en_model, tmp_path / "model.bin"))
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(str(path))}: .*korpus 0.2.0.*train it again"):
             load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):
