@@ -9,14 +9,15 @@ independent of input document order.
 
 Hashed features are sparse: training touches a small share of the buckets.
 The model keeps a weight column only for each bucket that some training
-example hashes to (`LangIdModel.columns`, sorted). Every other bucket maps to
-one more column, the last, which is all zeros: a document scores with the
-terms, in the order, of a dense matrix over every bucket. `save_model`
-writes `model.bin`: the magic bytes, one line of JSON with the keys `labels`,
-`feature_buckets`, `ngram_min` and `ngram_max`, a bitmap of the buckets that
-have a column (`np.packbits`, little bit order, ceil(buckets / 8) bytes),
-then the weights without the zero column, one row per label, and the bias,
-as little-endian float64.
+example hashes to, in bucket order; an int32 map (`LangIdModel.column`) gives
+each bucket its column. Every other bucket maps to one more column, the
+last, which is all zeros: a document scores with the terms, in the order,
+of a dense matrix over every bucket. `save_model` writes `model.bin`: the
+magic bytes, one line of JSON with the keys `labels`, `feature_buckets`,
+`ngram_min` and `ngram_max`, a bitmap of the buckets that have a column
+(`np.packbits`, little bit order, ceil(buckets / 8) bytes), then the weights
+without the zero column, one row per label, and the bias, as little-endian
+float64.
 
 `extract_features` hashes many texts at once. It normalizes them, encodes
 their concatenation to UTF-8 once and runs 64-bit FNV-1a over every n-gram
@@ -37,7 +38,7 @@ probabilities in the last bits.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -65,19 +66,22 @@ _BATCH_CHARS = 1 << 13  # characters hashed per array pass
 class LangIdModel:
     labels: tuple[str, ...]
     feature_buckets: int
-    columns: np.ndarray  # sorted ids of the buckets that have a weight column
-    weights: np.ndarray  # [labels, len(columns) + 1]; the last column is zero
+    touched: InitVar[np.ndarray]  # bool per bucket: True if it has a weight column
+    weights: np.ndarray  # [labels, touched.sum() + 1]; the last column is zero
     bias: np.ndarray  # [labels]
-    # Bucket -> its column in weights; a bucket not in columns -> the zero column.
+    # Bucket -> its column in weights; a bucket without one -> the zero column.
     column: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        touched = np.zeros(self.feature_buckets, dtype=bool)
-        touched[self.columns] = True
+    def __post_init__(self, touched: np.ndarray):
         self.column = touched.astype(np.int32)
         np.cumsum(self.column, out=self.column)  # from bool it would cast through a copy
         self.column -= 1
-        self.column[~touched] = len(self.columns)
+        self.column[~touched] = self.weights.shape[1] - 1
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The sorted ids of the buckets that have a weight column."""
+        return np.flatnonzero(self.column < self.weights.shape[1] - 1)
 
 
 @dataclass(frozen=True)
@@ -222,9 +226,9 @@ def train_langid(
             examples.append((label, doc.text, li, idx, vals))
         if non_empty == 0:
             raise ConfigError(f"language {label!r} has no non-empty documents")
-    columns = np.flatnonzero(touched)
-    model = LangIdModel(labels=labels, feature_buckets=feature_buckets, columns=columns,
-                        weights=np.zeros((len(labels), columns.size + 1), dtype=np.float64),
+    model = LangIdModel(labels=labels, feature_buckets=feature_buckets, touched=touched,
+                        weights=np.zeros((len(labels), np.count_nonzero(touched) + 1),
+                                         dtype=np.float64),
                         bias=np.zeros(len(labels), dtype=np.float64))
     for _, _, _, idx, _ in examples:
         idx[:] = model.column[idx]  # in place: a copy of all of them would raise the peak
@@ -315,7 +319,7 @@ def save_model(model: LangIdModel, path: str | Path) -> None:
         fh.write(_MAGIC)
         fh.write(header.encode("utf-8"))
         fh.write(b"\n")
-        fh.write(np.packbits(model.column < len(model.columns), bitorder="little"))
+        fh.write(np.packbits(model.column < model.weights.shape[1] - 1, bitorder="little"))
         for row in model.weights[:, :-1]:
             fh.write(np.ascontiguousarray(row, dtype="<f8"))
         fh.write(np.ascontiguousarray(model.bias, dtype="<f8"))
@@ -333,8 +337,9 @@ def load_model(path: str | Path) -> LangIdModel:
     Only the header keys that `save_model` writes are read; any other key, such
     as one that an older version wrote, is ignored. A file of korpus 0.2.0,
     which held the weights of every bucket, is refused: it asks for a retrain.
-    The bitmap gives the number of columns, and each row of weights is read
-    straight into the model's array; the body must end with the bias."""
+    The bitmap gives the number of columns, and a bit set past the last bucket
+    makes the file corrupt; each row of weights is read straight into the
+    model's array, and the body must end with the bias."""
     with open(path, "rb") as fh:
         magic, header = fh.read(len(_MAGIC)), fh.readline()
         if magic == _DENSE_MAGIC:
@@ -351,8 +356,10 @@ def load_model(path: str | Path) -> LangIdModel:
                 raise ValueError(f"{len(labels)} labels and {buckets} feature buckets")
             bitmap = np.empty(-(-buckets // 8), dtype=np.uint8)
             _read_into(fh, bitmap)
-            columns = np.flatnonzero(np.unpackbits(bitmap, count=buckets, bitorder="little"))
-            weights = np.zeros((len(labels), columns.size + 1), dtype="<f8")
+            if buckets % 8 and bitmap[-1] >> buckets % 8:
+                raise ValueError("bitmap bits set past the last bucket")
+            touched = np.unpackbits(bitmap, count=buckets, bitorder="little").view(bool)
+            weights = np.zeros((len(labels), np.count_nonzero(touched) + 1), dtype="<f8")
             for row in weights[:, :-1]:
                 _read_into(fh, row)
             bias = np.empty(len(labels), dtype="<f8")
@@ -367,7 +374,7 @@ def load_model(path: str | Path) -> LangIdModel:
     return LangIdModel(
         labels=labels,
         feature_buckets=buckets,
-        columns=columns,
+        touched=touched,
         # A copy only on a big-endian host.
         weights=weights.astype(np.float64, copy=False),
         bias=bias.astype(np.float64, copy=False),

@@ -713,7 +713,7 @@ class TestArgumentErrors:
         bad_arpa.write_text(model.read_text(encoding="utf-8").replace("ngram 1=", "ngram 1=x"),
                             encoding="utf-8")
         bad_lid = tmp_path / "lid.bin"
-        langid.save_model(langid.LangIdModel(("de", "en"), 4, np.arange(4), np.zeros((2, 5)),
+        langid.save_model(langid.LangIdModel(("de", "en"), 4, np.ones(4, dtype=bool), np.zeros((2, 5)),
                                              np.zeros(2)), bad_lid)
         old_lid = tmp_path / "old.bin"  # the magic of korpus 0.2.0's dense layout
         old_lid.write_bytes(b"KORPUSLID\x01" + bad_lid.read_bytes()[len(langid._MAGIC):])

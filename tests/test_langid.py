@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import hashlib
 import json
 import os
@@ -82,7 +82,7 @@ def _full_model(buckets: int = 1 << 18) -> LangIdModel:
     weights = np.random.default_rng(0).standard_normal((2, buckets + 1))
     weights[:, -1] = 0.0
     return LangIdModel(labels=("de", "en"), feature_buckets=buckets,
-                       columns=np.arange(buckets), weights=weights,
+                       touched=np.ones(buckets, dtype=bool), weights=weights,
                        bias=np.array([0.5, -0.5]))
 
 
@@ -387,10 +387,8 @@ class TestSerialization:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The weights once, and the model's two index arrays: every bucket has
-        # a column here, so columns holds every bucket id.
-        index = back.column.nbytes + back.columns.nbytes
-        assert peak < 1.25 * weights.nbytes + index, (peak, weights.nbytes, index)
+        # The weights once, and the model's bucket-to-column map.
+        assert peak < 1.25 * weights.nbytes + back.column.nbytes, (peak, weights.nbytes)
         assert np.array_equal(back.weights, weights) and back.weights.flags.writeable
         assert np.array_equal(back.bias, model.bias)
 
@@ -441,8 +439,10 @@ class TestSerialization:
         path = tmp_path / "model.bin"
         save_model(de_en_model, path)
         earlier = path.read_bytes()
+        model = copy.copy(de_en_model)
+        model.bias = Unwritable()
         with pytest.raises(OSError, match="disk full"):
-            save_model(dataclasses.replace(de_en_model, bias=Unwritable()), path)
+            save_model(model, path)
         assert path.read_bytes() == earlier
         assert list(tmp_path.iterdir()) == [path]
 
@@ -468,11 +468,12 @@ class TestSerialization:
         lambda head, body: head + b"\n",  # no bitmap
         lambda head, body: head + b"\n" + bytes([body[0] | 2]) + body[1:],  # one more column
         lambda head, body: head + b"\n" + bytes([body[0] & ~4]) + body[1:],  # one column fewer
+        lambda head, body: head + b"\n" + bytes([body[0] | 0x10]) + body[1:],  # past bucket 3
     ], ids=["bias-truncated", "value-truncated", "trailing-bytes", "header-cut", "labels-missing",
             "negative-buckets", "header-not-object", "bitmap-missing", "bitmap-extra-column",
-            "bitmap-missing-column"])
+            "bitmap-missing-column", "bitmap-padding-bit"])
     def test_corrupt_model_names_file(self, tmp_path, corrupt):
-        model = langid.LangIdModel(("de", "en"), 4, np.array([0, 2]),
+        model = langid.LangIdModel(("de", "en"), 4, np.array([True, False, True, False]),
                                    np.array([[0.0, 1.0, 0.0], [2.0, 3.0, 0.0]]), np.ones(2))
         path = tmp_path / "model.bin"
         save_model(model, path)
