@@ -14,6 +14,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring as _json_str
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -40,32 +41,40 @@ def tokenize(text: str) -> list[str]:
 
 
 # FNV-1a is the byte loop h = ((h ^ b) * P) mod 2^64. It is computed here exactly
-# with numpy, one block of bytes at a time:
+# with numpy:
 # - The low byte s of h evolves alone: s' = ((s ^ b) * 0xB3) mod 256, as 0xB3 is
 #   the low byte of P.
 # - Each bit plane of s is a prefix XOR. With t = s ^ b, bit k of t * 0xB3 is
 #   bit k of t XOR bit k of (t mod 2^k) * 0xB3: 0xB3 is odd, and the high part
 #   of t adds nothing below bit k. So bit k of s' is bit k of s XOR bit k of
 #   (r ^ b) * 0xB3, where r is s with bits k and up cleared. Once planes 0..k-1
-#   are known at every byte, plane k is a prefix XOR: 8 passes per block.
+#   are known at every byte, plane k is a prefix XOR: 8 scans.
 # - The full state is a power sum. h ^ b == h + d with d = (s ^ b) - s, so after
 #   bytes b_0..b_{L-1}, h_L = h_0 * P^L + sum_i d_i * P^(L-i) mod 2^64: one
 #   wrapping uint64 dot product against a table of powers of P.
-# The prefix XOR runs on bits packed into uint64 words in a lane order: a block
+# The prefix XOR runs on bits packed into uint64 words in a lane order: a pass
 # of 64 * W bytes is 64 lanes of W consecutive bytes, and bit m of word j
 # belongs to byte j of lane m. An XOR accumulate over the words then scans all
 # lanes at once, and each lane is corrected by the XOR of the lanes before it.
-_FNV_BLOCK = 1 << 14  # bytes; a block's temporaries take about 20 times that
-_FNV_BATCH = 1 << 16  # fnv1a_hex hashes at least this many bytes per call
+# The two kinds of work want different sizes. The scans are 9 numpy calls per
+# plane whose temporaries take about 3 B per byte (the lane-order copy, the low
+# bytes, one plane), so they run over a 64 KiB pass: fewer calls per byte. The
+# power sum's take about 13 B per byte (the XOR, int16 and int64 d, the int16
+# cast buffers), so it runs over 8 KiB pieces of the pass, chained by Horner's
+# rule: h = h * P^m + (the piece's sum), and its table of powers is one piece.
+# A call over 1 MiB then peaks at about 215 KiB under tracemalloc. Plain 64 KiB
+# blocks, with the power sum over the whole block, were about as fast but
+# peaked at 969 KiB, and raised a pipeline's peak RSS by about 1.1 MB.
+_FNV_PASS = 1 << 16  # bytes; fnv1a_hex also hashes whole passes
+_FNV_PIECE = 1 << 13  # bytes
 _LANES = 64
 _FNV_PRIME_LOW = np.uint8(_FNV_PRIME & 0xFF)
 
 
 def _fnv_powers() -> np.ndarray:
-    """P^BLOCK, ..., P^1 mod 2^64, then one lane of zeros: `[BLOCK - L:]` weighs
-    the bytes of an L-byte block, and the zeros its padding."""
-    powers = np.multiply.accumulate(np.full(_FNV_BLOCK, _FNV_PRIME, dtype=np.uint64))
-    table = np.concatenate([powers[::-1], np.zeros(_LANES, dtype=np.uint64)])
+    """P^PIECE, ..., P^1 mod 2^64: `[PIECE - m:]` weighs the bytes of an m-byte piece."""
+    powers = np.multiply.accumulate(np.full(_FNV_PIECE, _FNV_PRIME, dtype=np.uint64))
+    table = powers[::-1].copy()
     table.flags.writeable = False
     return table
 
@@ -73,38 +82,50 @@ def _fnv_powers() -> np.ndarray:
 _FNV_POWERS = _fnv_powers()
 
 
-def _fnv1a_block(block: np.ndarray, h: int) -> int:
-    """The FNV-1a state after the bytes of `block` (at most a block), from `h`."""
-    n = block.size
+def _fnv1a_pass(chunk: np.ndarray, h: int) -> int:
+    """The FNV-1a state after the bytes of `chunk` (at most a pass), from `h`."""
+    n = chunk.size
     width = -(-n // _LANES)
-    natural = np.zeros(width * _LANES, dtype=np.uint8)  # zero padding leaves d = 0
-    natural[:n] = block
-    data = natural.reshape(_LANES, width).T.ravel()  # lane order
+    full = n // width  # lanes filled; the next holds the rest, and zeros pad the end
+    data = np.zeros(width * _LANES, dtype=np.uint8)  # lane order
+    grid = data.reshape(width, _LANES).T  # grid[m, j] is byte j of lane m
+    grid[:full] = chunk[:full * width].reshape(full, width)
+    if full < _LANES:
+        grid[full, :n - full * width] = chunk[full * width:]
     # low[q] is the low byte before data[q] and low[q + LANES] the one after it;
     # lane m starts where lane m - 1 ends (low[1:LANES]). low[0] keeps all planes
     # of the start state, so each plane's scan starts from the right bit.
     low = np.zeros(data.size + _LANES, dtype=np.uint8)
     low[0] = h & 0xFF
     before, after = low[:-_LANES], low[_LANES:]
-    bits = np.empty_like(data)
     for k in range(8):
         plane = np.uint8(1 << k)
-        np.bitwise_xor(before, data, out=bits)
-        np.multiply(bits, _FNV_PRIME_LOW, out=bits)
-        np.bitwise_and(bits, plane, out=bits)
+        bits = np.bitwise_xor(before, data)
+        bits *= _FNV_PRIME_LOW
+        bits &= plane
         words = np.packbits(bits, bitorder="little").view("<u8")
+        del bits  # before the unpacked plane takes its place
         np.bitwise_xor.accumulate(words, out=words)
         lanes = int(words[-1])  # bit m: the XOR over all of lane m
         for shift in (1, 2, 4, 8, 16, 32):
             lanes ^= lanes << shift
         words ^= np.uint64((lanes << 1) & _MASK64)  # the XOR over lanes 0..m-1
-        np.bitwise_or(after, np.unpackbits(words.view(np.uint8), bitorder="little") * plane,
-                      out=after)
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+        bits *= plane
+        after |= bits
+        del bits
         low[1:_LANES] = low[-_LANES:-1]
-    s = before.reshape(width, _LANES).T.ravel()  # natural order
-    d = np.subtract(s ^ natural, s, dtype=np.int16).astype(np.int64).view(np.uint64)
-    powers = _FNV_POWERS[_FNV_BLOCK - n:_FNV_BLOCK - n + d.size]
-    return (h * int(powers[0]) + int(np.einsum("i,i", d, powers))) & _MASK64
+    # The lane-order bytes are spent: their buffer takes s in natural order,
+    # s[i] the low byte before chunk[i].
+    data.reshape(_LANES, width)[...] = before.reshape(width, _LANES).T
+    s = data[:n]
+    del low, before, after
+    for at in range(0, n, _FNV_PIECE):
+        sp, bp = s[at:at + _FNV_PIECE], chunk[at:at + _FNV_PIECE]
+        d = np.subtract(sp ^ bp, sp, dtype=np.int16).astype(np.int64).view(np.uint64)
+        powers = _FNV_POWERS[_FNV_PIECE - d.size:]
+        h = (h * int(powers[0]) + int(np.einsum("i,i", d, powers))) & _MASK64
+    return h
 
 
 def fnv1a_bytes(data: bytes, state: int = _FNV_OFFSET) -> int:
@@ -112,20 +133,20 @@ def fnv1a_bytes(data: bytes, state: int = _FNV_OFFSET) -> int:
     of a few numpy passes, so callers hash large buffers, not small pieces."""
     buf = np.frombuffer(data, dtype=np.uint8)
     h = state
-    for at in range(0, buf.size, _FNV_BLOCK):
-        h = _fnv1a_block(buf[at:at + _FNV_BLOCK], h)
+    for at in range(0, buf.size, _FNV_PASS):
+        h = _fnv1a_pass(buf[at:at + _FNV_PASS], h)
     return h
 
 
 def fnv1a_hex(chunks: Iterable[str]) -> str:
     """64-bit FNV-1a over the UTF-8 bytes of the concatenated chunks, hashed in
-    batches of whole blocks."""
+    batches of whole passes."""
     h = _FNV_OFFSET
     pending = bytearray()
     for chunk in chunks:
         pending += chunk.encode("utf-8")
-        if len(pending) >= _FNV_BATCH:
-            whole = len(pending) - len(pending) % _FNV_BLOCK
+        if len(pending) >= _FNV_PASS:
+            whole = len(pending) - len(pending) % _FNV_PASS
             h = fnv1a_bytes(pending[:whole], h)
             del pending[:whole]
     return f"{fnv1a_bytes(pending, h):016x}"
@@ -353,14 +374,13 @@ def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
 
 
 def write_shard(shard: CorpusShard, path: str | Path) -> None:
-    """Write a shard byte-deterministically (atomic replace on success)."""
+    """Write a shard byte-deterministically (atomic replace on success). A record
+    line is what `json.dumps(record, ensure_ascii=False)` gives, built from the
+    C string encoder that it calls: half the time of a `json.dumps` per record."""
     with atomic_write(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="\n") as fh:
         for d in shard.documents:
-            fh.write(json.dumps(
-                {"id": d.id, "source": d.source, "domain": d.domain.value, "text": d.text},
-                ensure_ascii=False,
-            ))
-            fh.write("\n")
+            fh.write(f'{{"id": {_json_str(d.id)}, "source": {_json_str(d.source)}, '
+                     f'"domain": {_json_str(d.domain.value)}, "text": {_json_str(d.text)}}}\n')
         m = shard.manifest
         fh.write(json.dumps(
             {"__manifest__": True, "source": m.source, "doc_count": m.doc_count,

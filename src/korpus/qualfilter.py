@@ -194,7 +194,7 @@ def _estimate_discounts(counts: np.ndarray, order_k: int) -> np.ndarray:
             f"count-of-counts too sparse at order {order_k} (n1={n1}, n2={n2}); "
             "falling back to a fixed discount of 0.75",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of train_ngram
         )
         return np.array([0.0, 0.75, 0.75, 0.75])
     y = n1 / (n1 + 2.0 * n2)
@@ -242,6 +242,20 @@ def train_ngram(
         raise ConfigError("order must be >= 1")
     if min_count < 1:
         raise ConfigError("min_count must be >= 1")
+    vocab, seq, depth = _padded_documents(reference, order, min_count)
+    levels = _count_ngrams(seq, depth, len(vocab), order, vocab[BOS])
+    del seq, depth
+    arrays = _kn_estimates(levels, len(vocab), vocab[BOS])
+    # The counts would otherwise sit beside the scorer tables that NgramModel
+    # builds, and set the peak.
+    del levels
+    return NgramModel(order, vocab, *arrays)
+
+
+def _padded_documents(reference: list[CorpusShard], order: int,
+                      min_count: int) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """The vocabulary, and the documents as one sequence of ids: each is order-1
+    <s>, its tokens, </s>. Also each position's offset in its document."""
     freq: Counter[str] = Counter()
     all_docs: list[list[str]] = []
     for shard in reference:
@@ -254,24 +268,34 @@ def train_ngram(
         raise ConfigError("reference corpus is empty")
     kept = {t for t, c in freq.items() if c >= min_count}
     vocab = {w: i for i, w in enumerate(sorted(kept | {UNK, BOS, EOS}))}
-    v, unk, bos = len(vocab), vocab[UNK], vocab[BOS]
-    # One padded sequence per document, concatenated: order-1 <s>, tokens, </s>.
+    unk, bos = vocab[UNK], vocab[BOS]
     event_id = {w: i for w, i in vocab.items() if w != BOS}.get
     tokens = np.array([event_id(t, unk) for toks in all_docs for t in toks], dtype=np.int64)
     lengths = np.array([len(toks) for toks in all_docs])
+    del all_docs  # a string per token: more room than the arrays below
     before = np.arange(lengths.size) * order + order - 1  # padding before each document's tokens
     seq = np.full(tokens.size + lengths.size * order, bos, dtype=np.int64)
     seq[np.arange(tokens.size) + np.repeat(before, lengths)] = tokens
     seq[np.cumsum(lengths) + before] = vocab[EOS]
     lengths += order
     depth = np.arange(seq.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    levels = _count_ngrams(seq, depth, v, order, bos)
+    return vocab, seq, depth
 
+
+def _kn_estimates(levels: list[tuple], v: int, bos: int) -> tuple[np.ndarray, ...]:
+    """`NgramModel`'s keys, prob and backoff from `_count_ngrams`' levels."""
+    order = len(levels)
     # Adjusted counts: raw at the top order and for n-grams starting with <s>,
     # else the number of distinct left extensions, one per (k+1)-gram suffix.
     adj = [raw for _, raw, _, _ in levels]
     for (_, _, _, starts), (_, _, suffix, _), k in zip(levels, levels[1:], range(order - 1)):
         adj[k] = np.where(starts, adj[k], np.bincount(suffix, minlength=starts.size))
+
+    # Each order writes its rows of prob and backoff in place: lists of
+    # per-order arrays, joined at the end, would double them at the peak.
+    offsets = np.cumsum([0] + [keys.size for keys, _, _, _ in levels])
+    prob = np.full(offsets[-1], _NONE)
+    backoff = np.full(offsets[-1], _NONE)
 
     # Unigrams interpolate with the uniform distribution over predictable tokens.
     a = adj[0]
@@ -281,30 +305,25 @@ def train_ngram(
     denom = int(a[pred].sum())
     n_b = np.bincount(np.minimum(a[seen], 3), minlength=4).tolist()
     gamma_eps = (d[1] * n_b[1] + d[2] * n_b[2] + d[3] * n_b[3]) / denom
-    probs = [np.where(pred, np.maximum(a - d[np.minimum(a, 3)], 0.0) / denom
-                      + gamma_eps / int(pred.sum()), _NONE)]
-    backoffs = []
-    below = 0  # where order k-1 starts
+    prob[:offsets[1]] = np.where(pred, np.maximum(a - d[np.minimum(a, 3)], 0.0) / denom
+                                 + gamma_eps / int(pred.sum()), _NONE)
     for k in range(2, order + 1):
         keys, _, suffix, _ = levels[k - 1]
+        below, lo, hi = offsets[k - 2:k + 1]  # orders k-1 and k
         a = adj[k - 1]
         ctx = keys // v - below
         pred = keys % v != bos
         d = _estimate_discounts(a[pred], k)
         bucket = np.minimum(a, 3)
-        n_ctx = adj[k - 2].size
+        n_ctx = lo - below
         denom = np.bincount(ctx[pred], weights=a[pred], minlength=n_ctx)
         n_b = [np.bincount(ctx[pred & (bucket == b)], minlength=n_ctx) for b in (1, 2, 3)]
         with np.errstate(invalid="ignore"):  # 0/0: a context with no predictable child
             gamma = (d[1] * n_b[0] + d[2] * n_b[1] + d[3] * n_b[2]) / denom
-        backoffs.append(gamma)
-        probs.append(np.where(pred, np.maximum(a - d[bucket], 0.0) / denom[ctx]
-                              + gamma[ctx] * probs[-1][suffix], _NONE))
-        below += n_ctx
-    backoffs.append(np.full(probs[-1].size, _NONE))
-    return NgramModel(order=order, vocab=vocab,
-                      keys=np.concatenate([keys for keys, _, _, _ in levels]),
-                      prob=np.concatenate(probs), backoff=np.concatenate(backoffs))
+        backoff[below:lo] = gamma
+        prob[lo:hi] = np.where(pred, np.maximum(a - d[bucket], 0.0) / denom[ctx]
+                               + gamma[ctx] * prob[below:lo][suffix], _NONE)
+    return np.concatenate([keys for keys, _, _, _ in levels]), prob, backoff
 
 
 def score_perplexity(model: NgramModel, doc: Document) -> PerplexityScore:

@@ -4,12 +4,39 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import korpus
 from korpus.core import CorpusShard, Document, write_shard
+
+# Settings that make numpy and OpenBLAS pick other SIMD kernels at run time.
+KERNEL_SETTINGS = pytest.mark.parametrize("setting", [
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    {"OPENBLAS_CORETYPE": "Haswell"},
+], ids=["numpy-without-avx512", "openblas-haswell"])
+
+
+def run_under_kernels(code: str, setting: dict, stdin: str = "") -> str:
+    """The stdout of `python -c code` with korpus importable and, of the kernel
+    variables, only `setting`. Skips the test if numpy rejects the setting."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+    env = {**env, "PYTHONPATH": str(Path(korpus.__file__).parents[1]), **setting}
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True,
+                           text=True, env=env)
+    if probe.returncode != 0:
+        pytest.skip(f"numpy rejects {setting}: {probe.stderr.strip()[-200:]}")
+    proc = subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
 
 DE_SUBJECTS = [
     "der kleine Hund", "die alte Katze", "das junge Kind", "der müde Arzt",

@@ -366,6 +366,21 @@ class TestMixCommand:
             "integrity error: duplicate document id 'x-0' in source 's'\n")
         assert not outdir.exists()
 
+    def test_file_named_by_two_sources_exits_2(self, tmp_path, capsys):
+        """As in a config, the sources' path lists are one list: the file's
+        documents would be mixed twice."""
+        write_shard(make_shard(["eins zwei"], source="s", prefix="x"), tmp_path / "a.jsonl")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"name": "mini", "sources": [
+            {"source": "s", "domain": "formal", "paths": ["a.jsonl"]},
+            {"source": "t", "domain": "formal", "paths": ["*.jsonl"]}]}), encoding="utf-8")
+        outdir = tmp_path / "ds"
+        assert main(["mix", "--spec", str(spec_path), "--out-dir", str(outdir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: $.sources[1].paths[0]: {tmp_path / 'a.jsonl'} is a file that "
+            "$.sources[0].paths[0] already matched\n")
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("change,expected", [
         ({"seed": 3.7}, "$.seed: 3.7 is not of type 'integer'"),
         ({"seed": "3"}, "$.seed: '3' is not of type 'integer'"),
@@ -828,6 +843,26 @@ class TestInputPaths:
         ws = tmp_path / "ws"
         assert main(["pipeline", "--config", str(config), "--workspace", str(ws)]) == 2
         assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not ws.exists()
+
+    def test_file_named_by_two_sources(self, tmp_path, capsys):
+        """The sources' path lists are one list: a file that two sources name
+        would be read twice, so `korpus validate` and `korpus pipeline` exit 2
+        naming both patterns, before any stage runs."""
+        config = build_pipeline_fixture(tmp_path)
+        obj = json.loads(config.read_text(encoding="utf-8"))
+        assert [s["name"] for s in obj["sources"][:2]] == ["gc4", "news"]
+        obj["sources"][1]["paths"] = ["inputs/gc4.jsonl"]
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        expected = (f"$.sources[1].paths[0]: {tmp_path / 'inputs' / 'gc4.jsonl'} is a file that "
+                    f"$.sources[0].paths[0] already matched")
+        assert main(["validate", "--config", str(config)]) == 2
+        assert capsys.readouterr().out == expected + "\n"
+        ws = tmp_path / "ws"
+        assert main(["pipeline", "--config", str(config), "--workspace", str(ws)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {expected}\n"
+        assert "running" not in captured.err + captured.out
         assert not ws.exists()
 
     @pytest.mark.parametrize("command", [

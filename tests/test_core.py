@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from korpus.core import (
 from korpus.errors import IntegrityError, ShardFormatError
 from korpus.pipeline import _MIX_SPEC_VALIDATOR, _schema_diagnostics, load_schema
 
-from conftest import make_doc, make_shard
+from conftest import KERNEL_SETTINGS, make_doc, make_shard, run_under_kernels
 from oracles import oracle_fnv1a
 
 
@@ -60,6 +61,14 @@ class TestDocument:
         with pytest.raises(ValueError):
             Document(id="x", source="s", domain="poetry", text="a")
 
+
+# Strings with every character that JSON escapes or that a careless encoder
+# might: quotes, backslashes, C0 controls, DEL, U+2028/2029, non-BMP.
+json_text = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "/", "\x7f", "\u2028", "\u2029", "\U0001F600", "\U0010FFFF"]),
+    st.characters(max_codepoint=0x1F),
+    st.characters(codec="utf-8"),
+), max_size=20)
 
 docs_strategy = st.lists(
     st.tuples(
@@ -244,6 +253,31 @@ class TestShardIO:
         write_shard(shard, b)
         assert a.read_bytes() == b.read_bytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(json_text, json_text, st.sampled_from(list(Domain)), json_text),
+                    max_size=8, unique_by=lambda r: r[0]))
+    def test_record_lines_equal_json_dumps(self, tmp_path_factory, records):
+        docs = [Document(id=i, source=s, domain=dom, text=t) for i, s, dom, t in records]
+        shard = CorpusShard.from_documents(docs)
+        path = tmp_path_factory.mktemp("lines") / "s.jsonl"
+        write_shard(shard, path)
+        lines = path.read_bytes().decode("utf-8").split("\n")
+        assert lines[-1] == ""
+        assert lines[:-2] == [json.dumps({"id": d.id, "source": d.source, "domain": d.domain.value,
+                                          "text": d.text}, ensure_ascii=False) for d in docs]
+        assert read_shard(path) == shard
+
+    @pytest.mark.parametrize("field", ["id", "source", "text"])
+    def test_lone_surrogate_fails_the_write(self, tmp_path, field):
+        fields = {"id": "a", "source": "s", "text": "eins", field: "x\ud800y"}
+        shard = CorpusShard(
+            (make_doc("b", "zwei"), Document(domain=Domain.FORMAL, **fields)),
+            make_shard(["zwei"]).manifest)  # the write fails before the manifest line
+        path = tmp_path / "s.jsonl"
+        with pytest.raises(UnicodeEncodeError):
+            write_shard(shard, path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_shard_round_trip(self, tmp_path):
         shard = make_shard([])
         path = tmp_path / "empty.jsonl"
@@ -275,13 +309,36 @@ class TestChecksum:
     def test_fnv1a_bytes_is_the_byte_loop(self, data, state):
         assert core.fnv1a_bytes(data, state) == oracle_fnv1a(data, state)
 
-    @pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 16383, 16384, 16385,
-                                        65535, 65536, 65537, 3 * 65536 + 1])
+    @pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 8191, 8192, 8193, 16383, 16384,
+                                        16385, 65535, 65536, 65537, 2 * 65536 + 8193,
+                                        3 * 65536 + 1])
     def test_fnv1a_bytes_at_lane_and_block_edges(self, length):
+        """Edges of a lane, of a power-sum piece (8 KiB) and of a pass (64 KiB)."""
         rng = random.Random(length)
         data = rng.randbytes(length)
         for state in (0xCBF29CE484222325, 0, 2**64 - 1, rng.getrandbits(64)):
             assert core.fnv1a_bytes(data, state) == oracle_fnv1a(data, state)
+
+    def test_fnv1a_bytes_peak(self):
+        data = random.Random(3).randbytes(1 << 20)
+        core.fnv1a_bytes(data)
+        tracemalloc.start()
+        try:
+            core.fnv1a_bytes(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 400 << 10, peak
+
+    @KERNEL_SETTINGS
+    def test_fnv1a_bytes_equal_under_other_kernels(self, setting):
+        """Every checksum of a workspace rests on this kernel: its digest does
+        not depend on which SIMD kernels numpy and OpenBLAS pick at run time."""
+        code = ("import random; from korpus.core import fnv1a_bytes; "
+                "print(f'{fnv1a_bytes(random.Random(4).randbytes(1 << 20)):016x}')")
+        want = f"{oracle_fnv1a(random.Random(4).randbytes(1 << 20)):016x}\n"
+        assert run_under_kernels(code, {}) == want
+        assert run_under_kernels(code, setting) == want
 
     def test_fnv1a_hex_hashes_whole_blocks(self, monkeypatch):
         """Manifests hash 64 KiB or more per call, not one call per document: each

@@ -1,11 +1,8 @@
 import copy
 import hashlib
 import json
-import os
 import random
 import re
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -14,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import korpus
 from korpus import langid
 from korpus.core import CorpusShard
 from korpus.errors import ConfigError, UnscorableError
@@ -23,7 +19,9 @@ from korpus.langid import (
     train_langid,
 )
 
-from conftest import de_sentence, en_sentence, make_doc, make_shard
+from conftest import (
+    KERNEL_SETTINGS, de_sentence, en_sentence, make_doc, make_shard, run_under_kernels,
+)
 from oracles import oracle_extract_features
 
 # Umlauts and ß, emoji (the flag is two codepoints), CJK, a combining acute,
@@ -36,8 +34,6 @@ _TEXTS = st.lists(
 )
 
 
-_KERNEL_VARIABLES = ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
-
 _FEATURE_DIGEST = """
 import hashlib, json, sys
 from korpus.langid import extract_features
@@ -46,19 +42,6 @@ for idx, vals in extract_features(json.load(sys.stdin)):
     digest.update(idx.tobytes() + vals.tobytes() + b"|")
 print(digest.hexdigest())
 """
-
-
-def _kernel_env(setting: dict) -> dict:
-    env = {k: v for k, v in os.environ.items() if k not in _KERNEL_VARIABLES}
-    env["PYTHONPATH"] = str(Path(korpus.__file__).parents[1])
-    return {**env, **setting}
-
-
-def _feature_digest(texts: list[str], setting: dict) -> str:
-    proc = subprocess.run([sys.executable, "-c", _FEATURE_DIGEST], input=json.dumps(texts),
-                          capture_output=True, text=True, env=_kernel_env(setting))
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 def _dense(model: LangIdModel) -> np.ndarray:
@@ -231,19 +214,13 @@ class TestFeatures:
         texts = [de_sentence(rng) for _ in range(100)] + [en_sentence(rng) for _ in range(100)]
         return texts + [" ".join(texts), _ALPHABET, "", "ab"]
 
-    @pytest.mark.parametrize("setting", [
-        {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
-        {"OPENBLAS_CORETYPE": "Haswell"},
-    ], ids=["numpy-without-avx512", "openblas-haswell"])
+    @KERNEL_SETTINGS
     def test_features_equal_under_other_kernels(self, kernel_texts, setting):
         """The features, the L2 norm's dot product included, do not depend on
         which SIMD kernels numpy and OpenBLAS pick at run time."""
-        default = _feature_digest(kernel_texts, {})
-        probe = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True,
-                               text=True, env=_kernel_env(setting))
-        if probe.returncode != 0:
-            pytest.skip(f"numpy rejects {setting}: {probe.stderr.strip()[-200:]}")
-        assert _feature_digest(kernel_texts, setting) == default
+        stdin = json.dumps(kernel_texts)
+        default = run_under_kernels(_FEATURE_DIGEST, {}, stdin)
+        assert run_under_kernels(_FEATURE_DIGEST, setting, stdin) == default
 
 
 

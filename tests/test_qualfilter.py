@@ -23,6 +23,17 @@ from oracles import oracle_read_arpa, oracle_write_arpa
 TOY_TEXTS = ["a b a c", "b a a"]
 
 
+def zipf_texts(seed: int, docs: int) -> list[str]:
+    """Documents over a Zipf vocabulary of word-like tokens, the shape of the
+    pipeline's reference corpus."""
+    rng = random.Random(seed)
+    syllables = ["an", "be", "dor", "ek", "fu", "gal", "hin", "ist", "ker", "lu", "men",
+                 "or", "pa", "sch", "ten", "ung"]
+    words = ["".join(rng.choices(syllables, k=rng.randint(2, 4))) for _ in range(3000)]
+    weights = [1 / (i + 1) for i in range(len(words))]
+    return [" ".join(rng.choices(words, weights, k=rng.randint(5, 40))) for _ in range(docs)]
+
+
 def toy_model(order=2):
     docs = [Document(id=f"t{i}", source="toy", domain="formal", text=t)
             for i, t in enumerate(TOY_TEXTS)]
@@ -192,8 +203,23 @@ class TestTraining:
     def test_sparse_counts_fall_back_with_warning(self):
         # every token occurs exactly 3 times: n1 = n2 = 0 at the unigram level
         shard = make_shard(["x x x y y y"])
-        with pytest.warns(RuntimeWarning, match="0.75"):
+        with pytest.warns(RuntimeWarning, match="0.75") as record:
             train_ngram([shard], order=1, min_count=1)
+        assert record[0].filename == __file__  # the warning names the caller's line
+
+    @pytest.mark.parametrize("min_count", [1, 2])
+    def test_peak_near_what_the_model_keeps(self, min_count):
+        """The token lists and the counts are freed before the model builds its
+        scorer tables, so training peaks near the model's own size."""
+        shard = make_shard(zipf_texts(18, 500))
+        tracemalloc.start()
+        try:
+            model = train_ngram([shard], order=5, min_count=min_count)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.keys.size > 40_000
+        assert peak < 1.7 * kept, (peak, kept)
 
     def test_shard_order_invariance(self):
         rng = random.Random(3)
@@ -601,15 +627,7 @@ class TestArpaWriterOracle:
         assert all(r.count("\t") == 1 for r in sections[3].splitlines()[1:])
 
     def test_peak_below_twice_the_file(self, tmp_path):
-        # An order-5 model over a Zipf vocabulary of word-like tokens, the
-        # shape of the pipeline's reference model.
-        rng = random.Random(18)
-        syllables = ["an", "be", "dor", "ek", "fu", "gal", "hin", "ist", "ker", "lu", "men",
-                     "or", "pa", "sch", "ten", "ung"]
-        words = ["".join(rng.choices(syllables, k=rng.randint(2, 4))) for _ in range(3000)]
-        weights = [1 / (i + 1) for i in range(len(words))]
-        texts = [" ".join(rng.choices(words, weights, k=rng.randint(5, 40))) for _ in range(500)]
-        model = train_ngram([make_shard(texts)], order=5, min_count=1)
+        model = train_ngram([make_shard(zipf_texts(18, 500))], order=5, min_count=1)
         path = tmp_path / "m.arpa"
         tracemalloc.start()
         try:
