@@ -6,7 +6,7 @@ in the stream, so no repeated substring can cross a document boundary. The
 layout, `bounds`, is the running sum of the documents' token counts, each
 plus one for its separator.
 `staged_dedup` tokenizes and indexes every group's documents once, and each of
-its passes reads that index restricted to the documents it sees (`_restrict`).
+its passes reads that index's run ranks in the documents it sees (`_Runs`).
 
 The index is the stream's suffix array, built by prefix doubling with the
 token ids as the first ranks. Each round after the first re-sorts only the
@@ -19,9 +19,10 @@ tokens.
 `find_duplicates` reports *maximal matching spans*: spans of at least
 `min_match` tokens whose token sequence occurs at two or more distinct stream
 positions, and which are not contained in a longer span with that property.
-Each span's earliest other occurrence comes from range-minimum queries in
-O(log n), so a passage repeated k times costs O(k log n), not O(k^2). Each
-reported span is re-verified against the stream by direct comparison.
+Each span's earliest other occurrence comes from range-minimum queries over
+the m run ranks in O(log m), so a passage repeated k times costs O(k log m),
+not O(k^2). Each reported span is re-verified against the stream by direct
+comparison.
 Overlapping spans inside one document are merged only for accounting and
 removal decisions (`apply_policy`), because the union of two distinct repeats
 need not itself occur twice.
@@ -212,32 +213,25 @@ def build_suffix_index(stream: TokenStream) -> SuffixIndex:
     return SuffixIndex(suffix_array=sa, lcp=_lcp(sa, ranks))
 
 
-def _restrict(index: SuffixIndex, keep: np.ndarray) -> SuffixIndex:
-    """The index of the stream positions where `keep` holds.
+@dataclass(frozen=True)
+class _Runs:
+    """The run ranks of an index, in rank order: the ranks next to an lcp >=
+    min_match, the only ones whose suffix shares min_match tokens with another."""
 
-    Filtering a suffix array keeps it sorted, and the lcp of two suffixes is
-    the minimum lcp over the ranks between them (Manber and Myers, SIAM J.
-    Comput. 1993). `staged_dedup` keeps or omits each document whole, with its
-    separator.
-    """
-    sa = index.suffix_array
-    kept = keep[sa]
-    ranks = np.flatnonzero(kept)
-    lcp = np.minimum.reduceat(index.lcp[:ranks[-1]], ranks[:-1]) if ranks.size else index.lcp[:0]
-    return SuffixIndex(suffix_array=sa[kept], lcp=lcp)
+    pos: np.ndarray  # int32 stream position of each run rank
+    doc: np.ndarray  # its document
+    lcp: np.ndarray  # lcp to the next run rank: exact where >= min_match, else below it
+    by_pos: np.ndarray  # the run ranks' indices in stream order
 
 
-def _repeat_lengths(index: SuffixIndex, n: int) -> np.ndarray:
-    """rep[p] = longest prefix of the suffix at p shared with any other suffix
-    of the index, for the n stream positions; 0 where the index omits p."""
-    sa = index.suffix_array
-    lcp = index.lcp
-    by_rank = np.zeros(sa.size, dtype=np.int32)
-    by_rank[:-1] = lcp
-    np.maximum(by_rank[1:], lcp, out=by_rank[1:])
-    rep = np.zeros(n, dtype=np.int32)
-    rep[sa] = by_rank
-    return rep
+def _run_ranks(index: SuffixIndex, stream: TokenStream, min_match: int) -> _Runs:
+    """Between two runs, the lcp kept is the one after the first run's last
+    rank: below min_match, as is the true lcp across the gap."""
+    good = np.flatnonzero(index.lcp >= min_match)
+    ranks = np.union1d(good, good + 1)
+    pos = index.suffix_array[ranks]
+    return _Runs(pos=pos, doc=np.searchsorted(stream.bounds, pos, side="right") - 1,
+                 lcp=index.lcp[ranks[:-1]], by_pos=np.argsort(pos))
 
 
 def _sparse_min(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,56 +257,64 @@ def _range_min(table: tuple[np.ndarray, np.ndarray], lo: np.ndarray, hi: np.ndar
     return np.minimum(flat[base + lo], flat[base + hi - (1 << k)])
 
 
-def find_duplicates(index: SuffixIndex, stream: TokenStream, min_match: int) -> list[DuplicateSpan]:
+def _seen_runs(runs: _Runs, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The run ranks in the documents where `docs` holds: their positions in
+    rank order, the lcp of each to the next, and their indices in stream order.
+
+    The lcp of two suffixes is the minimum lcp over the ranks between them
+    (Manber and Myers, SIAM J. Comput. 1993); over `runs.lcp` it is exact
+    where >= min_match and below min_match elsewhere, as `runs.lcp` is."""
+    seen = docs[runs.doc]
+    kept = np.flatnonzero(seen)
+    lcp = np.minimum.reduceat(runs.lcp[:kept[-1]], kept[:-1]) if kept.size else runs.lcp[:0]
+    in_order = runs.by_pos[seen[runs.by_pos]]
+    return runs.pos[kept], lcp, (np.cumsum(seen) - 1)[in_order]
+
+
+def find_duplicates(
+    index: SuffixIndex, stream: TokenStream, min_match: int, *,
+    runs: _Runs | None = None, docs: np.ndarray | None = None,
+) -> list[DuplicateSpan]:
     """Maximal spans (>= min_match tokens) occurring at >= 2 distinct positions.
 
-    A position p starts a maximal span iff rep[p] >= min_match and no earlier
-    position covers [p, p + rep[p]); since p -> p + rep[p] is non-decreasing,
-    that is exactly where the covered end strictly increases.
+    Only the documents where `docs` holds (one bool per stream document,
+    default all) are searched, for spans and for their other occurrences;
+    positions stay the stream's. `runs` is the index's `_run_ranks` for this
+    `min_match`, which `staged_dedup` builds once for all its passes.
 
-    The span's other occurrences are the suffix-array block around rank[p]
-    whose adjacent lcp values are >= rep[p]. The block bounds come from binary
+    rep[p] is the longest prefix of the suffix at p shared with another
+    searched suffix. p starts a maximal span iff rep[p] >= min_match and no
+    earlier position covers [p, p + rep[p]); since p -> p + rep[p] is
+    non-decreasing, that is exactly where the covered end strictly increases.
+    rep[p] >= min_match only at a run rank, and where p - 1 is no searched
+    run rank, rep[p - 1] < min_match; so the rule runs over the m searched
+    run ranks (`_seen_runs`), in stream order.
+
+    The span's other occurrences are the block of those ranks around p's
+    whose adjacent lcp values are >= rep[p]. Its bounds come from binary
     lifting on a range-minimum table over lcp, and the earliest other
-    occurrence from a range-minimum table over sa, both vectorised over all
-    span starts: O(log n) per span, however often a passage repeats. A block
-    never leaves a run of lcp >= min_match, so the tables cover only the m
-    ranks inside such runs: O(m log m) time and int32 memory, which follow
-    the amount of duplicated text rather than the stream length.
-    Each span is verified against its earliest other occurrence before being
-    reported.
-
-    `index` may omit whole documents of `stream` (`_restrict`); positions stay
-    the stream's, and only the documents in the index are searched.
+    occurrence from one over the positions, vectorised over all span starts:
+    O(log m) per span, however often a passage repeats, and O(m log m) time
+    and int32 memory in all, which follow the duplicated text, not the
+    stream length. Each span is verified against that occurrence.
     """
     _check_min_match(min_match)
-    sa = index.suffix_array
-    lcp = index.lcp
-    if sa.size == 0:
-        return []
-    n = stream.tokens.size
-    rep = _repeat_lengths(index, n)
-    end = np.arange(n, dtype=np.int32) + rep
+    runs = _run_ranks(index, stream, min_match) if runs is None else runs
+    docs = np.ones(len(stream.doc_ids), dtype=bool) if docs is None else docs
+    run_sa, lcp, rank = _seen_runs(runs, docs)
+    m = run_sa.size
+    pos = run_sa[rank]
+    rep = np.maximum(np.append(lcp, 0), np.insert(lcp, 0, 0))[rank]  # the larger neighbour lcp
     keep = rep >= min_match
-    keep[1:] &= end[1:] > end[:-1]
-    starts = np.flatnonzero(keep)
-    if starts.size == 0:
+    keep[1:] &= (pos[1:] > pos[:-1] + 1) | (rep[1:] >= rep[:-1])
+    t = rank[keep]
+    if t.size == 0:
         return []
-    lengths = rep[starts]
+    starts = pos[keep]
+    lengths = rep[keep]
+    n = stream.tokens.size
 
-    # Ranks next to an lcp >= min_match. Between two runs of them the
-    # compressed lcp is the original gap value, which is < min_match.
-    good = lcp >= min_match
-    in_run = np.zeros(sa.size, dtype=bool)
-    in_run[:-1] |= good
-    in_run[1:] |= good
-    run_ranks = np.flatnonzero(in_run)
-    m = run_ranks.size
-    run_sa = sa[run_ranks]
-    # t = compressed rank of each span start; every start lies in a run.
-    by_pos = np.argsort(run_sa)
-    t = by_pos[np.searchsorted(run_sa, starts, sorter=by_pos)]
-
-    lcp_flat, lcp_offsets = _sparse_min(lcp[run_ranks[:-1]])
+    lcp_flat, lcp_offsets = _sparse_min(lcp)
     lo = t.copy()
     hi = t.copy()
     for k in range(lcp_offsets.size - 1, -1, -1):
@@ -459,10 +461,11 @@ def staged_dedup(
     """Per-group passes followed by one combined pass over the survivors.
 
     One stream and one suffix index hold every group's documents, so
-    `CapacityError` bounds the tokens of all groups together. Each pass finds
-    its spans in that index restricted to the documents it sees: its group's,
-    then every group's survivors. The spans are those of a pass with a stream
-    of its own, because they depend only on which token sequences are equal.
+    `CapacityError` bounds the tokens of all groups together. Each pass
+    searches the index's run ranks, built once, in the documents it sees: its
+    group's, then every group's survivors. The spans are those of a pass with
+    a stream of its own, because they depend only on which token sequences
+    are equal.
     """
     names = [name for name, _ in stage_groups]
     if len(set(names)) != len(names):
@@ -476,18 +479,13 @@ def staged_dedup(
     _check_policy(policy)
     stream = build_stream([shard for _, shards in stage_groups for shard in shards])
     index = build_suffix_index(stream)
-    # Stream positions of each document and the separator after it; the last
-    # document's separator position is the stream's end, which no suffix has.
-    widths = np.diff(stream.bounds)
+    runs = _run_ranks(index, stream, min_match)
+    doc_number = {doc_id: i for i, doc_id in enumerate(stream.doc_ids)}
 
     def dedup_pass(shards: list[CorpusShard], stage: str) -> tuple[list[CorpusShard], DedupReport]:
-        ids = {doc.id for shard in shards for doc in shard.documents}
-        view = index
-        if len(ids) < len(stream.doc_ids):
-            seen = np.fromiter(map(ids.__contains__, stream.doc_ids), dtype=bool,
-                               count=len(stream.doc_ids))
-            view = _restrict(index, np.repeat(seen, widths))
-        spans = find_duplicates(view, stream, min_match)
+        docs = np.zeros(len(stream.doc_ids), dtype=bool)
+        docs[[doc_number[doc.id] for shard in shards for doc in shard.documents]] = True
+        spans = find_duplicates(index, stream, min_match, runs=runs, docs=docs)
         return apply_policy(shards, spans, policy, stage=stage)
 
     reports = []

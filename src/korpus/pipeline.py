@@ -311,8 +311,10 @@ def parse_config(path: str | Path) -> tuple[RunConfig | None, list[str]]:
         base, diags)))
     langid_files, reference_files = {}, []
     if langid_cfg is not None:
-        langid_files = {lang: _resolve_at([f"$.langid.train.{lang}"], [pats], base, diags)[0]
-                        for lang, pats in langid_cfg["train"].items()}
+        # One list too: a file of two languages would train under both labels.
+        train = langid_cfg["train"]
+        langid_files = dict(zip(train, _resolve_at(
+            [f"$.langid.train.{lang}" for lang in train], list(train.values()), base, diags)))
     if quality_lm is not None:
         reference_files = _resolve_at(["$.quality_lm.reference"], [quality_lm["reference"]],
                                       base, diags)[0]

@@ -865,6 +865,20 @@ class TestInputPaths:
         assert "running" not in captured.err + captured.out
         assert not ws.exists()
 
+    def test_file_named_by_two_languages(self, tmp_path, capsys):
+        """The languages' training lists are one list: a file that two
+        languages name would train under both labels, so `korpus validate`
+        exits 2 naming both patterns."""
+        config = build_pipeline_fixture(tmp_path)
+        obj = json.loads(config.read_text(encoding="utf-8"))
+        assert list(obj["langid"]["train"]) == ["de", "en"]
+        obj["langid"]["train"]["en"] = ["inputs/langid-de.jsonl"]
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["validate", "--config", str(config)]) == 2
+        assert capsys.readouterr().out == (
+            f"$.langid.train.en[0]: {tmp_path / 'inputs' / 'langid-de.jsonl'} is a file that "
+            f"$.langid.train.de[0] already matched\n")
+
     @pytest.mark.parametrize("command", [
         ["preprocess", "--out", "out.jsonl"],
         ["lm", "train", "--model", "out.arpa"],

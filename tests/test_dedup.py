@@ -173,6 +173,33 @@ class _SortCounter:
         return np.argsort(a, *args, **kwargs)
 
 
+class _ArraySizes:
+    """Stands for numpy in `korpus.dedup` and records, for every numpy call,
+    the size of the largest array it is given or returns."""
+
+    def __init__(self):
+        self.sizes: list[int] = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        return attr if isinstance(attr, type) or not callable(attr) else _Recorded(attr, self.sizes)
+
+
+class _Recorded:
+    def __init__(self, fn, sizes: list[int]):
+        self.fn = fn
+        self.sizes = sizes
+
+    def __call__(self, *args, **kwargs):
+        out = self.fn(*args, **kwargs)
+        values = (*args, *kwargs.values(), *(out if isinstance(out, tuple) else (out,)))
+        self.sizes.append(max((v.size for v in values if isinstance(v, np.ndarray)), default=0))
+        return out
+
+    def __getattr__(self, name):  # a ufunc's methods, such as np.minimum.reduceat
+        return _Recorded(getattr(self.fn, name), self.sizes)
+
+
 class TestDoublingWork:
     """Round 1 sorts every suffix; a later round re-sorts only the suffixes
     whose prefix so far is shared, so a repeated prefix costs a sort, a unique
@@ -186,8 +213,10 @@ class TestDoublingWork:
         monkeypatch.setattr(dedup, "np", counter)
         sa, ranks = _suffix_array(arr)
         monkeypatch.undo()
-        # rep[p] >= h iff another suffix shares the h-token prefix of suffix p.
-        rep = dedup._repeat_lengths(dedup.SuffixIndex(sa, _lcp(sa, ranks)), n)
+        # rep[r] >= h iff another suffix shares the h-token prefix of the
+        # suffix at rank r: one of its neighbours does.
+        lcp = _lcp(sa, ranks)
+        rep = np.maximum(np.append(lcp, 0), np.insert(lcp, 0, 0))
         want = [n]
         while (tied := int(np.count_nonzero(rep >= 2 ** len(want)))) > 0:
             want.append(tied)
@@ -209,34 +238,41 @@ class TestDoublingWork:
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_restrict_equals_filtered_index(seed):
-    """A view keeping none, one, some or all documents, each with the
-    separator after it, holds the full SA filtered and, between neighbours,
-    the common prefix counted token by token."""
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5]))
+def test_seen_runs_equal_filtered_run_ranks(seed, min_match):
+    """A pass that sees none, one, some or all documents keeps the run ranks
+    in those documents, in rank order. Between neighbours, an lcp at or above
+    min_match is the common prefix counted token by token, and an lcp below
+    it stands for one below it."""
     rng = random.Random(seed)
     vocab = rng.choice([2, 4, 30])
     docs = [rng.choices(range(vocab), k=rng.randrange(30)) for _ in range(rng.randrange(1, 8))]
     stream = build_stream([int_docs_to_shard(docs)])
     index = build_suffix_index(stream)
+    runs = dedup._run_ranks(index, stream, min_match)
     tokens = stream.tokens.tolist()
     n = len(tokens)
+    lcp = [0, *index.lcp.tolist(), 0]
+    run_sa = [p for r, p in enumerate(index.suffix_array.tolist()) if max(lcp[r], lcp[r + 1]) >= min_match]
+    doc_of = np.searchsorted(stream.bounds, np.arange(n), side="right") - 1
     everything = range(len(docs))
     for chosen in ([], [rng.randrange(len(docs))], rng.sample(everything, rng.randrange(len(docs) + 1)),
                    everything):
-        keep = np.zeros(n, dtype=bool)
-        for i in chosen:
-            keep[stream.bounds[i]:stream.bounds[i + 1]] = True
-        view = dedup._restrict(index, keep)
-        sa = view.suffix_array.tolist()
-        assert sa == [p for p in index.suffix_array.tolist() if keep[p]]
+        seen = np.zeros(len(docs), dtype=bool)
+        seen[list(chosen)] = True
+        sa, view_lcp, order = dedup._seen_runs(runs, seen)
+        sa = sa.tolist()
+        assert sa == [p for p in run_sa if seen[doc_of[p]]]
+        assert [sa[i] for i in order] == sorted(sa)
         want = []
         for i, j in zip(sa, sa[1:]):
             k = 0
             while max(i, j) + k < n and tokens[i + k] == tokens[j + k]:
                 k += 1
             want.append(k)
-        assert view.lcp.tolist() == want
+        below = -1  # any lcp under min_match
+        assert [k if k >= min_match else below for k in view_lcp.tolist()] == \
+            [k if k >= min_match else below for k in want]
 
 
 class TestBuildStream:
@@ -497,8 +533,8 @@ class TestStagedDedup:
         calls = Counter()
         for name in ("build_stream", "build_suffix_index", "find_duplicates"):
             real = getattr(dedup, name)
-            monkeypatch.setattr(dedup, name, lambda *args, _name=name, _real=real:
-                                calls.update([_name]) or _real(*args))
+            monkeypatch.setattr(dedup, name, lambda *args, _name=name, _real=real, **kwargs:
+                                calls.update([_name]) or _real(*args, **kwargs))
         passage = [rng.randrange(50) for _ in range(40)]
         stage_groups = [
             (f"g{g}", [int_docs_to_shard([passage + [g], [rng.randrange(50) for _ in range(30)]],
@@ -507,6 +543,38 @@ class TestStagedDedup:
         ]
         staged_dedup(stage_groups, 8, "keep_first")
         assert calls == {"build_stream": 1, "build_suffix_index": 1, "find_duplicates": groups + 1}
+
+    def test_passes_work_on_run_ranks(self, monkeypatch):
+        """Of the numpy calls after the index is built, only the one that
+        compresses it to its run ranks reads a stream-length array; none of
+        the 51 passes does. 50 groups of 3 documents hold 20 copies of a
+        passage, some within a group and some across groups."""
+        rng = random.Random(4)
+        passage = [rng.randrange(1000) for _ in range(30)]
+        docs = [[rng.randrange(1000) for _ in range(40)] for _ in range(150)]
+        for doc in rng.sample(docs, 20):
+            doc[5:5] = passage
+        stage_groups = [(f"g{g}", [int_docs_to_shard(docs[3 * g:3 * g + 3], source=f"g{g}")])
+                        for g in range(50)]
+        want = oracle_staged_dedup(stage_groups, 8, "keep_first")
+        sizes = _ArraySizes()
+        streams = []
+        build = dedup.build_suffix_index
+
+        def build_suffix_index(stream):
+            index = build(stream)
+            streams.append(stream)
+            monkeypatch.setattr(dedup, "np", sizes)
+            return index
+        monkeypatch.setattr(dedup, "build_suffix_index", build_suffix_index)
+        got = staged_dedup(stage_groups, 8, "keep_first")
+        monkeypatch.undo()
+        assert got == want
+        reports = got[1]
+        assert any(r.spans for r in reports[:-1]) and reports[-1].spans > 0
+        n = streams[0].tokens.size
+        assert len(sizes.sizes) > 51
+        assert sum(size >= n - 1 for size in sizes.sizes) <= 1
 
     @pytest.mark.parametrize("min_match,policy", [(1, "remove_all"), (0, "keep_first"), (4, "bogus")])
     def test_arguments_checked_before_any_work(self, min_match, policy, monkeypatch):
@@ -580,22 +648,23 @@ def test_flagged_docs_equal_oracle_property(doc_tokens, min_match):
 
 
 @st.composite
-def dedup_groups(draw) -> list[tuple[str, list[CorpusShard]]]:
-    """1-3 dedup groups of 0-2 shards, with empty groups, shards and
-    documents. One passage is planted twice inside a group and another once
-    in each of two groups."""
+def dedup_groups(draw, group_count=st.integers(1, 3)) -> list[tuple[str, list[CorpusShard]]]:
+    """Dedup groups of 0-2 shards, with empty groups, shards and documents.
+    For every ten groups or part of ten, one passage is planted twice inside
+    a group and another once in each of two groups."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     vocab = rng.choice([3, 20])
     groups = [[[rng.choices(range(vocab), k=rng.randrange(20)) for _ in range(rng.randrange(5))]
                for _ in range(rng.randrange(3))]
-              for _ in range(draw(st.integers(1, 3)))]
+              for _ in range(draw(group_count))]
     filled = [docs for docs in ([doc for shard in group for doc in shard] for group in groups) if docs]
     plantings = []
-    if filled:
-        docs = rng.choice(filled)
-        plantings.append([rng.choice(docs), rng.choice(docs)])
-    if len(filled) >= 2:
-        plantings.append([rng.choice(docs) for docs in rng.sample(filled, 2)])
+    for _ in range(-(-len(groups) // 10)):
+        if filled:
+            docs = rng.choice(filled)
+            plantings.append([rng.choice(docs), rng.choice(docs)])
+        if len(filled) >= 2:
+            plantings.append([rng.choice(docs) for docs in rng.sample(filled, 2)])
     for targets in plantings:
         passage = rng.choices(range(vocab), k=rng.randrange(6, 12))
         for doc in targets:
@@ -609,5 +678,13 @@ def dedup_groups(draw) -> list[tuple[str, list[CorpusShard]]]:
 @given(dedup_groups(), st.integers(2, 6), st.sampled_from(["remove_all", "keep_first"]))
 def test_staged_dedup_equals_oracle(stage_groups, min_match, policy):
     """Shards and reports equal those of passes with a stream and an index of their own."""
+    assert staged_dedup(stage_groups, min_match, policy) == \
+        oracle_staged_dedup(stage_groups, min_match, policy)
+
+
+@settings(max_examples=10, deadline=None)
+@given(dedup_groups(st.integers(50, 60)), st.integers(2, 6), st.sampled_from(["remove_all", "keep_first"]))
+def test_many_groups_equal_oracle(stage_groups, min_match, policy):
+    """As above, with 50-60 groups, about a third of them empty."""
     assert staged_dedup(stage_groups, min_match, policy) == \
         oracle_staged_dedup(stage_groups, min_match, policy)
