@@ -33,6 +33,16 @@ document, with a term for every bucket of the document, a zero one for a
 bucket without a column: a sparse product over a whole shard, or one that
 skipped the zero terms, would sum in another order and change the
 probabilities in the last bits.
+
+Training steps on a row-major copy of the weights, `[columns + 1, labels]`:
+each step gathers the rows of its example's columns, one contiguous run of
+`labels` floats each, and writes them back whole through a void view of the
+copy, one element per row, where a column gather and scatter on `weights`
+moves one float at a time. The layout of the gather fixes the BLAS call of
+the logits, and so the bytes of `model.bin`: the gathered rows, transposed,
+are the F-ordered array that `weights[:, idx]` gives, the same buffer in the
+same gemv call. Every other float operation of the step is the one of the
+column-major loop (`tests/oracles.py::oracle_train_langid`), in its order.
 """
 
 from __future__ import annotations
@@ -169,8 +179,8 @@ def _hash_batch(norms: list[str], buckets: int) -> list[tuple[np.ndarray, np.nda
     order = by_first[by_first >= 0]
     idx = bucket[heads][order]
     vals = np.diff(heads, append=slot.size)[order].astype(np.float64)
-    bounds = np.cumsum(np.bincount(slot_doc[heads], minlength=len(norms)))[:-1]
-    pairs = list(zip(np.split(idx, bounds), np.split(vals, bounds)))
+    ends = np.cumsum(np.bincount(slot_doc[heads], minlength=len(norms))).tolist()
+    pairs = [(idx[a:b], vals[a:b]) for a, b in zip([0, *ends], ends)]
     for _, v in pairs:
         if v.size:
             v /= np.sqrt(v @ v)
@@ -199,6 +209,13 @@ def train_langid(
     The model has a column for each bucket that an example hashes to, and the
     steps run on those columns alone: the weights of every other bucket stay
     zero, as they would over all buckets.
+
+    The steps run on a row-major copy of the weights, `[columns + 1, labels]`,
+    which is written back into `weights` once at the end. The layout of each
+    step's gather fixes the BLAS call of the logits, and with it the bytes of
+    `model.bin`: the gathered rows, transposed, are the F-ordered `(labels, k)`
+    array of the column gather `weights[:, idx]`. A C-ordered `(labels, k)`
+    gather picks another gemv kernel, whose sums round differently.
     """
     if len(corpora) < 2:
         raise ConfigError("language identification needs at least 2 languages")
@@ -236,7 +253,9 @@ def train_langid(
     # change the model.
     examples.sort(key=lambda e: (e[0], e[1]))
     rng = SplitMix64(seed)
-    weights, bias = model.weights, model.bias
+    rows = np.ascontiguousarray(model.weights.T)  # [columns + 1, labels]
+    slots = rows.view(np.dtype((np.void, rows.strides[0])))[:, 0]  # one element per row
+    bias = model.bias
     total_updates = epochs * len(examples)
     done = 0
     for _ in range(epochs):
@@ -244,11 +263,15 @@ def train_langid(
         for _, _, li, idx, vals in examples:
             lr = 1.0 - done / total_updates
             done += 1
-            w = weights[:, idx]  # gathered once; `-=` would gather the columns again
-            grad = _softmax(w @ vals + bias)
+            w = rows.take(idx, axis=0)
+            grad = _softmax(w.T @ vals + bias)  # w.T: the F-ordered weights[:, idx]
             grad[li] -= 1.0
-            weights[:, idx] = w - lr * np.outer(grad, vals)
+            step = np.multiply.outer(vals, grad)  # then * lr: the bits of lr * outer(grad, vals)
+            step *= lr
+            np.subtract(w, step, out=w)
+            slots[idx] = w.view(slots.dtype)[:, 0]
             bias -= lr * grad
+    model.weights[...] = rows.T
     return model
 
 

@@ -9,8 +9,11 @@ it with every window of the stream.
 `oracle_staged_dedup` gives every dedup pass a stream and a suffix index of
 its own, where `korpus.dedup.staged_dedup` restricts one index to each pass.
 `oracle_fnv1a` is the FNV-1a byte loop that `korpus.core.fnv1a_bytes` computes
-block by block. `oracle_chunk_sentences` packs chunks with an explicit buffer
-that a flush empties, where `korpus.chunker.chunk_sentences` appends to groups.
+block by block. `oracle_train_langid` runs language-ID SGD on the
+column-major weights, gathering and scattering columns, where
+`korpus.langid.train_langid` steps on a row-major copy.
+`oracle_chunk_sentences` packs chunks with an explicit buffer that a flush
+empties, where `korpus.chunker.chunk_sentences` appends to groups.
 `oracle_write_arpa` builds the whole ARPA text as one list of lines, formatting
 each value on its own, where `korpus.qualfilter.write_arpa` streams the rows.
 `oracle_read_arpa` closes the listed n-grams top down, adding each order's
@@ -28,7 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from korpus.errors import ConfigError
+from korpus.langid import DEFAULT_BUCKETS, LangIdModel, _softmax, extract_features
 from korpus.qualfilter import _NONE, BOS, EOS, UNK, NgramModel
+from korpus.rng import SplitMix64
 
 
 def build_oracle_stream(doc_token_lists: list[list[int]]):
@@ -184,6 +189,49 @@ def oracle_extract_features(text: str, buckets: int, ngram_min: int = 3, ngram_m
     if vals.size:
         vals /= np.sqrt(vals @ vals)
     return idx, vals
+
+
+def oracle_train_langid(corpora, epochs: int = 10, seed: int = 0,
+                        feature_buckets: int = DEFAULT_BUCKETS) -> LangIdModel:
+    """Language-ID SGD on the column-major weights `[labels, columns + 1]`:
+    each step gathers `weights[:, idx]` (an F-ordered `(labels, k)` array),
+    takes the logits `w @ vals + bias` and scatters `w - lr * outer(grad,
+    vals)` back through `weights[:, idx] = ...`. Arguments are taken as valid.
+    """
+    labels = tuple(sorted(corpora))
+    features = iter(extract_features(
+        [doc.text for label in labels for doc in corpora[label].documents], feature_buckets,
+    ))
+    examples = []
+    touched = np.zeros(feature_buckets, dtype=bool)
+    for li, label in enumerate(labels):
+        for doc, (idx, vals) in zip(corpora[label].documents, features):
+            if idx.size == 0:
+                continue
+            touched[idx] = True
+            examples.append((label, doc.text, li, idx, vals))
+    model = LangIdModel(labels=labels, feature_buckets=feature_buckets, touched=touched,
+                        weights=np.zeros((len(labels), np.count_nonzero(touched) + 1),
+                                         dtype=np.float64),
+                        bias=np.zeros(len(labels), dtype=np.float64))
+    for _, _, _, idx, _ in examples:
+        idx[:] = model.column[idx]
+    examples.sort(key=lambda e: (e[0], e[1]))
+    rng = SplitMix64(seed)
+    weights, bias = model.weights, model.bias
+    total_updates = epochs * len(examples)
+    done = 0
+    for _ in range(epochs):
+        rng.shuffle(examples)
+        for _, _, li, idx, vals in examples:
+            lr = 1.0 - done / total_updates
+            done += 1
+            w = weights[:, idx]
+            grad = _softmax(w @ vals + bias)
+            grad[li] -= 1.0
+            weights[:, idx] = w - lr * np.outer(grad, vals)
+            bias -= lr * grad
+    return model
 
 
 def oracle_split_sentences(text: str) -> list[str]:

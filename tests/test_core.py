@@ -309,11 +309,13 @@ class TestChecksum:
     def test_fnv1a_bytes_is_the_byte_loop(self, data, state):
         assert core.fnv1a_bytes(data, state) == oracle_fnv1a(data, state)
 
-    @pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 8191, 8192, 8193, 16383, 16384,
-                                        16385, 65535, 65536, 65537, 2 * 65536 + 8193,
-                                        3 * 65536 + 1])
+    @pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 127, 128, 129, 8191, 8192, 8193,
+                                        16383, 16384, 16385, 65471, 65472, 65473, 65535,
+                                        65536, 65537, 2 * 65536 + 8193, 3 * 65536 + 1])
     def test_fnv1a_bytes_at_lane_and_block_edges(self, length):
-        """Edges of a lane, of a power-sum piece (8 KiB) and of a pass (64 KiB)."""
+        """Edges of a lane, of a power-sum piece (8 KiB, 128 bytes per lane), of
+        the lane width of a full pass (1024 bytes from 65473 on) and of a pass
+        (64 KiB)."""
         rng = random.Random(length)
         data = rng.randbytes(length)
         for state in (0xCBF29CE484222325, 0, 2**64 - 1, rng.getrandbits(64)):

@@ -22,7 +22,7 @@ from korpus.langid import (
 from conftest import (
     KERNEL_SETTINGS, de_sentence, en_sentence, make_doc, make_shard, run_under_kernels,
 )
-from oracles import oracle_extract_features
+from oracles import oracle_extract_features, oracle_train_langid
 
 # Umlauts and ß, emoji (the flag is two codepoints), CJK, a combining acute,
 # and whitespace that normalization folds: tab, newline, no-break and
@@ -32,6 +32,34 @@ _TEXTS = st.lists(
     st.one_of(st.text(_ALPHABET, max_size=40), st.sampled_from(["", " \t ", "ab", "ü", "😀x"])),
     max_size=12,
 )
+# Training corpora: each language has one text with an n-gram, then short,
+# empty and mixed-script ones (umlauts, Cyrillic, Greek, CJK, emoji).
+_TRAIN_ALPHABET = "abcäöüßÄжёлλόγ中文😀é "
+_CONTENT = st.text(_TRAIN_ALPHABET.replace(" ", ""), min_size=3, max_size=30)
+_TRAIN_TEXTS = st.lists(
+    st.one_of(st.text(_TRAIN_ALPHABET, max_size=30),
+              st.sampled_from(["", " ", "ab", "ü", "中文字"])),
+    max_size=6,
+)
+
+_TRAIN_DIGESTS = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+args = json.load(sys.stdin)
+sys.path.insert(0, args["tests"])
+from oracles import oracle_train_langid
+from korpus.core import CorpusShard, Document
+from korpus.langid import save_model, train_langid
+corpora = {label: CorpusShard.from_documents(
+               [Document(id=f"{label}-{i}", source=label, domain="formal", text=t)
+                for i, t in enumerate(texts)], source=label)
+           for label, texts in args["corpora"].items()}
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "model.bin"
+    for train in (train_langid, oracle_train_langid):
+        save_model(train(corpora, epochs=3, seed=5, feature_buckets=4096), path)
+        print(hashlib.sha256(path.read_bytes()).hexdigest())
+"""
 
 
 _FEATURE_DIGEST = """
@@ -170,11 +198,64 @@ class TestTraining:
         touched = np.unique(np.concatenate([idx for idx, _ in extract_features(texts)]))
         assert de_en_model.columns.tolist() == touched.tolist()
         assert de_en_model.weights.shape == (2, touched.size + 1)
+        assert de_en_model.weights.flags.c_contiguous
         assert not de_en_model.weights[:, -1].any()
         assert de_en_model.column.dtype == np.int32
         assert de_en_model.column[touched].tolist() == list(range(touched.size))
         untouched = np.setdiff1d(np.arange(de_en_model.feature_buckets), touched)
         assert (de_en_model.column[untouched] == touched.size).all()
+
+    def test_peak_is_the_features_the_model_and_one_working_copy(self):
+        """Training holds its features, the model with its bool mask of touched
+        buckets, and one row-major copy of the weights; a second copy fails."""
+        rng = random.Random(5)
+        texts = {label: ["".join(chr(0x4E00 + rng.randrange(4000)) for _ in range(200))
+                         for _ in range(100)] for label in "abcd"}
+        corpora = {label: make_shard(t, source=label, prefix=label) for label, t in texts.items()}
+        buckets = 1 << 20
+        features = sum(idx.nbytes + vals.nbytes for idx, vals in
+                       extract_features([t for label in "abcd" for t in texts[label]], buckets))
+        tracemalloc.start()
+        try:
+            model = train_langid(corpora, epochs=1, seed=0, feature_buckets=buckets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        weights = model.weights.nbytes
+        kept = features + weights + model.column.nbytes + model.bias.nbytes + buckets
+        assert weights > 6_000_000  # every text touches about 600 buckets of its own
+        # Measured: 1.25 MB over `kept + weights`.
+        assert peak <= kept + weights + weights // 4 + buckets, (peak, kept, weights)
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpora=st.integers(2, 4).flatmap(
+               lambda n: st.lists(st.tuples(_CONTENT, _TRAIN_TEXTS), min_size=n, max_size=n)),
+           buckets=st.sampled_from([1, 97, 4096]), epochs=st.integers(1, 3),
+           seed=st.integers(0, 2**64 - 1))
+    def test_steps_equal_the_column_major_oracle(self, corpora, buckets, epochs, seed,
+                                                 tmp_path_factory):
+        """The row-major steps write the bytes of the column-major ones: every
+        float operation is the same, in the same order, on the same operands."""
+        shards = {label: make_shard([content, *texts], source=label, prefix=label)
+                  for label, (content, texts) in zip(("de", "en", "fr", "ru"), corpora)}
+        path = tmp_path_factory.mktemp("model") / "model.bin"
+        model = train_langid(shards, epochs=epochs, seed=seed, feature_buckets=buckets)
+        assert model.weights.flags.c_contiguous and not model.weights[:, -1].any()
+        save_model(model, path)
+        got = path.read_bytes()
+        save_model(oracle_train_langid(shards, epochs, seed, buckets), path)
+        assert got == path.read_bytes()
+
+    @KERNEL_SETTINGS
+    def test_steps_equal_the_oracle_under_other_kernels(self, setting):
+        """Under each kernel setting, in one child process, the steps and the
+        oracle write the same bytes, whatever the pinned digests read there."""
+        rng = random.Random(8)
+        corpora = {"de": [de_sentence(rng) for _ in range(60)] + [_ALPHABET, ""],
+                   "en": [en_sentence(rng) for _ in range(60)] + ["жёлтый λόγος 中文", "ab"]}
+        stdin = json.dumps({"tests": str(Path(__file__).parent), "corpora": corpora})
+        new, oracle = run_under_kernels(_TRAIN_DIGESTS, setting, stdin).split()
+        assert new == oracle
 
 
 class TestFeatures:
