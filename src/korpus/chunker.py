@@ -7,6 +7,16 @@ abbreviation. Chunks are packed greedily in order; a single sentence larger
 than the budget becomes its own chunk flagged oversized rather than being cut
 mid-sentence.
 
+`translate_shard` chunks every document, then translates the chunks of
+consecutive documents in one translator call, up to _TRANSLATE_BATCH_CHARS
+characters of chunk text. A document is never split across calls; one longer
+than that is a call of its own. A line-protocol translator such as an MT
+decoder loads its model once per start, so a source takes a few starts, not
+one per document. If any chunk of a call over two or more documents fails,
+those documents are translated again one call each, and those results stand:
+every result, failure and translated document is the one that one call per
+document gives.
+
 Failure policy: a translator failure is recorded per chunk, never raised. A
 document with any failed chunk is dropped from the translated shard and listed
 among the failures (`chunk/<source>.failures.json` in a pipeline workspace)
@@ -20,7 +30,7 @@ import subprocess
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import CorpusShard, Document, tokenize
+from .core import CorpusShard, Document, batches, tokenize
 from .errors import ConfigError
 
 # Lowercased, with trailing period; matched against the word before a split candidate.
@@ -30,14 +40,7 @@ GERMAN_ABBREVIATIONS = frozenset({
     "abs.", "art.", "hr.", "fr.", "st.", "s.", "o.ä.", "u.ä.", "z.t.",
 })
 
-# Characters that mean nothing to sh but themselves; blanks only separate words.
-_PLAIN_COMMAND = re.compile(r"[A-Za-z0-9_./,:+@ \t-]*")
-# Builtins of POSIX sh and dash: sh runs these itself, even where PATH holds a
-# program of the name (`echo`, `test`, `kill`).
-_SH_BUILTINS = frozenset(
-    ". : alias bg break cd chdir command continue echo eval exec exit export false fc fg"
-    " getopts hash jobs kill local printf pwd read readonly return set shift test times"
-    " trap true type ulimit umask unalias unset wait".split())
+_TRANSLATE_BATCH_CHARS = 1 << 18  # chunk text characters per translator call
 
 
 @dataclass(frozen=True)
@@ -131,46 +134,30 @@ def identity_translator() -> Translator:
 class SubprocessTranslator(Translator):
     """Line protocol: one chunk text per stdin line, one translation per stdout line,
     both in UTF-8 whatever the locale. A "\r" ends a stdout line as "\n" does.
-    A call whose stdout has more lines than texts fails every text, since no
-    line can be matched to its text; one with fewer fails the texts after them.
+    Output line i must be the translation of input line i alone, whatever the
+    other lines of the call: `translate_shard` sends the chunks of many
+    documents in one call. A call whose stdout has more lines than texts fails
+    every text, since no line can be matched to its text; one with fewer fails
+    the texts after them.
 
-    A list command is exec'd as given. A string command with no shell syntax
-    (see `_PLAIN_COMMAND`) whose first word is not a builtin of sh is exec'd as
-    `command.split()`, which is the argv `sh -c` would run for it, without the
-    shell's own fork and exec. Any other string runs through `sh -c`. If exec
-    fails (a script with no `#!` line, a name that is not or no longer on PATH),
-    the string runs through `sh -c` from then on, so the results are sh's,
-    `exited 127` for an unknown name included. One difference shows: a
-    translator killed by signal N is reported as `exited -N` when exec'd
-    directly and as `exited 128+N` through sh. A translator that cannot start
-    fails every chunk, as a nonzero exit does.
+    A list command is exec'd as given, and a string command runs through
+    `sh -c`. A translator that cannot start fails every chunk, as a nonzero
+    exit does.
     """
 
     def __init__(self, command: str | list[str]):
         self._command = command
-        self._direct = None  # the argv to exec, until exec fails to start it
-        if isinstance(command, str) and _PLAIN_COMMAND.fullmatch(command):
-            words = command.split()
-            if words and words[0] not in _SH_BUILTINS:
-                self._direct = words
-
-    def _run(self, payload: str) -> subprocess.CompletedProcess:
-        if self._direct is not None:
-            try:
-                return _start(self._direct, payload)
-            except OSError:
-                self._direct = None  # sh starts what exec could not
-        return _start(self._command, payload)
 
     def translate_many(self, texts: Sequence[str]) -> list[str | Exception]:
         if not texts:
             return []
         payload = "\n".join(t.replace("\n", " ") for t in texts) + "\n"
         try:
-            proc = self._run(payload)
+            proc = subprocess.run(self._command, input=payload, capture_output=True,
+                                  encoding="utf-8", shell=isinstance(self._command, str))
         except UnicodeError as exc:  # its output, or a lone surrogate in the input
             return [RuntimeError(f"translator text is not UTF-8: {exc}")] * len(texts)
-        except OSError as exc:  # not found or not executable, even by sh
+        except OSError as exc:  # a list command that is not found or not executable
             return [RuntimeError(f"translator did not start: {exc}")] * len(texts)
         if proc.returncode != 0:
             err = RuntimeError(f"translator exited {proc.returncode}: {proc.stderr.strip()}")
@@ -184,11 +171,6 @@ class SubprocessTranslator(Translator):
         return [lines[i] if i < len(lines)
                 else RuntimeError(f"translator produced no output for chunk {i}")
                 for i in range(len(texts))]
-
-
-def _start(args: str | list[str], payload: str) -> subprocess.CompletedProcess:
-    return subprocess.run(args, input=payload, capture_output=True, encoding="utf-8",
-                          shell=isinstance(args, str))
 
 
 def translate_chunks(chunks: Sequence[Chunk], translator: Translator) -> list[TranslationResult]:
@@ -211,7 +193,8 @@ def translate_shard(
     budget: int,
     translator: Translator,
 ) -> tuple[list[TranslationResult], CorpusShard, list[dict]]:
-    """Chunk and translate every document, with one translator call per document.
+    """Chunk every document and translate the chunks in batches of
+    consecutive documents (see the module docstring).
 
     Returns the result of every chunk in order, the shard of translated
     documents, and one failure record per document with a failed chunk, which
@@ -219,12 +202,21 @@ def translate_shard(
     """
     if budget < 1:
         raise ConfigError("budget must be >= 1")
+    doc_chunks = [chunk_document(doc, budget) for doc in shard.documents]
     results: list[TranslationResult] = []
+    for batch in batches(doc_chunks, lambda chunks: sum(len(c.text) for c in chunks),
+                         _TRANSLATE_BATCH_CHARS):
+        # translate_chunks is looked up here at each call, so a wrapper bound in its place sees it.
+        batch_results = translate_chunks([c for chunks in batch for c in chunks], translator)
+        if len(batch) > 1 and any(r.error is not None for r in batch_results):
+            batch_results = [r for chunks in batch for r in translate_chunks(chunks, translator)]
+        results += batch_results
     translated: list[Document] = []
     failures: list[dict] = []
-    for doc in shard.documents:
-        doc_results = translate_chunks(chunk_document(doc, budget), translator)
-        results += doc_results
+    end = 0
+    for doc, chunks in zip(shard.documents, doc_chunks):
+        doc_results = results[end:end + len(chunks)]
+        end += len(chunks)
         bad = [r for r in doc_results if r.error is not None]
         if bad:
             failures.append({

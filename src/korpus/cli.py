@@ -255,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--translator-cmd", default=None,
                    help="command speaking the line protocol (adds a translation field); "
-                        "exec'd without a shell when it uses no shell syntax, else run by "
-                        "sh -c (see SubprocessTranslator)")
+                        "run by sh -c, with the chunks of many documents per call "
+                        "(see SubprocessTranslator)")
     p.set_defaults(fn=cmd_chunk)
 
     p = sub.add_parser(

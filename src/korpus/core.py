@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring as _json_str
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -38,6 +38,22 @@ class Domain(str, enum.Enum):
 def tokenize(text: str) -> list[str]:
     """Split into maximal runs of non-whitespace codepoints (Unicode whitespace)."""
     return text.split()
+
+
+def batches(items: Iterable, chars: Callable[..., int], cap: int) -> Iterator[list]:
+    """Consecutive runs of items with at most `cap` characters in all, or one
+    item that alone has more."""
+    batch = []
+    total = 0
+    for item in items:
+        n = chars(item)
+        if batch and total + n > cap:
+            yield batch
+            batch, total = [], 0
+        batch.append(item)
+        total += n
+    if batch:
+        yield batch
 
 
 # FNV-1a is the byte loop h = ((h ^ b) * P) mod 2^64. It is computed here exactly

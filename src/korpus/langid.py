@@ -50,12 +50,12 @@ from __future__ import annotations
 import json
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 # fnv1a_bytes is unused here; bench/test_bench.py checks that tracing leaves this binding alone.
-from .core import CorpusShard, atomic_write, fnv1a_bytes
+from .core import CorpusShard, atomic_write, batches, fnv1a_bytes
 from .errors import ConfigError, UnscorableError
 from .rng import SplitMix64
 
@@ -113,24 +113,8 @@ def extract_features(texts: Sequence[str],
     gets two empty arrays. Bucket ids are in order of first occurrence: every
     NGRAM_MIN-gram by position, then the longer n-grams.
     """
-    return [pair for norms in _batches(map(_normalize, texts), len)
+    return [pair for norms in batches(map(_normalize, texts), len, _BATCH_CHARS)
             for pair in _hash_batch(norms, buckets)]
-
-
-def _batches(items: Iterable, chars: Callable[..., int]) -> Iterator[list]:
-    """Consecutive runs of items with at most _BATCH_CHARS characters in all,
-    or one item that alone has more."""
-    batch = []
-    total = 0
-    for item in items:
-        n = chars(item)
-        if batch and total + n > _BATCH_CHARS:
-            yield batch
-            batch, total = [], 0
-        batch.append(item)
-        total += n
-    if batch:
-        yield batch
 
 
 def _hash_batch(norms: list[str], buckets: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -309,7 +293,7 @@ def filter_language(
         raise ConfigError(f"target language {target!r} not among model labels {model.labels}")
     kept = []
     # One batch of documents at a time, so the features held stay bounded.
-    for docs in _batches(shard.documents, lambda doc: len(doc.text)):
+    for docs in batches(shard.documents, lambda doc: len(doc.text), _BATCH_CHARS):
         features = extract_features([d.text for d in docs], model.feature_buckets)
         for doc, (idx, vals) in zip(docs, features):
             try:

@@ -20,6 +20,8 @@ each value on its own, where `korpus.qualfilter.write_arpa` streams the rows.
 prefixes and suffixes to the order below and sorting id rows with `lexsort`,
 then builds the keys bottom up; `korpus.qualfilter.read_arpa` numbers every
 piece of each listed n-gram with training's `_count_ngrams`.
+`oracle_translate_shard` makes one translator call per document, where
+`korpus.chunker.translate_shard` batches the chunks of many documents.
 """
 
 from __future__ import annotations
@@ -452,3 +454,28 @@ def oracle_read_arpa(path: str | Path) -> NgramModel:
     values = np.concatenate([values for _, values, _ in levels[::-1]], axis=1)
     return NgramModel(order=order, vocab=vocab, keys=np.concatenate(keys),
                       prob=values[0], backoff=values[1])
+
+
+def oracle_translate_shard(shard, budget: int, translator):
+    """Chunk and translate every document, with one translator call per document."""
+    from korpus.chunker import chunk_document, translate_chunks
+    from korpus.core import CorpusShard, Document
+
+    if budget < 1:
+        raise ConfigError("budget must be >= 1")
+    results = []
+    translated = []
+    failures = []
+    for doc in shard.documents:
+        doc_results = translate_chunks(chunk_document(doc, budget), translator)
+        results += doc_results
+        bad = [r for r in doc_results if r.error is not None]
+        if bad:
+            failures.append({
+                "doc_id": doc.id,
+                "errors": [{"index": r.chunk.index, "error": r.error} for r in bad],
+            })
+        else:
+            translated.append(Document(id=doc.id, source=doc.source, domain=doc.domain,
+                                       text=" ".join(r.text for r in doc_results)))
+    return results, CorpusShard.from_documents(translated, source=shard.manifest.source), failures

@@ -11,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 from korpus import chunker
 from korpus.chunker import (
     Chunk, SubprocessTranslator, Translator, chunk_document,
-    chunk_sentences, identity_translator, split_sentences, translate_chunks,
+    chunk_sentences, identity_translator, split_sentences, translate_chunks, translate_shard,
 )
 from korpus.core import tokenize
 from korpus.errors import ConfigError
 
-from conftest import de_text, make_doc
-from oracles import oracle_chunk_sentences, oracle_split_sentences
+from conftest import de_text, make_doc, make_shard
+from oracles import oracle_chunk_sentences, oracle_split_sentences, oracle_translate_shard
 
 # Abbreviations in several cases, terminals, ellipses, digits and words that
 # start a sentence or continue one, joined by runs of mixed whitespace.
@@ -219,6 +219,47 @@ class TestTranslation:
         assert results[1].text is None and "kaputt" in results[1].error
 
 
+_MARKER = "KAPUTT"
+_DOC_TEXTS = st.one_of(
+    st.lists(st.lists(st.sampled_from(["Haus", "über", "Straße", "Köln", "Arzt", "ok", "7",
+                                       _MARKER]), min_size=1, max_size=6)
+             .map(lambda words: " ".join(words) + "."), max_size=6).map(" ".join),
+    st.sampled_from(["", " \n\t"]),  # documents with no chunks
+)
+_LONG_TEXT = " ".join(["Die Straße in Köln ist lang und breit."] * 6)  # longer than any cap below
+
+
+def _raise_on_marker(text: str) -> str:
+    if _MARKER in text.split():
+        raise RuntimeError(f"kaputt: {text}")
+    return text
+
+
+_TEXT_TRANSLATORS = {
+    "identity": lambda s: s,
+    "reverse-words": lambda s: " ".join(reversed(s.split())),
+    "raise-on-marker": _raise_on_marker,
+}
+
+
+class TestTranslateShard:
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(_DOC_TEXTS, max_size=8), long_at=st.integers(0, 8),
+           budget=st.integers(1, 12), cap=st.integers(20, 60),
+           name=st.sampled_from(sorted(_TEXT_TRANSLATORS)))
+    def test_batches_give_one_call_per_document(self, texts, long_at, budget, cap, name):
+        """Results, translated shard (manifest included) and failures equal
+        those of one translator call per document, with batches that cross
+        documents, a document over the cap and documents with no chunks."""
+        texts = texts[:long_at] + [_LONG_TEXT] + texts[long_at:]
+        shard = make_shard(texts, source="notes", domain="medical", prefix="notes")
+        translator = Translator(_TEXT_TRANSLATORS[name])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chunker, "_TRANSLATE_BATCH_CHARS", cap)
+            got = translate_shard(shard, budget, translator)
+        assert got == oracle_translate_shard(shard, budget, translator)
+
+
 class TestSubprocessTranslator:
     def test_line_protocol_round_trip(self, rng):
         chunks = chunk_document(make_doc("d", de_text(rng, 3)), 32)
@@ -286,36 +327,20 @@ class TestSubprocessTranslator:
 
     @pytest.mark.skipif(shutil.which("cat") is None or not os.path.exists("/bin/sh"),
                         reason="no cat or /bin/sh")
-    @pytest.mark.parametrize("command,start", [
-        ("cat", "direct"),
-        ("cat | cat", "shell"),
-        ("LANG=C cat", "shell"),
-        ("'cat'", "shell"),
-        ("echo Gruss", "shell"),
-        ("exit 3", "shell"),
-        ("korpus-no-such-translator", "fallback"),
+    @pytest.mark.parametrize("command", [
+        "cat", "cat | cat", "LANG=C cat", "'cat'", "echo Gruss", "exit 3",
+        "korpus-no-such-translator",
     ], ids=["plain", "pipe", "assignment", "quoted", "builtin", "exit", "unknown-name"])
-    def test_start_path_and_results(self, monkeypatch, command, start):
-        """A plain command that is not a builtin of sh is exec'd without a
-        shell; one that exec cannot start runs through sh from then on; either
-        way the results are those of `sh -c`."""
+    def test_start_path_and_results(self, monkeypatch, command):
+        """Every string command runs through `sh -c`, on every call, so the
+        results are those of `/bin/sh -c command`."""
         texts = ["Grüße aus Köln.", "Die Straße ist naß und übel.", "Ämter öffnen"]
-        calls = []
-        real_run = subprocess.run
-
-        def recording_run(args, **kwargs):
-            calls.append((args, kwargs.get("shell")))
-            return real_run(args, **kwargs)
-
-        monkeypatch.setattr(chunker.subprocess, "run", recording_run)
+        calls = _record_runs(monkeypatch)
         translator = SubprocessTranslator(command)
         got = translator.translate_many(texts)
-        assert calls == {"direct": [(command.split(), False)],
-                         "shell": [(command, True)],
-                         "fallback": [(command.split(), False), (command, True)]}[start]
-        calls.clear()
+        assert calls == [(command, True)]
         again = translator.translate_many(texts)
-        assert calls == [(command.split(), False) if start == "direct" else (command, True)]
+        assert calls == [(command, True)] * 2
         assert [repr(r) for r in again] == [repr(r) for r in got]
         via_sh = SubprocessTranslator(["/bin/sh", "-c", command]).translate_many(texts)
         assert [repr(r) for r in got] == [repr(r) for r in via_sh]
@@ -324,35 +349,46 @@ class TestSubprocessTranslator:
         elif "cat" in command:
             assert got == texts
 
+    @pytest.mark.skipif(shutil.which("cat") is None, reason="no cat")
+    def test_list_command_is_execd_as_given(self, monkeypatch):
+        texts = ["Grüße aus Köln.", "Ämter öffnen"]
+        calls = _record_runs(monkeypatch)
+        assert SubprocessTranslator(["cat"]).translate_many(texts) == texts
+        assert calls == [(["cat"], False)]
+
     @pytest.mark.skipif(shutil.which("cat") is None or not os.path.exists("/bin/sh"),
                         reason="no cat or /bin/sh")
     def test_script_without_interpreter_line_runs_as_through_sh(self, tmp_path, monkeypatch):
-        """exec cannot start an executable script with no `#!` line (ENOEXEC),
-        and sh runs it as a script; so does the translator, from its first call
-        on. If the program is gone by a later call, sh reports `exited 127`."""
+        """sh runs an executable script with no `#!` line as a script, and so
+        does the translator, on every call. If the program is gone by a later
+        call, sh reports `exited 127`."""
         texts = ["Grüße aus Köln.", "Ämter öffnen"]
         script = tmp_path / "translate"
         script.write_text("cat\n", encoding="utf-8")
         script.chmod(0o755)
         command = f"{script} --quiet"
-        calls = []
-        real_run = subprocess.run
-
-        def recording_run(args, **kwargs):
-            calls.append((args, kwargs.get("shell")))
-            return real_run(args, **kwargs)
-
-        monkeypatch.setattr(chunker.subprocess, "run", recording_run)
+        calls = _record_runs(monkeypatch)
         translator = SubprocessTranslator(command)
         assert translator.translate_many(texts) == texts
-        assert calls == [(command.split(), False), (command, True)]
         assert translator.translate_many(texts) == texts
-        assert calls[2:] == [(command, True)]
+        assert calls == [(command, True)] * 2
         via_sh = SubprocessTranslator(["/bin/sh", "-c", command]).translate_many(texts)
         assert via_sh == texts
 
-        vanishing = SubprocessTranslator(command)
         script.unlink()
-        results = vanishing.translate_many(texts)
+        results = translator.translate_many(texts)
         assert all("exited 127" in str(r) for r in results)
-        assert calls[4:] == [(command.split(), False), (command, True)]
+        assert calls[3:] == [(command, True)]
+
+
+def _record_runs(monkeypatch) -> list:
+    """Records (args, shell) of each `subprocess.run` that the chunker makes."""
+    calls = []
+    real_run = subprocess.run
+
+    def recording_run(args, **kwargs):
+        calls.append((args, kwargs.get("shell")))
+        return real_run(args, **kwargs)
+
+    monkeypatch.setattr(chunker.subprocess, "run", recording_run)
+    return calls

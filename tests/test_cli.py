@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import korpus
-from korpus import cli, core, dedup, langid, pipeline
-from korpus.chunker import chunk_document, chunk_record
+from korpus import chunker, cli, core, dedup, langid, pipeline
+from korpus.chunker import SubprocessTranslator, chunk_document, chunk_record, translate_shard
 from korpus.cli import main
 from korpus.core import merge_shards, read_shard, write_shard
 from korpus.errors import ConfigError, IntegrityError
@@ -25,6 +25,7 @@ from conftest import (
     build_pipeline_fixture, de_sentence, de_text, en_sentence, make_doc,
     make_shard, med_sentence, workspace_digest,
 )
+from oracles import oracle_translate_shard
 from korpus.core import CorpusShard
 import random
 
@@ -213,9 +214,36 @@ class TestChunkCommand:
         assert all(r["translation"] == r["text"] and "error" not in r for r in records)
 
 
+def _python_command(code: str) -> str:
+    return " ".join(shlex.quote(a) for a in [sys.executable, "-c", code])
+
+
 # Echoes its input unless a document carries the marker, then exits nonzero.
-_FAIL_ON_MARKER = " ".join(shlex.quote(a) for a in [sys.executable, "-c", (
-    "import sys; t = sys.stdin.read(); sys.exit(5) if 'KAPUTT' in t else sys.stdout.write(t)")])
+_FAIL_ON_MARKER = _python_command(
+    "import sys; t = sys.stdin.read(); sys.exit(5) if 'KAPUTT' in t else sys.stdout.write(t)")
+# Translators that fail a whole call whose input holds the marker, whichever
+# of the call's documents carries it.
+_FAIL_ON_MARKER_IN_CALL = {
+    "drops-last-line": _python_command(
+        "import sys; t = sys.stdin.read(); "
+        "sys.stdout.write(t[:t.rstrip('\\n').rfind('\\n') + 1] if 'KAPUTT' in t else t)"),
+    "carriage-return": _python_command(
+        "import sys; sys.stdout.write(sys.stdin.read().replace('KAPUTT', 'KA\\rPUTT'))"),
+    "exits-5": _FAIL_ON_MARKER,
+}
+
+
+def _count_translator_calls(monkeypatch) -> list[int]:
+    """Records the number of texts of each `SubprocessTranslator.translate_many` call."""
+    calls = []
+    real = SubprocessTranslator.translate_many
+
+    def counted(self, texts):
+        calls.append(len(texts))
+        return real(self, texts)
+
+    monkeypatch.setattr(SubprocessTranslator, "translate_many", counted)
+    return calls
 
 
 def _notes_workspace(tmp_path, translator: str | None):
@@ -286,6 +314,39 @@ class TestChunkTranslationFailures:
         kept = read_shard(ws / "chunk" / "notes.jsonl")
         assert [d.id for d in kept.documents] == [d.id for d in shard.documents if d.id != "notes-2"]
 
+    @pytest.mark.parametrize("name", sorted(_FAIL_ON_MARKER_IN_CALL))
+    def test_failing_batch_is_translated_one_document_at_a_time(self, tmp_path, monkeypatch,
+                                                                name):
+        """The notes source, four clean documents and one marked one, is one
+        batch. Its call fails, so each document gets a call of its own, and
+        the outputs are those of one call per document. A clean batch and a
+        failing batch of one document take one call each."""
+        command = _FAIL_ON_MARKER_IN_CALL[name]
+        cfg, shard = _notes_workspace(tmp_path, command)
+        calls = _count_translator_calls(monkeypatch)
+        ws = tmp_path / "ws"
+        assert main(["pipeline", "--config", str(cfg), "--workspace", str(ws)]) == 0
+        assert len(calls) == 1 + len(shard.documents)
+
+        translator = SubprocessTranslator(command)
+        results, kept, failures = oracle_translate_shard(shard, 12, translator)
+        assert [f["doc_id"] for f in failures] == ["notes-2"]
+        assert json.loads((ws / "chunk" / "notes.failures.json").read_text()) == failures
+        assert read_shard(ws / "chunk" / "notes.jsonl") == kept
+        assert (ws / "chunk" / "notes.chunks.jsonl").read_text(encoding="utf-8") == "".join(
+            json.dumps(chunk_record(r.chunk), ensure_ascii=False) + "\n" for r in results)
+
+        clean = CorpusShard.from_documents(
+            [d for d in shard.documents if d.id != "notes-2"], source="notes")
+        calls.clear()
+        got = translate_shard(clean, 12, translator)
+        assert len(calls) == 1 and got[2] == []
+        assert got == oracle_translate_shard(clean, 12, translator)
+        marked = CorpusShard.from_documents([shard.documents[2]], source="notes")
+        calls.clear()
+        assert translate_shard(marked, 12, translator)[2] == failures
+        assert len(calls) == 1
+
     def test_non_utf8_translator_output_is_a_recorded_failure(self, tmp_path):
         garbage = " ".join(shlex.quote(a) for a in [sys.executable, "-c", (
             "import sys; sys.stdin.buffer.read(); sys.stdout.buffer.write(b'\\xff\\xfe\\n')")])
@@ -298,11 +359,26 @@ class TestChunkTranslationFailures:
         assert not read_shard(ws / "chunk" / "notes.jsonl").documents
 
     @pytest.mark.skipif(shutil.which("cat") is None, reason="no cat")
-    def test_direct_and_shell_start_leave_the_same_workspace(self, tmp_path):
-        """`cat` is exec'd directly, `cat | cat` runs through sh, and a script
-        with no `#!` line runs through sh once exec fails; the workspaces agree
-        byte for byte except for the run key in the markers, which hashes the
-        configured command."""
+    def test_one_translator_call_per_source(self, tmp_path, monkeypatch):
+        """The whole notes source fits one batch, so it takes one translator
+        call, and leaves the workspace of a run where every document is a
+        batch of its own."""
+        cfg, shard = _notes_workspace(tmp_path, "cat")
+        calls = _count_translator_calls(monkeypatch)
+        batched, alone = tmp_path / "batched", tmp_path / "alone"
+        assert main(["pipeline", "--config", str(cfg), "--workspace", str(batched)]) == 0
+        assert calls == [sum(len(chunk_document(d, 12)) for d in shard.documents)]
+        calls.clear()
+        monkeypatch.setattr(chunker, "_TRANSLATE_BATCH_CHARS", 1)
+        assert main(["pipeline", "--config", str(cfg), "--workspace", str(alone)]) == 0
+        assert len(calls) == len(shard.documents)
+        assert workspace_digest(batched) == workspace_digest(alone)
+
+    @pytest.mark.skipif(shutil.which("cat") is None, reason="no cat")
+    def test_plain_piped_and_script_commands_leave_the_same_workspace(self, tmp_path):
+        """`cat`, `cat | cat` and a script with no `#!` line, each run through
+        sh, leave workspaces that agree byte for byte except for the run key
+        in the markers, which hashes the configured command."""
         def run(name, command):
             (tmp_path / name).mkdir()
             cfg, _ = _notes_workspace(tmp_path / name, command)
