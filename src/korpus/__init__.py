@@ -2,7 +2,7 @@
 
 from .core import CorpusShard, Document, Domain, PipelineConfig, read_shard, tokenize, write_shard
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "CorpusShard",

@@ -4,6 +4,12 @@ A corpus shard on disk is one JSON object per line with fields
 {"id", "source", "domain", "text"}, terminated by a single manifest line
 {"__manifest__": true, "source", "doc_count", "token_count", "checksum"}.
 Files are UTF-8 with LF line endings and are written byte-deterministically.
+
+The checksum hashes the UTF-8 bytes of the concatenated texts. It is written
+only as `b2:` and the 8-byte blake2b hex digest (`fnv1a_hex`). A checksum of
+exactly 16 lowercase hex digits is the 64-bit FNV-1a of shards written before
+korpus 0.4.0: it is still verified, and `read_shard` returns such a shard with
+its `b2:` manifest, so it is never written back.
 """
 
 from __future__ import annotations
@@ -12,19 +18,18 @@ import enum
 import io
 import json
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring as _json_str
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
-import numpy as np
+# The interpreter's own blake2b, built in on every supported Python: importing
+# hashlib maps OpenSSL, ~3 MB of RSS.
+from _blake2 import blake2b
 
 from .errors import IntegrityError, ShardFormatError
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
 
 
 class Domain(str, enum.Enum):
@@ -56,140 +61,33 @@ def batches(items: Iterable, chars: Callable[..., int], cap: int) -> Iterator[li
         yield batch
 
 
-# FNV-1a is the byte loop h = ((h ^ b) * P) mod 2^64. It is computed here exactly
-# with numpy:
-# - The low byte s of h evolves alone: s' = ((s ^ b) * 0xB3) mod 256, as 0xB3 is
-#   the low byte of P.
-# - Each bit plane of s is a prefix XOR. With t = s ^ b, bit k of t * 0xB3 is
-#   bit k of t XOR bit k of (t mod 2^k) * 0xB3: 0xB3 is odd, and the high part
-#   of t adds nothing below bit k. So bit k of s' is bit k of s XOR bit k of
-#   (r ^ b) * 0xB3, where r is s with bits k and up cleared. Once planes 0..k-1
-#   are known at every byte, plane k is a prefix XOR: 8 scans.
-# - The full state is a power sum. h ^ b == h + d with d = (s ^ b) - s, so after
-#   bytes b_0..b_{L-1}, h_L = h_0 * P^L + sum_i d_i * P^(L-i) mod 2^64: one
-#   wrapping uint64 dot product against a table of powers of P.
-# The prefix XOR runs on bits packed into uint64 words in a lane order: a pass
-# of 64 * W bytes is 64 lanes of W consecutive bytes, and bit m of word j
-# belongs to byte j of lane m. An XOR accumulate over the words then scans all
-# lanes at once, and each lane is corrected by the XOR of the lanes before it.
-# The power sum runs in lane order too, so the bytes are never put back in
-# natural order: byte j of lane m is byte i = mW + j of the pass, and its weight
-# P^(n - i) is P^(n - mW) * P^(-j) (P is odd, so it has an inverse mod 2^64).
-# The two kinds of work want different sizes. The scans are 9 numpy calls per
-# plane whose temporaries take about 3 B per byte (the lane-order copy, the low
-# bytes, one plane), so they run over a 64 KiB pass: fewer calls per byte. The
-# power sum runs over 8 KiB pieces of the pass, 128 words of 64 lanes each, and
-# casts its int16 d to uint64 inside the dot product (an unsafe cast wraps mod
-# 2^64, as a negative d needs). One table weighs a piece: `_FNV_POWERS[64 j +
-# m]` is P^(PASS - 1024 m - j), the weight of byte j of lane m in a full pass,
-# and the piece that starts at word a takes it times P^(-a). A shorter pass
-# scales the table's lanes by P^(n - PASS + (1024 - W) m) first. A call over
-# 1 MiB then peaks at about 220 KiB under tracemalloc, and hashes about 10%
-# faster than with the power sum in natural order, which put the bytes back
-# from lane order first. 4 KiB pieces were slower.
-_FNV_PASS = 1 << 16  # bytes; fnv1a_hex also hashes whole passes
-_FNV_PIECE = 1 << 13  # bytes
-_LANES = 64
-_FNV_WIDTH = _FNV_PASS // _LANES  # bytes per lane of a full pass
-_FNV_PRIME_LOW = np.uint8(_FNV_PRIME & 0xFF)
-_FNV_PIECE_STEP = pow(_FNV_PRIME, -(_FNV_PIECE // _LANES), 1 << 64)  # P^(-words per piece)
-_FNV_PASS_INVERSE = pow(_FNV_PRIME, -_FNV_PASS, 1 << 64)
-
-
-def _geometric(first: int, ratio: int, count: int) -> np.ndarray:
-    """first * ratio^k mod 2^64 for k = 0 .. count - 1, as uint64."""
-    terms = np.full(count, ratio, dtype=np.uint64)
-    terms[0] = first
-    return np.multiply.accumulate(terms, out=terms)
-
-
-def _fnv_powers() -> np.ndarray:
-    """The weights of one piece of a full pass, in lane order (see above)."""
-    inverse = pow(_FNV_PRIME, -1, 1 << 64)
-    word = _geometric(1, inverse, _FNV_PIECE // _LANES)  # P^(-j)
-    lane = _geometric(pow(_FNV_PRIME, _FNV_PASS, 1 << 64),
-                      pow(inverse, _FNV_WIDTH, 1 << 64), _LANES)  # P^(PASS - 1024 m)
-    table = np.multiply.outer(word, lane).reshape(-1)
-    table.flags.writeable = False
-    return table
-
-
-_FNV_POWERS = _fnv_powers()
-
-
-def _fnv1a_pass(chunk: np.ndarray, h: int) -> int:
-    """The FNV-1a state after the bytes of `chunk` (at most a pass), from `h`."""
-    n = chunk.size
-    width = -(-n // _LANES)
-    full = n // width  # lanes filled; the next holds the rest, and zeros pad the end
-    data = np.zeros(width * _LANES, dtype=np.uint8)  # lane order
-    grid = data.reshape(width, _LANES).T  # grid[m, j] is byte j of lane m
-    grid[:full] = chunk[:full * width].reshape(full, width)
-    if full < _LANES:
-        grid[full, :n - full * width] = chunk[full * width:]
-    # low[q] is the low byte before data[q] and low[q + LANES] the one after it;
-    # lane m starts where lane m - 1 ends (low[1:LANES]). low[0] keeps all planes
-    # of the start state, so each plane's scan starts from the right bit.
-    low = np.zeros(data.size + _LANES, dtype=np.uint8)
-    low[0] = h & 0xFF
-    before, after = low[:-_LANES], low[_LANES:]
-    for k in range(8):
-        plane = np.uint8(1 << k)
-        bits = np.bitwise_xor(before, data)
-        bits *= _FNV_PRIME_LOW
-        bits &= plane
-        words = np.packbits(bits, bitorder="little").view("<u8")
-        del bits  # before the unpacked plane takes its place
-        np.bitwise_xor.accumulate(words, out=words)
-        lanes = int(words[-1])  # bit m: the XOR over all of lane m
-        for shift in (1, 2, 4, 8, 16, 32):
-            lanes ^= lanes << shift
-        words ^= np.uint64((lanes << 1) & _MASK64)  # the XOR over lanes 0..m-1
-        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-        bits *= plane
-        after |= bits
-        del bits
-        low[1:_LANES] = low[-_LANES:-1]
-    # before[q] is the low byte s before the byte data[q]. A zero byte of the
-    # padding has d = (s ^ 0) - s = 0, so whatever weight it gets adds nothing.
-    grow = pow(_FNV_PRIME, n, 1 << 64)
-    powers = _FNV_POWERS[:data.size]  # a pass of fewer than 128 words has one short piece
-    if n != _FNV_PASS:
-        scale = _geometric(grow * _FNV_PASS_INVERSE & _MASK64,
-                           pow(_FNV_PRIME, _FNV_WIDTH - width, 1 << 64), _LANES)
-        powers = (powers.reshape(-1, _LANES) * scale).reshape(-1)
-    total, step = 0, 1
-    for at in range(0, data.size, _FNV_PIECE):
-        sp, bp = before[at:at + _FNV_PIECE], data[at:at + _FNV_PIECE]
-        d = np.subtract(sp ^ bp, sp, dtype=np.int16)
-        piece = np.einsum("i,i", d, powers[:d.size], dtype=np.uint64, casting="unsafe")
-        total += step * int(piece)
-        step = step * _FNV_PIECE_STEP & _MASK64
-    return (h * grow + total) & _MASK64
-
-
-def fnv1a_bytes(data: bytes, state: int = _FNV_OFFSET) -> int:
-    """64-bit FNV-1a over `data`, continuing from `state`. A call has a fixed cost
-    of a few numpy passes, so callers hash large buffers, not small pieces."""
-    buf = np.frombuffer(data, dtype=np.uint8)
-    h = state
-    for at in range(0, buf.size, _FNV_PASS):
-        h = _fnv1a_pass(buf[at:at + _FNV_PASS], h)
-    return h
+def fnv1a_bytes(blocks: Iterable[bytes]) -> str:
+    """The checksum of the concatenated byte blocks: `b2:` and the 8-byte blake2b
+    hex digest. It computes blake2b, not FNV-1a: the benchmark's spans target
+    this name, and ROADMAP item 1 renames it."""
+    digest = blake2b(digest_size=8)
+    for block in blocks:
+        digest.update(block)
+    return f"b2:{digest.hexdigest()}"
 
 
 def fnv1a_hex(chunks: Iterable[str]) -> str:
-    """64-bit FNV-1a over the UTF-8 bytes of the concatenated chunks, hashed in
-    batches of whole passes."""
-    h = _FNV_OFFSET
-    pending = bytearray()
-    for chunk in chunks:
-        pending += chunk.encode("utf-8")
-        if len(pending) >= _FNV_PASS:
-            whole = len(pending) - len(pending) % _FNV_PASS
-            h = fnv1a_bytes(pending[:whole], h)
-            del pending[:whole]
-    return f"{fnv1a_bytes(pending, h):016x}"
+    """The checksum (`fnv1a_bytes`, blake2b) of the UTF-8 bytes of the concatenated
+    chunks. ROADMAP item 1 renames it."""
+    return fnv1a_bytes(chunk.encode("utf-8") for chunk in chunks)
+
+
+_LEGACY_CHECKSUM = re.compile("[0-9a-f]{16}")
+
+
+def _fnv1a_legacy(texts: Iterable[str]) -> str:
+    """64-bit FNV-1a over the UTF-8 bytes of the concatenated texts, byte by byte:
+    the checksum of shards written before korpus 0.4.0."""
+    h = 0xCBF29CE484222325
+    for text in texts:
+        for byte in text.encode("utf-8"):
+            h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return f"{h:016x}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,16 +139,25 @@ class CorpusShard:
         )
         return cls(docs, manifest)
 
-    def verify(self) -> None:
-        """Raise IntegrityError unless the manifest matches recomputed sums."""
-        recomputed = CorpusShard.from_documents(self.documents, self.manifest.source).manifest
-        if recomputed != self.manifest:
+    def verify(self) -> "CorpusShard":
+        """Raise IntegrityError unless the manifest matches recomputed sums. Returns
+        the shard with the recomputed manifest, which differs from the stored one
+        only where that holds a legacy FNV-1a checksum: that is checked byte by
+        byte and replaced by the `b2:` checksum. A checksum of any other form is
+        compared as is, so it fails as a mismatch."""
+        shard = CorpusShard.from_documents(self.documents, self.manifest.source)
+        stored = self.manifest
+        if (_LEGACY_CHECKSUM.fullmatch(stored.checksum)
+                and _fnv1a_legacy(d.text for d in self.documents) == stored.checksum):
+            stored = replace(stored, checksum=shard.manifest.checksum)
+        if shard.manifest != stored:
             raise IntegrityError(
                 f"manifest mismatch for source {self.manifest.source!r}: "
-                f"stored {self.manifest}, recomputed {recomputed}"
+                f"stored {self.manifest}, recomputed {shard.manifest}"
             )
         if (dup := _duplicate_id(self.documents)) is not None:
             raise IntegrityError(f"duplicate document id {dup!r}")
+        return shard
 
 
 def _duplicate_id(docs: Iterable[Document]) -> str | None:
@@ -325,7 +232,8 @@ def _parse_record(obj: dict, path: Path, lineno: int, escaped: bool) -> Document
 
 
 def read_shard(path: str | Path) -> CorpusShard:
-    """Read and verify one shard file; document order is preserved."""
+    """Read and verify one shard file; document order is preserved. The shard
+    returned carries the `b2:` checksum, whatever form the file holds."""
     path = Path(path)
     docs: list[Document] = []
     manifest: Manifest | None = None
@@ -356,9 +264,7 @@ def read_shard(path: str | Path) -> CorpusShard:
         raise ShardFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if manifest is None:
         raise ShardFormatError(f"{path}: missing manifest line")
-    shard = CorpusShard(tuple(docs), manifest)
-    shard.verify()
-    return shard
+    return CorpusShard(tuple(docs), manifest).verify()
 
 
 _TAIL_BLOCK = 1 << 12  # bytes; a manifest line is about 150

@@ -6,14 +6,16 @@ identical config over identical inputs yields a byte-identical workspace.
 
 Resume contract. A completed stage writes `markers/<stage>.json` holding the
 run key and a checksum of each output it wrote (no timestamps, no absolute
-paths). The run key is a 32-byte blake2b over the korpus version, the parsed
-config without its resolved paths, the seed override and the bytes of every
-raw input file: source paths, langid training corpora and the KN reference. A
+paths). An output checksum is `b2:` and the 8-byte blake2b hex digest of the
+file's bytes (`core.fnv1a_bytes`), the form of a shard manifest's checksum.
+The run key is a 32-byte blake2b over the korpus version, the parsed config
+without its resolved paths, the seed override and the bytes of every raw
+input file: source paths, langid training corpora and the KN reference. A
 stage is cached only if its marker carries this run's key, so a change to any
-of these reruns every stage. A cached stage re-checks every output checksum its marker
-recorded; a missing or modified output raises IntegrityError (CLI exit 4).
---force reruns every stage whatever the markers say. An interrupted run
-resumed later is indistinguishable from an uninterrupted one.
+of these reruns every stage. A cached stage re-checks every output checksum
+its marker recorded; a missing or modified output raises IntegrityError (CLI
+exit 4). --force reruns every stage whatever the markers say. An interrupted
+run resumed later is indistinguishable from an uninterrupted one.
 
 Each stage body is a generator of its outputs: it yields
 `(path relative to the workspace, writer, value)` and writes nothing itself.
@@ -59,8 +61,8 @@ from _blake2 import blake2b
 
 from . import __version__, chunker, dedup, langid, mixer, qualfilter, report as report_mod
 from .core import (
-    _FNV_OFFSET, CorpusShard, PipelineConfig, atomic_write, fnv1a_bytes, merge_shards,
-    read_manifest, read_shard, write_shard,
+    CorpusShard, PipelineConfig, atomic_write, fnv1a_bytes, merge_shards, read_manifest,
+    read_shard, write_shard,
 )
 from .errors import ConfigError, IntegrityError, KorpusError, ShardFormatError, StageError
 from .preprocess import clean_shard
@@ -358,8 +360,7 @@ def _given(settings: dict, *keys: str) -> dict:
 # Checksums and the run key read files through this one reader, in blocks:
 # a whole-file read raises the peak RSS by the size of the file. 1 MiB blocks
 # raised the peak of a pipeline over sub-megabyte files by about 1 MB where
-# 256 KiB did not. fnv1a_bytes costs about 0.08 ms per call on top of its bytes,
-# and 1.6 ms for a 256 KiB block (one core of a Xeon server, numpy 2.4).
+# 256 KiB did not.
 _READ_BLOCK = 1 << 18
 
 
@@ -369,13 +370,14 @@ def _read_blocks(path: str | Path) -> Iterator[bytes]:
 
 
 def _checksum_file(path: Path, copy: BinaryIO | None = None) -> str:
-    """FNV-1a of the file's bytes; each block read is also written to `copy`, if given."""
-    state = _FNV_OFFSET
-    for block in _read_blocks(path):
-        state = fnv1a_bytes(block, state)
-        if copy is not None:
-            copy.write(block)
-    return f"{state:016x}"
+    """The `b2:` blake2b checksum of the file's bytes (`fnv1a_bytes`, called through
+    this module's binding); each block read is also written to `copy`, if given."""
+    def blocks() -> Iterator[bytes]:
+        for block in _read_blocks(path):
+            if copy is not None:
+                copy.write(block)
+            yield block
+    return fnv1a_bytes(blocks())
 
 
 def _copy_checked(source: tuple[Path, str], path: Path) -> str:

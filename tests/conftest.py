@@ -15,6 +15,8 @@ import pytest
 import korpus
 from korpus.core import CorpusShard, Document, write_shard
 
+from oracles import oracle_fnv1a
+
 # Settings that make numpy and OpenBLAS pick other SIMD kernels at run time.
 KERNEL_SETTINGS = pytest.mark.parametrize("setting", [
     {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
@@ -102,6 +104,18 @@ def make_doc(doc_id: str, text: str, source: str = "test", domain: str = "formal
 def make_shard(texts, source: str = "test", domain: str = "formal", prefix: str = "doc") -> CorpusShard:
     docs = [make_doc(f"{prefix}-{i}", t, source=source, domain=domain) for i, t in enumerate(texts)]
     return CorpusShard.from_documents(docs, source=source)
+
+
+def write_legacy_shard(shard: CorpusShard, path: Path, checksum: str | None = None) -> None:
+    """Write `shard` with the bytes korpus wrote before 0.4.0: its manifest holds
+    the bare 64-bit FNV-1a of the texts, or `checksum` if given."""
+    write_shard(shard, path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    manifest = json.loads(lines[-2])
+    text = "".join(d.text for d in shard.documents).encode("utf-8")
+    manifest["checksum"] = checksum if checksum is not None else f"{oracle_fnv1a(text):016x}"
+    lines[-2] = json.dumps(manifest, ensure_ascii=False)
+    path.write_text("\n".join(lines), encoding="utf-8")
 
 
 def random_token_docs(rng: random.Random, total_tokens: int, vocab: int = 50,

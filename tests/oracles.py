@@ -8,10 +8,11 @@ with plain loops, and a span's earliest other occurrence is found by comparing
 it with every window of the stream.
 `oracle_staged_dedup` gives every dedup pass a stream and a suffix index of
 its own, where `korpus.dedup.staged_dedup` restricts one index to each pass.
-`oracle_fnv1a` is the FNV-1a byte loop that `korpus.core.fnv1a_bytes` computes
-block by block. `oracle_train_langid` runs language-ID SGD on the
-column-major weights, gathering and scattering columns, where
-`korpus.langid.train_langid` steps on a row-major copy.
+`oracle_fnv1a` is the FNV-1a byte loop: the langid feature hash, and the
+manifest checksum of shards written before korpus 0.4.0. `oracle_checksum` is
+the `b2:` checksum through `hashlib`'s blake2b. `oracle_train_langid` runs
+language-ID SGD on the column-major weights, gathering and scattering columns,
+where `korpus.langid.train_langid` steps on a row-major copy.
 `oracle_chunk_sentences` packs chunks with an explicit buffer that a flush
 empties, where `korpus.chunker.chunk_sentences` appends to groups.
 `oracle_write_arpa` builds the whole ARPA text as one list of lines, formatting
@@ -26,6 +27,7 @@ piece of each listed n-gram with training's `_count_ngrams`.
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from itertools import repeat
 from pathlib import Path
@@ -163,6 +165,11 @@ def oracle_staged_dedup(stage_groups, min_match: int, policy: str):
         survivors.extend(out)
     final, combined = one_pass(survivors, COMBINED)
     return final, [*reports, combined]
+
+
+def oracle_checksum(data: bytes) -> str:
+    """`b2:` and the 8-byte blake2b hex digest of `data`."""
+    return f"b2:{hashlib.blake2b(data, digest_size=8).hexdigest()}"
 
 
 def oracle_fnv1a(data: bytes, state: int = 0xCBF29CE484222325) -> int:

@@ -23,9 +23,9 @@ from korpus.pipeline import STAGES, load_schema, run_pipeline, validate_config
 
 from conftest import (
     build_pipeline_fixture, de_sentence, de_text, en_sentence, make_doc,
-    make_shard, med_sentence, workspace_digest,
+    make_shard, med_sentence, workspace_digest, write_legacy_shard,
 )
-from oracles import oracle_translate_shard
+from oracles import oracle_checksum, oracle_translate_shard
 from korpus.core import CorpusShard
 import random
 
@@ -1104,15 +1104,42 @@ def fresh_digest(tmp_path_factory):
 
 
 class TestChecksumFile:
-    """Marker checksums hash a file in blocks; the result is FNV-1a of the whole file."""
+    """Marker checksums hash a file in blocks; the result is the blake2b of the whole file."""
 
     def test_equals_one_shot_hash(self, tmp_path):
         block = pipeline._READ_BLOCK
-        for n in (0, 1, block - 1, block, block + 1):
+        for n in (0, 1, block - 1, block, block + 1, 3 * block):
             data = np.random.default_rng(n).bytes(n)
             path = tmp_path / f"f{n}"
             path.write_bytes(data)
-            assert pipeline._checksum_file(path) == f"{core.fnv1a_bytes(data):016x}"
+            assert pipeline._checksum_file(path) == oracle_checksum(data)
+
+    def test_workspace_holds_only_b2_checksums(self, tmp_path):
+        """No legacy checksum of an input leaks into a manifest or a marker, through
+        `merge_shards`'s one-shard shortcut or through mix. Inputs with legacy
+        checksums give the same files; only the markers differ, as the run key
+        hashes the input bytes."""
+        b2 = re.compile(r"b2:[0-9a-f]{16}")
+        digests = {}
+        for form in ("b2", "legacy"):
+            config = build_pipeline_fixture(tmp_path / form)
+            if form == "legacy":
+                for path in (tmp_path / form / "inputs").glob("*.jsonl"):
+                    write_legacy_shard(read_shard(path), path)
+            ws = tmp_path / form / "ws"
+            run_pipeline(config, ws)
+            manifests = [json.loads(p.read_text(encoding="utf-8").splitlines()[-1])
+                         for p in sorted(ws.rglob("*.jsonl"))]
+            manifests = [m for m in manifests if m.get("__manifest__")]
+            assert len(manifests) > len(list(ws.glob("datasets/*/*.jsonl")))
+            assert all(b2.fullmatch(m["checksum"]) for m in manifests), manifests
+            outputs = [c for p in (ws / "markers").glob("*.json")
+                       for c in json.loads(p.read_text(encoding="utf-8"))["outputs"].values()]
+            assert len(outputs) > len(manifests)
+            assert all(b2.fullmatch(c) for c in outputs), outputs
+            digests[form] = {rel: digest for rel, digest in workspace_digest(ws).items()
+                             if not rel.startswith("markers/")}
+        assert digests["legacy"] == digests["b2"]
 
     def test_peak_below_the_file_size(self, tmp_path):
         path = tmp_path / "big"

@@ -18,8 +18,10 @@ from korpus.core import (
 from korpus.errors import IntegrityError, ShardFormatError
 from korpus.pipeline import _MIX_SPEC_VALIDATOR, _schema_diagnostics, load_schema
 
-from conftest import KERNEL_SETTINGS, make_doc, make_shard, run_under_kernels
-from oracles import oracle_fnv1a
+from conftest import (
+    KERNEL_SETTINGS, make_doc, make_shard, run_under_kernels, write_legacy_shard,
+)
+from oracles import oracle_checksum, oracle_fnv1a
 
 
 class TestTokenize:
@@ -302,66 +304,63 @@ class TestChecksum:
     def test_fnv_stability(self):
         # fixed reference value keeps the on-disk format stable across releases
         assert fnv1a_hex(["hallo ", "welt"]) == fnv1a_hex(["hallo welt"])
-        assert fnv1a_hex(["hallo welt"]) == "de6d68a882d59a51"
+        assert fnv1a_hex(["", "hallo", "", " welt", ""]) == fnv1a_hex(["hallo welt"])
+        assert fnv1a_hex(["hallo welt"]) == "b2:edf06e8ecd025316"
+        assert fnv1a_hex([]) == fnv1a_hex([""]) == oracle_checksum(b"")
 
     @settings(max_examples=200, deadline=None)
-    @given(st.binary(max_size=1000), st.integers(0, 2**64 - 1))
-    def test_fnv1a_bytes_is_the_byte_loop(self, data, state):
-        assert core.fnv1a_bytes(data, state) == oracle_fnv1a(data, state)
+    @given(st.lists(st.binary(max_size=300), max_size=8))
+    def test_fnv1a_bytes_is_blake2b_of_the_joined_blocks(self, blocks):
+        assert core.fnv1a_bytes(blocks) == oracle_checksum(b"".join(blocks))
 
     @pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 127, 128, 129, 8191, 8192, 8193,
                                         16383, 16384, 16385, 65471, 65472, 65473, 65535,
                                         65536, 65537, 2 * 65536 + 8193, 3 * 65536 + 1])
     def test_fnv1a_bytes_at_lane_and_block_edges(self, length):
-        """Edges of a lane, of a power-sum piece (8 KiB, 128 bytes per lane), of
-        the lane width of a full pass (1024 bytes from 65473 on) and of a pass
-        (64 KiB)."""
-        rng = random.Random(length)
-        data = rng.randbytes(length)
-        for state in (0xCBF29CE484222325, 0, 2**64 - 1, rng.getrandbits(64)):
-            assert core.fnv1a_bytes(data, state) == oracle_fnv1a(data, state)
+        """Lengths at and next to multiples of 64 and 128 bytes (blake2b compresses
+        128-byte blocks and holds the last one back), of 8 KiB and of 64 KiB, hashed
+        whole and cut into blocks of those sizes. The lengths, and the name, come
+        from the numpy FNV-1a that blake2b replaced, whose lanes were 64 bytes."""
+        data = random.Random(length).randbytes(length)
+        want = oracle_checksum(data)
+        assert core.fnv1a_bytes([data]) == want
+        for cut in (1, 64, 127, 128, 129, 8192, 65536):
+            assert core.fnv1a_bytes(data[i:i + cut] for i in range(0, length, cut)) == want
 
     def test_fnv1a_bytes_peak(self):
+        """The blocks are hashed as they come, never joined."""
         data = random.Random(3).randbytes(1 << 20)
-        core.fnv1a_bytes(data)
+        blocks = [data[i:i + 65536] for i in range(0, len(data), 65536)]
+        core.fnv1a_bytes(blocks)
         tracemalloc.start()
         try:
-            core.fnv1a_bytes(data)
+            core.fnv1a_bytes(blocks)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 400 << 10, peak
+        assert peak <= 4 << 10, peak
 
     @KERNEL_SETTINGS
     def test_fnv1a_bytes_equal_under_other_kernels(self, setting):
-        """Every checksum of a workspace rests on this kernel: its digest does
+        """Every checksum of a workspace rests on this function: its digest does
         not depend on which SIMD kernels numpy and OpenBLAS pick at run time."""
         code = ("import random; from korpus.core import fnv1a_bytes; "
-                "print(f'{fnv1a_bytes(random.Random(4).randbytes(1 << 20)):016x}')")
-        want = f"{oracle_fnv1a(random.Random(4).randbytes(1 << 20)):016x}\n"
+                "print(fnv1a_bytes([random.Random(4).randbytes(1 << 20)]))")
+        want = f"{oracle_checksum(random.Random(4).randbytes(1 << 20))}\n"
         assert run_under_kernels(code, {}) == want
         assert run_under_kernels(code, setting) == want
 
-    def test_fnv1a_hex_hashes_whole_blocks(self, monkeypatch):
-        """Manifests hash 64 KiB or more per call, not one call per document: each
-        call has a fixed cost."""
-        texts = [f"{i:05d} " + "x" * 94 for i in range(10_000)]
-        total = sum(len(t.encode("utf-8")) for t in texts)
-        assert total == 1_000_000
-        calls = []
-        real = core.fnv1a_bytes
-        monkeypatch.setattr(core, "fnv1a_bytes",
-                            lambda data, state: calls.append(len(data)) or real(data, state))
-        digest = fnv1a_hex(texts)
-        assert len(calls) <= -(-total // 65536) + 1
-        assert digest == f"{oracle_fnv1a(''.join(texts).encode('utf-8')):016x}"
+    def test_fnv1a_hex_is_blake2b_of_the_utf8_text(self):
+        texts = [f"{i:05d} Grüße " + "x" * (i % 97) for i in range(10_000)]
+        assert fnv1a_hex(texts) == oracle_checksum("".join(texts).encode("utf-8"))
 
     @pytest.mark.parametrize("cut", [1, 16385, 65535 - 99, 65535, 65536, 65537, 2 * 65536 + 3])
     def test_fnv1a_hex_split_at_a_block_edge(self, cut):
+        """Cuts at and next to multiples of blake2b's 128-byte block."""
         rng = random.Random(cut)
         text = "".join(rng.choice("ab c") for _ in range(3 * 65536))  # one byte per character
         whole = fnv1a_hex([text])
-        assert whole == f"{oracle_fnv1a(text.encode('utf-8')):016x}"
+        assert whole == oracle_checksum(text.encode("utf-8"))
         assert fnv1a_hex([text[:cut], text[cut:]]) == whole
         assert fnv1a_hex([text[:cut - 1], "", text[cut - 1:cut + 1], text[cut + 1:]]) == whole
         pieces = [text[i:i + 100] for i in range(0, len(text), 100)]
@@ -371,6 +370,66 @@ class TestChecksum:
         shard = make_shard(["ein zwei drei", "vier"])
         assert shard.manifest.token_count == sum(d.token_count for d in shard.documents)
         shard.verify()
+
+
+class TestLegacyChecksum:
+    """Shards written before korpus 0.4.0 hold a bare 16-hex FNV-1a checksum."""
+
+    # A shard as korpus 0.3.0 wrote it, byte for byte.
+    SHARD_0_3 = ('{"id": "a", "source": "s", "domain": "formal", "text": "hallo welt"}\n'
+                 '{"__manifest__": true, "source": "s", "doc_count": 1, "token_count": 2, '
+                 '"checksum": "de6d68a882d59a51"}\n')
+
+    @pytest.fixture
+    def byte_loop_calls(self, monkeypatch) -> list[int]:
+        calls = []
+        real = core._fnv1a_legacy
+        monkeypatch.setattr(core, "_fnv1a_legacy", lambda texts: calls.append(1) or real(texts))
+        return calls
+
+    def test_a_0_3_shard_reads_with_its_b2_manifest(self, tmp_path, byte_loop_calls):
+        path = tmp_path / "s.jsonl"
+        path.write_text(self.SHARD_0_3, encoding="utf-8")
+        assert read_manifest(path).checksum == f"{oracle_fnv1a(b'hallo welt'):016x}"
+        shard = read_shard(path)
+        assert shard == CorpusShard.from_documents([make_doc("a", "hallo welt", source="s")])
+        assert shard.manifest.checksum == "b2:edf06e8ecd025316"
+        assert byte_loop_calls == [1]
+
+    def test_reads_with_the_b2_manifest(self, tmp_path, byte_loop_calls):
+        shard = make_shard(["über alles", "großes ß", "", "eins zwei"], source="s")
+        path = tmp_path / "s.jsonl"
+        write_legacy_shard(shard, path)
+        assert read_shard(path) == shard
+        assert byte_loop_calls == [1]
+        write_shard(read_shard(path), path)  # never written back in the legacy form
+        assert read_manifest(path) == shard.manifest
+
+    def test_b2_manifest_skips_the_byte_loop(self, tmp_path, byte_loop_calls):
+        path = tmp_path / "s.jsonl"
+        write_shard(make_shard(["eins zwei"]), path)
+        read_shard(path)
+        assert byte_loop_calls == []
+
+    def test_flipped_text_byte_is_integrity_error(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        write_legacy_shard(make_shard(["eins zwei", "drei"]), path)
+        data = bytearray(path.read_bytes())
+        data[data.index(b"eins")] ^= 1  # "dins": the counts still match
+        path.write_bytes(bytes(data))
+        with pytest.raises(IntegrityError, match="manifest mismatch"):
+            read_shard(path)
+
+    @pytest.mark.parametrize("checksum", [
+        "DE6D68A882D59A51", "de6d68a882d59a5", "de6d68a882d59a510", " de6d68a882d59a51",
+        "0xde6d68a882d59a", "b2:de6d68a882d59a51", "b2:", "",
+    ])
+    def test_other_forms_fail_without_the_byte_loop(self, tmp_path, byte_loop_calls, checksum):
+        path = tmp_path / "s.jsonl"
+        write_legacy_shard(make_shard(["hallo welt"], source="s"), path, checksum=checksum)
+        with pytest.raises(IntegrityError, match="manifest mismatch"):
+            read_shard(path)
+        assert byte_loop_calls == []
 
 
 class TestMergeShards:
